@@ -37,21 +37,23 @@ from .jsonio import (
     tree_json,
     vector_json,
 )
-from .lcp import LcpProblem, solvability_p0prime, solve_enum, solve_lemke
-from .matrices import DEFAULT_TOL, SquareMatrix, classify, gen_k_matrix, gen_p_matrix
+from .lcp import LcpProblem, solve_enum, solve_lemke
+from .matrices import CLASSIFY_CAP, DEFAULT_TOL, classify, gen_k_matrix, gen_p_matrix
 from .multi_period import (
+    ENUMERATION_BUDGET,
     backward_induction,
     naive_equilibrium_search,
     verify_optimal_equilibrium,
 )
-from .redistribution import dhat_det, dhat_matrix, grg_game
+from .redistribution import dhat_det, grg_game
 from .single_period import (
     BRUTE_FORCE_CAP,
+    GameSolution,
     GameSpec,
-    NotCovered,
     coalition_value,
     dummy_extension,
     equilibrium_report,
+    solve_game,
     wuc_check,
 )
 from .tree import ScenarioTree, TreeNode, validate
@@ -82,7 +84,7 @@ BUILTIN_INSTANCES: Dict[str, Any] = {
         ],
     },
     # Two-player proportional-redistribution instance with a unique
-    # equilibrium payoff of (2, 2).
+    # equilibrium payoff of (2, 7/3).
     "grg-demo": {"X": [2.0, 0.0], "P": [0.0, 3.0], "alpha": [0.25, 0.25]},
 }
 
@@ -153,14 +155,9 @@ def _load_input(args: argparse.Namespace, default: Optional[str] = None) -> Any:
         return load_json(fh.read())
 
 
-def _canonical_bits(V: np.ndarray, X: np.ndarray, tol: float) -> List[int]:
-    tau = tol * max(1.0, float(np.max(np.abs(V))), float(np.max(np.abs(X))))
-    return [0 if abs(float(V[i] - X[i])) <= tau else 1 for i in range(len(V))]
-
-
 def _cmd_classify(args: argparse.Namespace) -> Dict[str, Any]:
     M = parse_matrix(_load_input(args))
-    cap = args.cap if args.cap is not None else 16
+    cap = args.cap if args.cap is not None else CLASSIFY_CAP
     cls = classify(M, tol=args.tolerance, cap=cap)
     result = {
         "m": M.m,
@@ -200,38 +197,19 @@ def _cmd_solve(args: argparse.Namespace) -> Dict[str, Any]:
     spec = parse_game(obj)
     if spec.non_exercising:
         raise InputFormatError("solve applies to fully exercisable games")
-    tol = args.tolerance
-    cls = classify(spec.G, tol=tol)
-    problem = LcpProblem(q=spec.P - spec.X, M=spec.G)
-    if cls.is_P:
-        solution = solve_enum(problem, tol=tol)
-        if solution is None:
-            raise ArithmeticError("no solution found for a P-matrix game")
-        V = spec.X + solution.w
-        result: Dict[str, Any] = {
-            "status": "solved",
-            "V_star": vector_json(V),
-            "equilibrium": _canonical_bits(V, spec.X, tol),
-        }
-    elif cls.is_P0prime:
-        outcome = solvability_p0prime(problem, tol=tol)
-        if outcome.solvable:
-            V = spec.X + outcome.solution.w
-            result = {
-                "status": "solved",
-                "V_star": vector_json(V),
-                "equilibrium": _canonical_bits(V, spec.X, tol),
-            }
-        else:
-            result = {
-                "status": "unsolvable_certificate",
-                "V_star": vector_json(spec.X),
-                "equilibrium": [0] * spec.m,
-                "certificate": vector_json(outcome.certificate.v),
-            }
-    else:
-        raise NotCovered("G is outside P and P0'; no unique Nash payoff")
+    result = _solution_json(solve_game(spec, args.tolerance))
     return {"input": game_json(spec), "result": result}
+
+
+def _solution_json(solution: GameSolution) -> Dict[str, Any]:
+    result: Dict[str, Any] = {
+        "status": solution.status,
+        "V_star": vector_json(solution.V_star),
+        "equilibrium": list(solution.equilibrium.s),
+    }
+    if solution.certificate is not None:
+        result["certificate"] = vector_json(solution.certificate.v)
+    return result
 
 
 def _cmd_equilibria(args: argparse.Namespace) -> Dict[str, Any]:
@@ -290,35 +268,13 @@ def _cmd_grg(args: argparse.Namespace) -> Dict[str, Any]:
     alpha = parse_vector(obj.get("alpha"), "alpha")
     X = parse_vector(obj.get("X"), "X", alpha.size)
     P = parse_vector(obj.get("P"), "P", alpha.size)
-    tol = args.tolerance
-    Dhat = dhat_matrix(alpha, tol)
-    spec = grg_game(X, P, alpha, tol)
-    problem = LcpProblem(q=P - X, M=Dhat)
-    if classify(Dhat, tol=tol).is_P:
-        solution = solve_enum(problem, tol=tol)
-        V = X + solution.w
-        status = "solved"
-        certificate = None
-    else:
-        outcome = solvability_p0prime(problem, tol=tol)
-        if outcome.solvable:
-            V = X + outcome.solution.w
-            status = "solved"
-            certificate = None
-        else:
-            V = X.copy()
-            status = "unsolvable_certificate"
-            certificate = vector_json(outcome.certificate.v)
+    spec = grg_game(X, P, alpha, args.tolerance)
     result = {
-        "Dhat": matrix_json(Dhat),
-        "det_Dhat": float(np.linalg.det(Dhat.entries)),
-        "det_closed_form": dhat_det(alpha, tol),
-        "status": status,
-        "V_star": vector_json(V),
-        "equilibrium": _canonical_bits(V, spec.X, tol),
+        "Dhat": matrix_json(spec.G),
+        "det_Dhat": float(np.linalg.det(spec.G.entries)),
+        "det_closed_form": dhat_det(alpha, args.tolerance),
+        **_solution_json(solve_game(spec, args.tolerance)),
     }
-    if certificate is not None:
-        result["certificate"] = certificate
     echo = {"X": vector_json(X), "P": vector_json(P), "alpha": vector_json(alpha)}
     return {"input": echo, "result": result}
 
@@ -348,7 +304,7 @@ def _cmd_tree_verify(args: argparse.Namespace) -> Dict[str, Any]:
             "optimal_equilibrium": None,
         }
     else:
-        budget = args.cap if args.cap is not None else 10**6
+        budget = args.cap if args.cap is not None else ENUMERATION_BUDGET
         vp = backward_induction(tree, tol=args.tolerance)
         ok = verify_optimal_equilibrium(
             tree, vp.tau_star, tol=args.tolerance, budget=budget
@@ -359,7 +315,7 @@ def _cmd_tree_verify(args: argparse.Namespace) -> Dict[str, Any]:
 
 def _cmd_naive_counterexample(args: argparse.Namespace) -> Dict[str, Any]:
     tree = parse_tree(_load_input(args, default="paper-counterexample"))
-    budget = args.cap if args.cap is not None else 10**6
+    budget = args.cap if args.cap is not None else ENUMERATION_BUDGET
     found = naive_equilibrium_search(tree, tol=args.tolerance, budget=budget)
     result = {
         "nash_profile_count": len(found.nash_profiles),

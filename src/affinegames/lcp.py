@@ -215,11 +215,16 @@ def solvability_p0prime(
     ones are solvable exactly when v^T q >= 0 for the positive left null
     vector v; otherwise v is returned as the unsolvability certificate.
     """
-    q, Ma = problem.q, problem.M.entries
     cls = classify(problem.M, tol=tol)
     if not cls.is_P0prime:
         raise ValueError("matrix is outside the P0' class; dichotomy does not apply")
-    if cls.is_P:
+    return _p0prime_dichotomy(problem, cls.is_P, tol)
+
+
+def _p0prime_dichotomy(problem: LcpProblem, is_P: bool, tol: float) -> P0PrimeOutcome:
+    """solvability_p0prime for a matrix its caller has already classified as P0'."""
+    q = problem.q
+    if is_P:
         sol = solve_enum(problem, tol=tol)
         if sol is None:
             raise ArithmeticError("P-matrix problem unexpectedly failed to solve")

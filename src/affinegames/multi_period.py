@@ -12,11 +12,13 @@ set, anchoring non-exercisers to the expected continuation value. The
 naive variant anchors them to the expected terminal payoff instead,
 which breaks the equilibrium structure (see the builtin counterexample
 in the CLI). Verification is by brute-force enumeration of adapted
-stopping times, represented as the antichain of first-stop nodes.
+stopping times, represented as the antichain of first-stop nodes: one
+payoff table over every joint profile, checked by the normal-form engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
@@ -25,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .matrices import DEFAULT_TOL, entry_tolerance
+from .normal_form import floor_mask, nash_mask, optimal_mask, sup_inf_inf_sup
 from .single_period import GameSpec, StrategyProfile, payoff, sol
 from .tree import AdaptedProcess, ScenarioTree, TreeNode, conditional_expectation
 
@@ -152,20 +155,69 @@ class _ProfileEvaluator:
         return V
 
     def value(self, profile: StoppingProfile, node: Union[str, TreeNode]) -> np.ndarray:
-        n = self.tree.node(node)
-        if self.tree.is_leaf(n):
-            return n.X
-        E = frozenset(i for i, s in enumerate(profile.stops) if n.id in s)
-        if E:
-            return self._end_payoff(n, E)
-        out = np.zeros(self.tree.m)
-        for c in self.tree.children(n):
-            out = out + c.p * self.value(profile, c)
-        return out
+        start = self.tree.node(node)
+        walk, reached = [start], []
+        while walk:
+            n = walk.pop()
+            E = frozenset(i for i, s in enumerate(profile.stops) if n.id in s)
+            reached.append((n, E))
+            if not E:
+                walk.extend(self.tree.children(n))
+        vals: Dict[str, np.ndarray] = {}
+        for n, E in reversed(reached):
+            kids = self.tree.children(n)
+            if not kids:
+                vals[n.id] = n.X
+            elif E:
+                vals[n.id] = self._end_payoff(n, E)
+            else:
+                out = np.zeros(self.tree.m)
+                for c in kids:
+                    out = out + c.p * vals[c.id]
+                vals[n.id] = out
+        return vals[start.id]
+
+    def joint_table(self) -> np.ndarray:
+        """Root payoffs of every joint profile of first-stop antichains.
+
+        Axis i runs over player i's antichains in enumerate_stopping_times
+        order; the last axis is the payoff vector. Built bottom-up: at a
+        node, antichain 0 stops there and the rest are the product of the
+        children's antichains, so the no-stop block is the probability
+        mix of the children's tables, summed in the same order value uses.
+        """
+        tree, m = self.tree, self.tree.m
+        tables: Dict[str, np.ndarray] = {}
+        for n in _postorder(tree, tree.root):
+            kids = tree.children(n)
+            if not kids:
+                tables[n.id] = n.X.reshape((1,) * m + (m,))
+                continue
+            subs = [tables.pop(c.id) for c in kids]
+            mix = np.zeros(m)
+            for j, (c, sub) in enumerate(zip(kids, subs)):
+                axes = [1] * len(kids)
+                axes[j] = sub.shape[0]
+                mix = mix + c.p * sub.reshape(tuple(axes) * m + (m,))
+            rest = math.prod(sub.shape[0] for sub in subs)
+            table = np.empty((1 + rest,) * m + (m,))
+            table[(slice(1, None),) * m] = mix.reshape((rest,) * m + (m,))
+            for bits in range(1, 2**m):
+                E = frozenset(i for i in range(m) if bits >> i & 1)
+                where = tuple(0 if i in E else slice(1, None) for i in range(m))
+                table[where] = self._end_payoff(n, E)
+            tables[n.id] = table
+        return tables[tree.root.id]
 
 
-def _continuation_anchor(tree: ScenarioTree, tol: float) -> Dict[str, np.ndarray]:
-    return dict(backward_induction(tree, tol=tol).U.values)
+def _postorder(tree: ScenarioTree, start: TreeNode) -> List[TreeNode]:
+    """The subtree under start, every node after all of its descendants."""
+    walk, order = [start], []
+    while walk:
+        n = walk.pop()
+        order.append(n)
+        walk.extend(tree.children(n))
+    return order[::-1]
 
 
 def _terminal_anchor(tree: ScenarioTree) -> Dict[str, np.ndarray]:
@@ -202,10 +254,9 @@ def evaluate_profile(
     """
     tree.require_valid()
     _check_profile(tree, profile)
-    anchor = (
-        dict(values.U.values) if values is not None else _continuation_anchor(tree, tol)
-    )
-    ev = _ProfileEvaluator(tree, anchor, tol)
+    if values is None:
+        values = backward_induction(tree, tol=tol)
+    ev = _ProfileEvaluator(tree, values.U.values, tol)
     return ev.value(profile, tree.root if node is None else node)
 
 
@@ -222,44 +273,49 @@ def naive_evaluate_profile(
     return ev.value(profile, tree.root if node is None else node)
 
 
-def _subtree_choices(tree: ScenarioTree, n: TreeNode) -> List[FrozenSet[str]]:
-    if tree.is_leaf(n):
-        return [frozenset()]
-    per_child = [_subtree_choices(tree, c) for c in tree.children(n)]
-    out: List[FrozenSet[str]] = [frozenset({n.id})]
-    for combo in product(*per_child):
-        out.append(frozenset().union(*combo))
-    return out
-
-
 def enumerate_stopping_times(tree: ScenarioTree) -> List[FrozenSet[str]]:
     """Every adapted single-player stopping time, as its first-stop antichain.
 
     The empty set is the never-stop-early time (exercise at the horizon).
     """
-    return _subtree_choices(tree, tree.root)
+    choices: Dict[str, List[FrozenSet[str]]] = {}
+    for n in _postorder(tree, tree.root):
+        per_child = [choices.pop(c.id) for c in tree.children(n)]
+        if not per_child:
+            choices[n.id] = [frozenset()]
+            continue
+        combos = product(*per_child)
+        choices[n.id] = [frozenset({n.id})] + [frozenset().union(*c) for c in combos]
+    return choices[tree.root.id]
 
 
 def stopping_time_count(tree: ScenarioTree) -> int:
-    def count(n: TreeNode) -> int:
-        if tree.is_leaf(n):
-            return 1
-        prod = 1
-        for c in tree.children(n):
-            prod *= count(c)
-        return 1 + prod
-
-    return count(tree.root)
+    counts: Dict[str, int] = {}
+    for n in _postorder(tree, tree.root):
+        kids = tree.children(n)
+        counts[n.id] = 1 + math.prod(counts.pop(c.id) for c in kids) if kids else 1
+    return counts[tree.root.id]
 
 
-def _check_budget(tree: ScenarioTree, budget: int) -> int:
+def _check_budget(tree: ScenarioTree, budget: int) -> None:
     per_player = stopping_time_count(tree)
-    total = per_player**tree.m
-    if total > budget:
+    if per_player**tree.m > budget:
         raise EnumerationTooLarge(
             f"{per_player}^{tree.m} joint stopping profiles exceed budget {budget}"
         )
-    return per_player
+
+
+def _first_stops(tree: ScenarioTree, stops: FrozenSet[str]) -> FrozenSet[str]:
+    """The non-leaf nodes where a stop set fires; they alone decide payoffs."""
+    walk, first = [tree.root], set()
+    while walk:
+        n = walk.pop()
+        kids = tree.children(n)
+        if kids and n.id in stops:
+            first.add(n.id)
+        else:
+            walk.extend(kids)
+    return frozenset(first)
 
 
 def verify_optimal_equilibrium(
@@ -278,26 +334,14 @@ def verify_optimal_equilibrium(
     _check_profile(tree, profile)
     _check_budget(tree, budget)
     values = backward_induction(tree, tol=tol)
-    ev = _ProfileEvaluator(tree, dict(values.U.values), tol)
-    root = tree.root
-    base = ev.value(profile, root)
+    table = _ProfileEvaluator(tree, values.U.values, tol).joint_table()
+    position = {c: k for k, c in enumerate(enumerate_stopping_times(tree))}
+    at = tuple(position[_first_stops(tree, s)] for s in profile.stops)
+    base = table[at]
     tau = tol * _scale(
         [base] + [n.X for n in tree.nodes] + list(values.U.values.values())
     )
-    choices = enumerate_stopping_times(tree)
-    for k in range(tree.m):
-        for c in choices:
-            if ev.value(profile.replace(k, c), root)[k] > base[k] + tau:
-                return False
-    for k in range(tree.m):
-        others = [i for i in range(tree.m) if i != k]
-        for combo in product(choices, repeat=len(others)):
-            adversary = profile
-            for i, c in zip(others, combo):
-                adversary = adversary.replace(i, c)
-            if ev.value(adversary, root)[k] < base[k] - tau:
-                return False
-    return True
+    return bool(optimal_mask(table, tau)[at])
 
 
 def coalition_value_tree(
@@ -329,36 +373,12 @@ def coalition_value_tree(
             )
     _check_budget(tree, budget)
     values = backward_induction(tree, tol=tol)
-    ev = _ProfileEvaluator(tree, dict(values.U.values), tol)
-    root = tree.root
-    choices = enumerate_stopping_times(tree)
-    others = [i for i in range(tree.m) if i not in members]
-
-    def total(own_combo, adv_combo) -> float:
-        prof = StoppingProfile(tuple(frozenset() for _ in range(tree.m)))
-        for i, c in zip(members, own_combo):
-            prof = prof.replace(i, c)
-        for i, c in zip(others, adv_combo):
-            prof = prof.replace(i, c)
-        v = ev.value(prof, root)
-        return float(sum(v[i] for i in members))
-
-    sup_inf = -np.inf
-    for own in product(choices, repeat=len(members)):
-        worst = min(
-            total(own, adv) for adv in product(choices, repeat=len(others))
-        )
-        sup_inf = max(sup_inf, worst)
-    inf_sup = np.inf
-    for adv in product(choices, repeat=len(others)):
-        best = max(
-            total(own, adv) for own in product(choices, repeat=len(members))
-        )
-        inf_sup = min(inf_sup, best)
+    table = _ProfileEvaluator(tree, values.U.values, tol).joint_table()
+    sup_inf, inf_sup = sup_inf_inf_sup(sum(table[..., i] for i in members), members)
     tau = tol * _scale(list(values.U.values.values())) * max(1, len(members))
     if abs(sup_inf - inf_sup) > tau:
         return None
-    target = float(sum(values.U.values[root.id][i] for i in members))
+    target = float(sum(values.U.values[tree.root.id][i] for i in members))
     if abs(sup_inf - target) > tau:
         raise HypothesisViolated(
             f"coalition value {sup_inf!r} differs from summed root values {target!r}"
@@ -389,50 +409,25 @@ def naive_equilibrium_search(
     """
     tree.require_valid()
     _check_budget(tree, budget)
-    ev = _ProfileEvaluator(tree, _terminal_anchor(tree), tol)
-    root = tree.root
+    table = _ProfileEvaluator(tree, _terminal_anchor(tree), tol).joint_table()
     choices = enumerate_stopping_times(tree)
-    payoffs: Dict[Tuple[FrozenSet[str], ...], np.ndarray] = {}
-    for combo in product(choices, repeat=tree.m):
-        prof = StoppingProfile(tuple(combo))
-        payoffs[prof.stops] = ev.value(prof, root)
-    tau = tol * _scale(list(payoffs.values()))
-    nash: List[StoppingProfile] = []
-    nash_vals: List[np.ndarray] = []
-    for combo in product(choices, repeat=tree.m):
-        prof = StoppingProfile(tuple(combo))
-        base = payoffs[prof.stops]
-        if any(
-            payoffs[prof.replace(k, c).stops][k] > base[k] + tau
-            for k in range(tree.m)
-            for c in choices
-        ):
-            continue
-        nash.append(prof)
-        nash_vals.append(base)
+    tau = tol * _scale([table])
+    nash_at = nash_mask(table, tau)
+    optimal_at = nash_at & floor_mask(table, tau)
+
+    def profiles(mask: np.ndarray) -> List[StoppingProfile]:
+        return [
+            StoppingProfile(tuple(choices[k] for k in idx)) for idx in np.argwhere(mask)
+        ]
+
+    nash_vals = [table[tuple(idx)].copy() for idx in np.argwhere(nash_at)]
     distinct: List[np.ndarray] = []
     for v in nash_vals:
         if all(float(np.max(np.abs(v - u))) > tau for u in distinct):
             distinct.append(v)
-    optimal: List[StoppingProfile] = []
-    for prof, base in zip(nash, nash_vals):
-        ok = True
-        for k in range(tree.m):
-            others = [i for i in range(tree.m) if i != k]
-            for combo in product(choices, repeat=len(others)):
-                adv = prof
-                for i, c in zip(others, combo):
-                    adv = adv.replace(i, c)
-                if payoffs[adv.stops][k] < base[k] - tau:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            optimal.append(prof)
     return NaiveSearchResult(
-        nash_profiles=nash,
+        nash_profiles=profiles(nash_at),
         nash_payoffs=nash_vals,
         distinct_nash_payoffs=distinct,
-        optimal_profiles=optimal,
+        optimal_profiles=profiles(optimal_at),
     )

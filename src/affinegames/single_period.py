@@ -19,20 +19,27 @@ verifiers in this module check all of that by exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError
-from .lcp import LcpProblem, project_quadratic, solvability_p0prime, solve_enum
+from .lcp import LcpProblem, _p0prime_dichotomy, project_quadratic
 from .matrices import (
     DEFAULT_TOL,
     ENUM_CAP,
+    NullCertificate,
     SquareMatrix,
     _minor_scale,
     classify,
     entry_tolerance,
+)
+from .normal_form import (
+    floor_mask,
+    nash_mask,
+    optimal_mask,
+    sup_inf_inf_sup,
+    wuc_holds,
 )
 
 __all__ = [
@@ -40,12 +47,14 @@ __all__ = [
     "StrategyProfile",
     "PayoffOutcome",
     "EquilibriumReport",
+    "GameSolution",
     "SingularSubmatrix",
     "NotCovered",
     "ColumnSumNegative",
     "NotSymmetricPD",
     "payoff",
     "enumerate_nash",
+    "solve_game",
     "sol",
     "canonical_equilibrium",
     "is_optimal_equilibrium",
@@ -157,10 +166,16 @@ class EquilibriumReport:
     wuc: Optional[bool]
 
 
-def _as_profile(s: Union[StrategyProfile, Iterable[int]]) -> StrategyProfile:
-    if isinstance(s, StrategyProfile):
-        return s
-    return StrategyProfile(tuple(s))
+def _checked_profile(
+    spec: GameSpec, s: Union[StrategyProfile, Iterable[int]]
+) -> StrategyProfile:
+    profile = s if isinstance(s, StrategyProfile) else StrategyProfile(tuple(s))
+    if len(profile.s) != spec.m:
+        raise ValueError(f"profile has {len(profile.s)} entries, expected {spec.m}")
+    bad = [i for i in profile.exercising if i in spec.non_exercising]
+    if bad:
+        raise ValueError(f"players {bad} cannot exercise in this game")
+    return profile
 
 
 def payoff(
@@ -169,13 +184,7 @@ def payoff(
     tol: float = DEFAULT_TOL,
 ) -> PayoffOutcome:
     """Evaluate the payoff vector for one strategy profile."""
-    profile = _as_profile(s)
-    if len(profile.s) != spec.m:
-        raise ValueError(f"profile has {len(profile.s)} entries, expected {spec.m}")
-    E = list(profile.exercising)
-    bad = [i for i in E if i in spec.non_exercising]
-    if bad:
-        raise ValueError(f"players {bad} cannot exercise in this game")
+    E = list(_checked_profile(spec, s).exercising)
     Ga = spec.G.entries
     m = spec.m
     if not E:
@@ -195,24 +204,29 @@ def payoff(
     return PayoffOutcome(V=V, a=a)
 
 
-def _free_profiles(spec: GameSpec) -> Iterable[StrategyProfile]:
-    """All profiles in lexicographic order, non-exercising players pinned to 1."""
-    frozen = spec.non_exercising
-    for bits in product((0, 1), repeat=spec.m):
-        if any(bits[i] == 0 for i in frozen):
-            continue
-        yield StrategyProfile(bits)
+def _payoff_table(spec: GameSpec, tol: float) -> np.ndarray:
+    """Payoffs of every profile in one array, built in lexicographic order.
+
+    Axis i is player i's exercise bit; a non-exercising player's axis has
+    size 1, its one entry standing for stay (bit 1).
+    """
+    shape = tuple(1 if i in spec.non_exercising else 2 for i in range(spec.m))
+    table = np.empty(shape + (spec.m,))
+    for idx in np.ndindex(*shape):
+        table[idx] = payoff(spec, _profile_at(idx, shape), tol=tol).V
+    return table
 
 
-def _payoff_table(
-    spec: GameSpec, tol: float
-) -> Dict[Tuple[int, ...], np.ndarray]:
-    return {p.s: payoff(spec, p, tol=tol).V for p in _free_profiles(spec)}
+def _profile_at(idx: Tuple[int, ...], shape: Tuple[int, ...]) -> StrategyProfile:
+    return StrategyProfile(tuple(b if n == 2 else 1 for b, n in zip(idx, shape)))
 
 
-def _table_tol(table: Dict[Tuple[int, ...], np.ndarray], tol: float) -> float:
-    peak = max(float(np.max(np.abs(v))) for v in table.values())
-    return tol * max(1.0, peak)
+def _profiles_where(mask: np.ndarray) -> List[StrategyProfile]:
+    return [_profile_at(tuple(idx), mask.shape) for idx in np.argwhere(mask)]
+
+
+def _table_tol(table: np.ndarray, tol: float) -> float:
+    return tol * max(1.0, float(np.max(np.abs(table))))
 
 
 def _check_cap(spec: GameSpec, cap: int, what: str) -> None:
@@ -221,31 +235,50 @@ def _check_cap(spec: GameSpec, cap: int, what: str) -> None:
         raise DimensionTooLarge(f"{what} enumerates 2^{free} profiles; cap is {cap}")
 
 
-def _is_nash(
-    spec: GameSpec,
-    s: Tuple[int, ...],
-    table: Dict[Tuple[int, ...], np.ndarray],
-    tau: float,
-) -> bool:
-    base = table[s]
-    for i in spec.exercisable:
-        flipped = list(s)
-        flipped[i] = 1 - flipped[i]
-        if table[tuple(flipped)][i] > base[i] + tau:
-            return False
-    return True
-
-
 def enumerate_nash(
     spec: GameSpec, tol: float = DEFAULT_TOL, cap: int = ENUM_CAP
 ) -> List[StrategyProfile]:
     """All pure Nash profiles, in lexicographic order of the exercise vector."""
     _check_cap(spec, cap, "Nash enumeration")
     table = _payoff_table(spec, tol)
-    tau = _table_tol(table, tol)
-    return [
-        StrategyProfile(s) for s in table if _is_nash(spec, s, table, tau)
-    ]
+    return _profiles_where(nash_mask(table, _table_tol(table, tol)))
+
+
+@dataclass(frozen=True)
+class GameSolution:
+    """The one-shot game solved through its matrix class.
+
+    status is "solved", or "unsolvable_certificate" for a singular P0' game
+    whose complementarity problem has no solution; then everyone exercises,
+    V_star = X, and certificate is the positive left null vector of G that
+    proves it. equilibrium exercises exactly the players with V*_i = X_i.
+    """
+
+    status: str
+    V_star: np.ndarray
+    equilibrium: StrategyProfile
+    certificate: Optional[NullCertificate]
+
+
+def solve_game(spec: GameSpec, tol: float = DEFAULT_TOL) -> GameSolution:
+    """Classify G once and solve: P games by enumeration, singular P0' games
+    by the solvability dichotomy; anything else is NotCovered."""
+    if spec.non_exercising:
+        raise NotCovered("unique-payoff solver applies to fully exercisable games")
+    cls = classify(spec.G, tol=tol)
+    if not cls.is_P0prime:
+        raise NotCovered("G is outside P and P0'; no unique Nash payoff is guaranteed")
+    problem = LcpProblem(q=spec.P - spec.X, M=spec.G)
+    outcome = _p0prime_dichotomy(problem, cls.is_P, tol)
+    if outcome.solvable:
+        V = spec.X + outcome.solution.w
+        status, certificate = "solved", None
+    else:
+        V = spec.X.copy()
+        status, certificate = "unsolvable_certificate", outcome.certificate
+    tau = tol * max(1.0, float(np.max(np.abs(V))), float(np.max(np.abs(spec.X))))
+    s = tuple(0 if abs(V[i] - spec.X[i]) <= tau else 1 for i in range(spec.m))
+    return GameSolution(status, V, StrategyProfile(s), certificate)
 
 
 def sol(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -256,31 +289,14 @@ def sol(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     certificate rules a solution out, everyone exercising is the Nash
     equilibrium and V* = X.
     """
-    if spec.non_exercising:
-        raise NotCovered("unique-payoff solver applies to fully exercisable games")
-    cls = classify(spec.G, tol=tol)
-    problem = LcpProblem(q=spec.P - spec.X, M=spec.G)
-    if cls.is_P:
-        lcp_sol = solve_enum(problem, tol=tol)
-        if lcp_sol is None:
-            raise ArithmeticError("P-matrix game unexpectedly has no LCP solution")
-        return spec.X + lcp_sol.w
-    if cls.is_P0prime:
-        outcome = solvability_p0prime(problem, tol=tol)
-        if outcome.solvable:
-            return spec.X + outcome.solution.w
-        return spec.X.copy()
-    raise NotCovered("G is outside P and P0'; no unique Nash payoff is guaranteed")
+    return solve_game(spec, tol=tol).V_star
 
 
 def canonical_equilibrium(
     spec: GameSpec, tol: float = DEFAULT_TOL
 ) -> StrategyProfile:
     """The Nash profile that exercises exactly the players with V*_i = X_i."""
-    v_star = sol(spec, tol=tol)
-    tau = tol * max(1.0, float(np.max(np.abs(v_star))), float(np.max(np.abs(spec.X))))
-    s = tuple(0 if abs(v_star[i] - spec.X[i]) <= tau else 1 for i in range(spec.m))
-    return StrategyProfile(s)
+    return solve_game(spec, tol=tol).equilibrium
 
 
 def is_optimal_equilibrium(
@@ -290,24 +306,11 @@ def is_optimal_equilibrium(
     cap: int = ENUM_CAP,
 ) -> bool:
     """Nash, and each player's payoff is a floor against arbitrary opponents."""
-    profile = _as_profile(s)
+    profile = _checked_profile(spec, s)
+    idx = tuple(0 if i in spec.non_exercising else b for i, b in enumerate(profile.s))
     _check_cap(spec, cap, "optimality check")
     table = _payoff_table(spec, tol)
-    tau = _table_tol(table, tol)
-    if not _is_nash(spec, profile.s, table, tau):
-        return False
-    base = table[profile.s]
-    free = spec.exercisable
-    for k in free:
-        others = [i for i in free if i != k]
-        for bits in product((0, 1), repeat=len(others)):
-            t = [1] * spec.m
-            t[k] = profile.s[k]
-            for i, b in zip(others, bits):
-                t[i] = b
-            if table[tuple(t)][k] < base[k] - tau:
-                return False
-    return True
+    return bool(optimal_mask(table, _table_tol(table, tol))[idx])
 
 
 def wuc_check(
@@ -321,68 +324,18 @@ def wuc_check(
     """
     _check_cap(spec, cap, "competitiveness check")
     table = _payoff_table(spec, tol)
+    return wuc_holds(table, _table_tol(table, tol))
+
+
+def _value(table: np.ndarray, tol: float) -> Optional[np.ndarray]:
     tau = _table_tol(table, tol)
-    free = spec.exercisable
-    for k in free:
-        others = [i for i in free if i != k]
-        for bits in product((0, 1), repeat=len(others)):
-            t0 = [1] * spec.m
-            t1 = [1] * spec.m
-            for i, b in zip(others, bits):
-                t0[i] = b
-                t1[i] = b
-            t0[k], t1[k] = 0, 1
-            v0, v1 = table[tuple(t0)], table[tuple(t1)]
-            diff = v0[k] - v1[k]
-            if diff > tau:
-                hi, lo = v0, v1
-            elif diff < -tau:
-                hi, lo = v1, v0
-            else:
-                if any(
-                    abs(v0[l] - v1[l]) > tau for l in range(spec.m) if l != k
-                ):
-                    return False
-                continue
-            if any(hi[l] > lo[l] + tau for l in range(spec.m) if l != k):
-                return False
-    return True
-
-
-def _iterated_optima(
-    spec: GameSpec,
-    table: Dict[Tuple[int, ...], np.ndarray],
-    group: List[int],
-    score,
-) -> Tuple[float, float]:
-    """(sup-inf, inf-sup) of score over group strategies vs the complement."""
-    free = spec.exercisable
-    complement = [i for i in free if i not in group]
-
-    def rows(players: List[int]):
-        return list(product((0, 1), repeat=len(players)))
-
-    def build(own_bits, other_bits, own: List[int], other: List[int]):
-        t = [1] * spec.m
-        for i, b in zip(own, own_bits):
-            t[i] = b
-        for i, b in zip(other, other_bits):
-            t[i] = b
-        return tuple(t)
-
-    sup_inf = -np.inf
-    for ob in rows(group):
-        worst = np.inf
-        for ab in rows(complement):
-            worst = min(worst, score(table[build(ob, ab, group, complement)]))
-        sup_inf = max(sup_inf, worst)
-    inf_sup = np.inf
-    for ab in rows(complement):
-        best = -np.inf
-        for ob in rows(group):
-            best = max(best, score(table[build(ob, ab, group, complement)]))
-        inf_sup = min(inf_sup, best)
-    return float(sup_inf), float(inf_sup)
+    out = np.zeros(table.shape[-1])
+    for k in range(table.shape[-1]):
+        lo, hi = sup_inf_inf_sup(table[..., k], [k])
+        if abs(hi - lo) > tau:
+            return None
+        out[k] = lo
+    return out
 
 
 def value(
@@ -390,16 +343,7 @@ def value(
 ) -> Optional[np.ndarray]:
     """Per-player sup-inf payoffs, when they agree with the inf-sup side."""
     _check_cap(spec, cap, "value computation")
-    table = _payoff_table(spec, tol)
-    tau = _table_tol(table, tol)
-    out = np.zeros(spec.m)
-    for k in range(spec.m):
-        group = [k] if k in spec.exercisable else []
-        lo, hi = _iterated_optima(spec, table, group, lambda v, k=k: float(v[k]))
-        if abs(hi - lo) > tau:
-            return None
-        out[k] = lo
-    return out
+    return _value(_payoff_table(spec, tol), tol)
 
 
 def coalition_value(
@@ -409,18 +353,15 @@ def coalition_value(
     cap: int = BRUTE_FORCE_CAP,
 ) -> Optional[float]:
     """Value of the summed payoff of coalition A against everyone else."""
-    group_all = sorted(set(int(i) for i in A))
-    if not group_all:
+    group = sorted(set(int(i) for i in A))
+    if not group:
         raise ValueError("coalition must be nonempty")
-    if any(i < 0 or i >= spec.m for i in group_all):
+    if any(i < 0 or i >= spec.m for i in group):
         raise ValueError("coalition indices out of range")
     _check_cap(spec, cap, "coalition value")
     table = _payoff_table(spec, tol)
-    tau = _table_tol(table, tol) * max(1, len(group_all))
-    group = [i for i in group_all if i in spec.exercisable]
-    lo, hi = _iterated_optima(
-        spec, table, group, lambda v: float(sum(v[i] for i in group_all))
-    )
+    tau = _table_tol(table, tol) * max(1, len(group))
+    lo, hi = sup_inf_inf_sup(sum(table[..., i] for i in group), group)
     if abs(hi - lo) > tau:
         return None
     return lo
@@ -473,21 +414,23 @@ def equilibrium_report(
     spec: GameSpec, tol: float = DEFAULT_TOL, cap: int = BRUTE_FORCE_CAP
 ) -> EquilibriumReport:
     """Bundle enumeration, optimality, value, and competitiveness results."""
-    nash = enumerate_nash(spec, tol=tol)
-    payoffs = [payoff(spec, p, tol=tol).V for p in nash]
+    _check_cap(spec, ENUM_CAP, "Nash enumeration")
+    table = _payoff_table(spec, tol)
+    tau = _table_tol(table, tol)
+    nash_at = nash_mask(table, tau)
+    nash = _profiles_where(nash_at)
+    payoffs = [table[tuple(idx)] for idx in np.argwhere(nash_at)]
     nash_payoff = None
     if payoffs:
-        tau = tol * max(1.0, max(float(np.max(np.abs(v))) for v in payoffs))
-        if all(float(np.max(np.abs(v - payoffs[0]))) <= tau for v in payoffs):
-            nash_payoff = payoffs[0]
-    optimal = [p for p in nash if is_optimal_equilibrium(spec, p, tol=tol)]
+        tau_v = tol * max(1.0, max(float(np.max(np.abs(v))) for v in payoffs))
+        if all(float(np.max(np.abs(v - payoffs[0]))) <= tau_v for v in payoffs):
+            nash_payoff = payoffs[0].copy()
+    optimal = _profiles_where(nash_at & floor_mask(table, tau))
     free = len(spec.exercisable)
-    val = value(spec, tol=tol, cap=cap) if free <= cap else None
-    wuc = wuc_check(spec, tol=tol, cap=cap) if free <= cap else None
     return EquilibriumReport(
         nash_profiles=nash,
         nash_payoff=nash_payoff,
         optimal_profiles=optimal,
-        value=val,
-        wuc=wuc,
+        value=_value(table, tol) if free <= cap else None,
+        wuc=wuc_holds(table, tau) if free <= cap else None,
     )

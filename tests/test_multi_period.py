@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from affinegames.cli import BUILTIN_INSTANCES, gen_tree
-from affinegames.jsonio import parse_tree
+from affinegames.cli import BUILTIN_INSTANCES, gen_tree, main
+from affinegames.jsonio import dump_json, parse_tree, tree_json
 from affinegames.matrices import SquareMatrix
 from affinegames.multi_period import (
     EnumerationTooLarge,
+    _ProfileEvaluator,
+    _terminal_anchor,
     HypothesisViolated,
     StoppingProfile,
     backward_induction,
@@ -332,3 +334,39 @@ class TestProfileBasics:
     def test_normalizes_ids_to_strings(self):
         prof = StoppingProfile((frozenset({1, "a"}),))
         assert prof.stops[0] == frozenset({"1", "a"})
+
+
+class TestJointTable:
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (2, 2, 3), (1, 3, 2)])
+    def test_entries_equal_profile_evaluation(self, shape, naive):
+        m, T, b = shape
+        tree = gen_tree(sum(shape), m, T=T, branching=b)
+        evaluate = naive_evaluate_profile if naive else evaluate_profile
+        anchor = _terminal_anchor(tree) if naive else backward_induction(tree).U.values
+        table = _ProfileEvaluator(tree, anchor, 1e-9).joint_table()
+        choices = enumerate_stopping_times(tree)
+        assert table.shape == (len(choices),) * m + (m,)
+        for idx in itertools.product(range(len(choices)), repeat=m):
+            prof = StoppingProfile(tuple(choices[k] for k in idx))
+            assert np.array_equal(table[idx], evaluate(tree, prof)), idx
+
+
+def long_chain(m, length):
+    G = SquareMatrix(np.eye(m) - 0.4 / max(1, m - 1) * (1 - np.eye(m)))
+    xs = [np.array([float((7 * t + i) % 5) for i in range(m)]) for t in range(length)]
+    return chain(xs, G)
+
+
+class TestDeepTrees:
+    def test_two_player_chain_exceeds_budget_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(dump_json(tree_json(long_chain(2, 1201))), encoding="utf-8")
+        assert main(["tree-verify", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceed budget" in err
+
+    def test_one_player_chain_verifies(self):
+        tree = long_chain(1, 1201)
+        assert stopping_time_count(tree) == 1201
+        assert verify_optimal_equilibrium(tree, backward_induction(tree).tau_star)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from affinegames import lcp, single_period
 from affinegames.errors import DimensionTooLarge
 from affinegames.lcp import LcpProblem, solve_enum
 from affinegames.matrices import SquareMatrix, gen_k_matrix, gen_p_matrix
@@ -311,3 +312,119 @@ def test_equilibrium_report_hand_game():
     assert [p.s for p in rep.optimal_profiles] == [(0, 1)]
     assert rep.value == pytest.approx([2.0, 2.0])
     assert rep.wuc is True
+
+
+def counting(monkeypatch, modules, name):
+    """Wrap one function at each listed module binding; returns the call log."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("make", [hand_game, singular_game])
+    def test_sol_classifies_once(self, monkeypatch, make):
+        calls = counting(monkeypatch, [single_period, lcp], "classify")
+        sol(make())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "spec", [hand_game(), dummy_extension(hand_game()), random_k_game(4, 4)]
+    )
+    def test_equilibrium_report_builds_one_table(self, monkeypatch, spec):
+        calls = counting(monkeypatch, [single_period], "payoff")
+        equilibrium_report(spec)
+        assert len(calls) == 2 ** len(spec.exercisable)
+
+
+def loop_report(spec, tol=1e-9):
+    """Profile-by-profile reference for equilibrium_report, one payoff() a profile."""
+    free = spec.exercisable
+    table = {}
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        s = [1] * spec.m
+        for i, b in zip(free, bits):
+            s[i] = b
+        table[tuple(s)] = payoff(spec, s).V
+    tau = tol * max(1.0, max(float(np.max(np.abs(v))) for v in table.values()))
+
+    def flip(s, i, b):
+        return tuple(b if j == i else x for j, x in enumerate(s))
+
+    def nash(s):
+        return all(table[flip(s, i, 1 - s[i])][i] <= table[s][i] + tau for i in free)
+
+    def floor(s):
+        return all(
+            table[t][k] >= table[s][k] - tau
+            for k in free
+            for t in table
+            if t[k] == s[k]
+        )
+
+    def wuc():
+        for k in free:
+            for t0 in (t for t in table if t[k] == 0):
+                v0, v1 = table[t0], table[flip(t0, k, 1)]
+                others = [l for l in range(spec.m) if l != k]
+                diff = v0[k] - v1[k]
+                if diff > tau and any(v0[l] > v1[l] + tau for l in others):
+                    return False
+                if diff < -tau and any(v1[l] > v0[l] + tau for l in others):
+                    return False
+                if abs(diff) <= tau and any(abs(v0[l] - v1[l]) > tau for l in others):
+                    return False
+        return True
+
+    def value():
+        out = []
+        for k in range(spec.m):
+            rest = [i for i in range(spec.m) if i != k]
+            rows, cols = {}, {}
+            for t, v in table.items():
+                rows.setdefault(t[k], []).append(v[k])
+                cols.setdefault(tuple(t[i] for i in rest), []).append(v[k])
+            lo = max(min(r) for r in rows.values())
+            hi = min(max(c) for c in cols.values())
+            if abs(hi - lo) > tau:
+                return None
+            out.append(lo)
+        return out
+
+    ne = [s for s in table if nash(s)]
+    return ne, [s for s in ne if floor(s)], value(), wuc()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_equilibrium_report_matches_profile_loops(seed):
+    """The array engine against plain loops over profiles, exactly.
+
+    K games, P games, dummy extensions (a frozen player) and games with
+    positive off-diagonal entries, which have several Nash profiles.
+    """
+    m = 2 + seed % 3
+    rng = np.random.default_rng([seed, 77])
+    X, P = rng.uniform(-5, 5, m), rng.uniform(-5, 5, m)
+    if seed % 4 == 0:
+        spec = random_k_game(seed, m)
+    elif seed % 4 == 1:
+        spec = game(X, P, gen_p_matrix(seed, m).entries)
+    elif seed % 4 == 2:
+        spec = dummy_extension(random_k_game(seed, m, nonneg=True))
+    else:
+        spec = game(X, P, np.eye(m) + rng.uniform(0.5, 2.0, (m, m)) * (1 - np.eye(m)))
+    nash, optimal, val, wuc = loop_report(spec)
+    rep = equilibrium_report(spec)
+    assert [p.s for p in rep.nash_profiles] == nash
+    assert [p.s for p in rep.optimal_profiles] == optimal
+    assert (rep.value is None) == (val is None)
+    if val is not None:
+        assert rep.value.tolist() == val
+    assert rep.wuc is wuc
