@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lcp import LcpProblem, solve_lemke
-from .matrices import DEFAULT_TOL, classify
+from .matrices import DEFAULT_TOL
 from .tree import AdaptedProcess, ScenarioTree, conditional_expectation
 
 __all__ = [
@@ -57,17 +57,6 @@ class BsdeSolution:
     delta_K: Dict[str, np.ndarray]
 
 
-def _require_k_matrices(tree: ScenarioTree, tol: float) -> None:
-    for n in tree.nonterminal():
-        G = tree.effective_G(n)
-        if G is None:
-            raise ValueError(f"node {n.id!r} has no matrix and no shared default")
-        if not classify(G, tol=tol).is_K:
-            raise NotKMatrix(
-                f"matrix at node {n.id!r} is singular or not a K-matrix"
-            )
-
-
 def solve_reflected_bsde(
     tree: ScenarioTree,
     tol: float = DEFAULT_TOL,
@@ -79,8 +68,10 @@ def solve_reflected_bsde(
     the result must not depend on it (each node's problem only reads its
     children), which makes the parameter a uniqueness probe for tests.
     """
-    tree.require_valid()
-    _require_k_matrices(tree, tol)
+    classes = tree.require_valid(tol)
+    for n in tree.nonterminal():
+        if not classes[n.id].is_K:
+            raise NotKMatrix(f"matrix at node {n.id!r} is singular or not a K-matrix")
     order = list(tree.nodes)
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
@@ -125,7 +116,7 @@ def verify_bsde_solution(
     tol: float = DEFAULT_TOL,
 ) -> List[str]:
     """All violations of the defining conditions, empty when consistent."""
-    tree.require_valid()
+    tree.require_valid(tol)
     out: List[str] = []
     for proc, name in ((sol.Z, "Z"), (sol.K, "K"), (sol.J, "J")):
         for n in tree.nodes:
@@ -155,9 +146,6 @@ def verify_bsde_solution(
             out.append(f"Z at node {n.id!r} falls below the payoff floor")
     for n in tree.nonterminal():
         G = tree.effective_G(n)
-        if G is None:
-            out.append(f"node {n.id!r} has no matrix and no shared default")
-            continue
         expected = conditional_expectation(tree, sol.Z, n)
         binding = sol.Z[n.id] - n.X > tau
         for c in tree.children(n):

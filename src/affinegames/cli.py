@@ -6,7 +6,7 @@ JSON report to stdout (or --output). Reports carry the normalized input
 echo, the tolerance, and the seed, and are byte-identical across runs
 for identical arguments; wall-clock timing goes to stderr so it cannot
 perturb the output. Exit codes: 0 on success (absence of a solution is
-data, not failure), 1 on domain errors, 2 on malformed input.
+data, not failure), 1 on domain and arithmetic errors, 2 on malformed input.
 
 Player numbering in all CLI-facing JSON is 1-based.
 """
@@ -41,6 +41,7 @@ from .lcp import LcpProblem, solve_enum, solve_lemke
 from .matrices import CLASSIFY_CAP, DEFAULT_TOL, classify, gen_k_matrix, gen_p_matrix
 from .multi_period import (
     ENUMERATION_BUDGET,
+    _check_budget,
     backward_induction,
     naive_equilibrium_search,
     verify_optimal_equilibrium,
@@ -297,19 +298,14 @@ def _cmd_tree_solve(args: argparse.Namespace) -> Dict[str, Any]:
 def _cmd_tree_verify(args: argparse.Namespace) -> Dict[str, Any]:
     tree = parse_tree(_load_input(args))
     violations = validate(tree, tol=args.tolerance)
-    if violations:
-        result: Dict[str, Any] = {
-            "valid": False,
-            "violations": violations,
-            "optimal_equilibrium": None,
-        }
-    else:
+    result = dict(valid=not violations, violations=violations, optimal_equilibrium=None)
+    if not violations:
         budget = args.cap if args.cap is not None else ENUMERATION_BUDGET
+        _check_budget(tree, budget)
         vp = backward_induction(tree, tol=args.tolerance)
-        ok = verify_optimal_equilibrium(
+        result["optimal_equilibrium"] = verify_optimal_equilibrium(
             tree, vp.tau_star, tol=args.tolerance, budget=budget
         )
-        result = {"valid": True, "violations": [], "optimal_equilibrium": ok}
     return {"input": tree_json(tree), "result": result}
 
 
@@ -453,7 +449,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         code = 0
-    except DomainError as e:
+    except (DomainError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = 1
     except (InputFormatError, ValueError, KeyError, TypeError, OSError) as e:

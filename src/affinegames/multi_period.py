@@ -26,9 +26,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .matrices import DEFAULT_TOL, entry_tolerance
+from .matrices import DEFAULT_TOL, MatrixClass
 from .normal_form import floor_mask, nash_mask, optimal_mask, sup_inf_inf_sup
-from .single_period import GameSpec, StrategyProfile, payoff, sol
+from .single_period import GameSpec, StrategyProfile, _solve_classified, payoff
 from .tree import AdaptedProcess, ScenarioTree, TreeNode, conditional_expectation
 
 __all__ = [
@@ -101,25 +101,25 @@ def _scale(values: Iterable[np.ndarray]) -> float:
 
 def backward_induction(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> ValueProcess:
     """Value process U and the canonical stop-when-binding profile."""
-    tree.require_valid()
+    return _value_process(tree, tree.require_valid(tol), tol)
+
+
+def _value_process(
+    tree: ScenarioTree, classes: Dict[str, MatrixClass], tol: float
+) -> ValueProcess:
+    """backward_induction on a tree validated at tol, given its matrix classes."""
     U: Dict[str, np.ndarray] = {}
     for n in sorted(tree.nodes, key=lambda n: -n.t):
         if tree.is_leaf(n):
             U[n.id] = n.X.copy()
             continue
-        G = tree.effective_G(n)
-        if G is None:
-            raise ValueError(f"node {n.id!r} has no matrix and no shared default")
         cont = conditional_expectation(tree, U, n)
-        U[n.id] = sol(GameSpec(X=n.X, P=cont, G=G), tol=tol)
-    stops: List[FrozenSet[str]] = []
-    for i in range(tree.m):
-        binding = set()
-        for n in tree.nonterminal():
-            tau = tol * _scale([U[n.id], n.X])
-            if U[n.id][i] <= n.X[i] + tau:
-                binding.add(n.id)
-        stops.append(frozenset(binding))
+        spec = GameSpec(X=n.X, P=cont, G=tree.effective_G(n))
+        U[n.id] = _solve_classified(spec, classes[n.id], tol).V_star
+    binds = {
+        n.id: U[n.id] <= n.X + tol * _scale([U[n.id], n.X]) for n in tree.nonterminal()
+    }
+    stops = (frozenset(k for k, b in binds.items() if b[i]) for i in range(tree.m))
     return ValueProcess(U=AdaptedProcess(values=U), tau_star=StoppingProfile(tuple(stops)))
 
 
@@ -144,11 +144,8 @@ class _ProfileEvaluator:
         got = self._ends.get(key)
         if got is not None:
             return got
-        G = self.tree.effective_G(n)
-        if G is None:
-            raise ValueError(f"node {n.id!r} has no matrix and no shared default")
         stay = conditional_expectation(self.tree, self.anchor, n)
-        spec_game = GameSpec(X=n.X, P=stay, G=G)
+        spec_game = GameSpec(X=n.X, P=stay, G=self.tree.effective_G(n))
         s = tuple(0 if i in E else 1 for i in range(self.tree.m))
         V = payoff(spec_game, StrategyProfile(s), tol=self.tol).V
         self._ends[key] = V
@@ -252,10 +249,10 @@ def evaluate_profile(
     Pass the result of backward_induction as values to reuse it across
     many profile evaluations.
     """
-    tree.require_valid()
+    classes = tree.require_valid(tol)
     _check_profile(tree, profile)
     if values is None:
-        values = backward_induction(tree, tol=tol)
+        values = _value_process(tree, classes, tol)
     ev = _ProfileEvaluator(tree, values.U.values, tol)
     return ev.value(profile, tree.root if node is None else node)
 
@@ -267,7 +264,7 @@ def naive_evaluate_profile(
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Profile payoff with non-exercisers anchored to expected terminal payoffs."""
-    tree.require_valid()
+    tree.require_valid(tol)
     _check_profile(tree, profile)
     ev = _ProfileEvaluator(tree, _terminal_anchor(tree), tol)
     return ev.value(profile, tree.root if node is None else node)
@@ -330,10 +327,10 @@ def verify_optimal_equilibrium(
     must not beat the profile payoff; against arbitrary joint adversary
     stopping times, keeping the profile entry must not fall below it.
     """
-    tree.require_valid()
+    classes = tree.require_valid(tol)
     _check_profile(tree, profile)
     _check_budget(tree, budget)
-    values = backward_induction(tree, tol=tol)
+    values = _value_process(tree, classes, tol)
     table = _ProfileEvaluator(tree, values.U.values, tol).joint_table()
     position = {c: k for k, c in enumerate(enumerate_stopping_times(tree))}
     at = tuple(position[_first_stops(tree, s)] for s in profile.stops)
@@ -357,22 +354,19 @@ def coalition_value_tree(
     value must match the summed value process at the root, and a mismatch
     reports the failed conclusion rather than returning a bogus number.
     """
-    tree.require_valid()
+    classes = tree.require_valid(tol)
     members = sorted(set(int(i) for i in A))
     if not members:
         raise ValueError("coalition must be nonempty")
     if any(i < 0 or i >= tree.m for i in members):
         raise ValueError("coalition indices out of range")
-    mats = [("<shared>", tree.G)] if tree.G is not None else []
-    mats.extend((n.id, n.G) for n in tree.nodes if n.G is not None)
-    for label, M in mats:
-        colsums = M.entries.sum(axis=0)
-        if float(np.min(colsums)) < -entry_tolerance(M, tol):
-            raise HypothesisViolated(
-                f"matrix at {label!r} has a negative column sum"
-            )
+    # Nodes on the shared matrix first, so it is reported before any override.
+    for n in sorted(tree.nodes, key=lambda n: n.G is not None):
+        if n.id in classes and not classes[n.id].column_sums_nonneg:
+            label = n.id if n.G is not None else "<shared>"
+            raise HypothesisViolated(f"matrix at {label!r} has a negative column sum")
     _check_budget(tree, budget)
-    values = backward_induction(tree, tol=tol)
+    values = _value_process(tree, classes, tol)
     table = _ProfileEvaluator(tree, values.U.values, tol).joint_table()
     sup_inf, inf_sup = sup_inf_inf_sup(sum(table[..., i] for i in members), members)
     tau = tol * _scale(list(values.U.values.values())) * max(1, len(members))
@@ -407,7 +401,7 @@ def naive_equilibrium_search(
     adversary deviations. The builtin three-player instance comes out
     with two distinct equilibrium payoffs and no surviving profile.
     """
-    tree.require_valid()
+    tree.require_valid(tol)
     _check_budget(tree, budget)
     table = _ProfileEvaluator(tree, _terminal_anchor(tree), tol).joint_table()
     choices = enumerate_stopping_times(tree)

@@ -28,6 +28,7 @@ from .lcp import LcpProblem, _p0prime_dichotomy, project_quadratic
 from .matrices import (
     DEFAULT_TOL,
     ENUM_CAP,
+    MatrixClass,
     NullCertificate,
     SquareMatrix,
     _minor_scale,
@@ -265,7 +266,11 @@ def solve_game(spec: GameSpec, tol: float = DEFAULT_TOL) -> GameSolution:
     by the solvability dichotomy; anything else is NotCovered."""
     if spec.non_exercising:
         raise NotCovered("unique-payoff solver applies to fully exercisable games")
-    cls = classify(spec.G, tol=tol)
+    return _solve_classified(spec, classify(spec.G, tol=tol), tol)
+
+
+def _solve_classified(spec: GameSpec, cls: MatrixClass, tol: float) -> GameSolution:
+    """solve_game for a fully exercisable game whose G its caller classified as cls."""
     if not cls.is_P0prime:
         raise NotCovered("G is outside P and P0'; no unique Nash payoff is guaranteed")
     problem = LcpProblem(q=spec.P - spec.X, M=spec.G)

@@ -5,7 +5,9 @@ and all leaves at the horizon T. Vector-valued processes adapted to the
 tree assign one length-m vector per node; conditional expectation at a
 node averages the children's values with the branch probabilities.
 Validation returns violations as data so callers can report all problems
-at once instead of failing on the first.
+at once instead of failing on the first; a non-terminal node with no
+matrix is one. Each call validates its tree once, at the caller's
+tolerance, and reads the matrix classes that require_valid returns.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .matrices import DEFAULT_TOL, SquareMatrix, classify
+from .matrices import DEFAULT_TOL, MatrixClass, SquareMatrix, classify
 
 __all__ = [
     "TreeNode",
@@ -124,14 +126,22 @@ class ScenarioTree:
     def nonterminal(self) -> List[TreeNode]:
         return [n for n in self.nodes if not self.is_leaf(n)]
 
-    def require_valid(self) -> None:
-        problems = validate(self)
+    def require_valid(self, tol: float = DEFAULT_TOL) -> Dict[str, MatrixClass]:
+        """Validate at tol; the class of each node's effective matrix, by node id."""
+        problems, by_entries = _checked(self, tol)
         if problems:
             raise ValueError("invalid tree: " + "; ".join(problems))
+        effective = ((n.id, self.effective_G(n)) for n in self.nodes)
+        return {i: by_entries[G.entries.tobytes()] for i, G in effective if G is not None}
 
 
 def validate(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> List[str]:
     """All invariant violations, empty when the tree is well formed."""
+    return _checked(tree, tol)[0]
+
+
+def _checked(tree: ScenarioTree, tol: float) -> Tuple[List[str], Dict[bytes, MatrixClass]]:
+    """Violations, and the class of each well-sized matrix keyed by its entries."""
     out: List[str] = []
     seen: Dict[str, int] = {}
     for n in tree.nodes:
@@ -168,23 +178,28 @@ def validate(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> List[str]:
                 out.append(
                     f"children of {n.id!r} have probabilities summing to {mass!r}"
                 )
+            if tree.effective_G(n) is None:
+                out.append(f"node {n.id!r} has no matrix and no shared default")
         elif n.t != tree.T:
             out.append(f"leaf {n.id!r} at time {n.t}, expected horizon {tree.T}")
     matrices: List[Tuple[str, SquareMatrix]] = []
     if tree.G is not None:
         matrices.append(("<shared>", tree.G))
     matrices.extend((n.id, n.G) for n in tree.nodes if n.G is not None)
+    by_entries: Dict[bytes, MatrixClass] = {}
     for label, M in matrices:
         if M.m != tree.m:
             out.append(f"matrix at {label!r} has size {M.m}, expected {tree.m}")
             continue
-        cls = classify(M, tol=tol)
-        if not cls.is_K0prime:
+        key = M.entries.tobytes()
+        if key not in by_entries:
+            by_entries[key] = classify(M, tol=tol)
+        if not by_entries[key].is_K0prime:
             out.append(
                 f"matrix at {label!r} is not a Z-matrix with the almost-P "
                 "minor signs"
             )
-    return out
+    return out, by_entries
 
 
 def _process_values(proc: Union[AdaptedProcess, Mapping[str, Iterable[float]]]):

@@ -12,6 +12,15 @@ from affinegames.jsonio import parse_tree
 
 K2_JSON = '{"m": 2, "rows": [[1, -0.5], [-0.5, 1]]}'
 HAND_GAME = '{"X": [2, 0], "P": [0, 3], "G": {"m": 2, "rows": [[1, -0.5], [-0.5, 1]]}}'
+NEAR_SINGULAR_TREE = {
+    "T": 1,
+    "m": 2,
+    "G": {"m": 2, "rows": [[1, -1], [-1, 0.99999999]]},
+    "nodes": [
+        {"id": "r", "t": 0, "parent": None, "p": 1.0, "X": [1, 0]},
+        {"id": "l", "t": 1, "parent": "r", "p": 1.0, "X": [0, 0]},
+    ],
+}
 
 
 def run(capsys, *argv):
@@ -108,6 +117,16 @@ class TestExitCodes:
     def test_bsde_rejects_singular_matrix(self, capsys):
         code, _, err = run(capsys, "bsde", "--input", "paper-counterexample")
         assert code == 1 and err.startswith("error:")
+
+    def test_arithmetic_error_is_one(self, capsys, monkeypatch):
+        def ray(tree, tol):
+            raise ArithmeticError("complementarity problem ended on a ray")
+
+        monkeypatch.setattr("affinegames.cli.solve_reflected_bsde", ray)
+        tree = dump_json(tree_json(gen_tree(2, 2, T=1)))
+        code, out, err = run(capsys, "bsde", "--input", tree)
+        assert code == 1 and out == ""
+        assert err.startswith("error: complementarity problem ended on a ray")
 
 
 class TestClassify:
@@ -264,6 +283,42 @@ class TestTreeCommands:
         assert res["optimal_equilibrium"] is None
         assert any("summing to" in v for v in res["violations"])
         check_schema(report)
+
+    def test_missing_matrix_is_a_violation(self, capsys):
+        doc = {
+            "T": 1,
+            "m": 1,
+            "nodes": [
+                {"id": "a", "t": 0, "parent": None, "p": 1.0, "X": [0.0]},
+                {"id": "b", "t": 1, "parent": "a", "p": 1.0, "X": [1.0]},
+            ],
+        }
+        report, _ = run_json(capsys, "tree-verify", "--input", json.dumps(doc))
+        assert report["result"] == {
+            "valid": False,
+            "violations": ["node 'a' has no matrix and no shared default"],
+            "optimal_equilibrium": None,
+        }
+        check_schema(report)
+        for command in ("tree-solve", "bsde"):
+            code, out, err = run(capsys, command, "--input", json.dumps(doc))
+            assert code == 2 and out == ""
+            assert "no matrix and no shared default" in err
+
+    def test_tree_is_validated_at_the_callers_tolerance(self, capsys):
+        # det = -1e-8: singular P0' at tolerance 1e-6, outside P0' at 1e-9.
+        doc = json.dumps(NEAR_SINGULAR_TREE)
+        loose = ("--input", doc, "--tolerance", "1e-6")
+        solved, _ = run_json(capsys, "tree-solve", *loose)
+        assert solved["result"]["root_value"] == pytest.approx([1.0, 0.0])
+        verified, _ = run_json(capsys, "tree-verify", *loose)
+        assert verified["result"]["valid"] is True
+        for report in (solved, verified):
+            check_schema(report)
+        code, _, err = run(capsys, "tree-solve", "--input", doc)
+        assert code == 2 and err.startswith("malformed input: invalid tree")
+        refused, _ = run_json(capsys, "tree-verify", "--input", doc)
+        assert refused["result"]["valid"] is False
 
     def test_naive_counterexample_builtin(self, capsys):
         report, _ = run_json(capsys, "naive-counterexample")

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
+from affinegames import matrices
+from affinegames.bsde import solve_reflected_bsde, verify_bsde_solution
 from affinegames.cli import BUILTIN_INSTANCES, gen_tree, main
 from affinegames.jsonio import dump_json, parse_tree, tree_json
-from affinegames.matrices import SquareMatrix
+from affinegames.matrices import SquareMatrix, gen_k_matrix
 from affinegames.multi_period import (
     EnumerationTooLarge,
     _ProfileEvaluator,
@@ -359,14 +363,91 @@ def long_chain(m, length):
 
 
 class TestDeepTrees:
-    def test_two_player_chain_exceeds_budget_cleanly(self, capsys, tmp_path):
+    def test_two_player_chain_exceeds_budget_cleanly(self, capsys, tmp_path, monkeypatch):
+        solved = []
+        for module in ("affinegames.cli", "affinegames.multi_period"):
+            monkeypatch.setattr(
+                f"{module}.backward_induction", lambda tree, tol: solved.append(tree)
+            )
         path = tmp_path / "chain.json"
         path.write_text(dump_json(tree_json(long_chain(2, 1201))), encoding="utf-8")
         assert main(["tree-verify", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "exceed budget" in err
+        assert solved == []
 
     def test_one_player_chain_verifies(self):
         tree = long_chain(1, 1201)
         assert stopping_time_count(tree) == 1201
         assert verify_optimal_equilibrium(tree, backward_induction(tree).tau_star)
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Count classify calls through every module binding of the function."""
+    calls = []
+    real = matrices.classify
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "affinegames" and getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", counted)
+    return calls
+
+
+def _measured_call(name, tree):
+    """The named call on tree, its other inputs computed beforehand."""
+    if name == "verify_bsde_solution":
+        solution = solve_reflected_bsde(tree)
+        return lambda: verify_bsde_solution(tree, solution)
+    if name in ("verify_optimal_equilibrium", "evaluate_profile"):
+        tau_star = backward_induction(tree).tau_star
+        call = verify_optimal_equilibrium if name == "verify_optimal_equilibrium" else evaluate_profile
+        return lambda: call(tree, tau_star)
+    if name == "coalition_value_tree":
+        return lambda: coalition_value_tree(tree, [0, 1])
+    call = backward_induction if name == "backward_induction" else solve_reflected_bsde
+    return lambda: call(tree)
+
+
+def _per_node_matrices(tree):
+    """Own matrices at the non-terminal nodes, two of them equal in content."""
+    first, second = (gen_k_matrix(s, tree.m, require_nonneg_colsums=True) for s in (1, 2))
+    own = {"r": first, "r0": second, "r1": SquareMatrix(second.entries.copy())}
+    nodes = tuple(dataclasses.replace(n, G=own.get(n.id)) for n in tree.nodes)
+    return ScenarioTree(T=tree.T, m=tree.m, nodes=nodes)
+
+
+class TestClassifyOncePerCall:
+    @pytest.mark.parametrize(
+        "name", ["backward_induction", "solve_reflected_bsde", "verify_bsde_solution"]
+    )
+    def test_shared_matrix_on_a_deep_tree(self, classify_calls, name):
+        call = _measured_call(name, gen_tree(0, 3, T=4, branching=2))
+        classify_calls.clear()
+        call()
+        assert len(classify_calls) == 1
+
+    @pytest.mark.parametrize("per_node", [False, True])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "backward_induction",
+            "solve_reflected_bsde",
+            "verify_bsde_solution",
+            "verify_optimal_equilibrium",
+            "coalition_value_tree",
+            "evaluate_profile",
+        ],
+    )
+    def test_each_distinct_matrix_once(self, classify_calls, name, per_node):
+        tree = gen_tree(0, 3, T=2, branching=2, require_nonneg_colsums=True)
+        if per_node:
+            tree = _per_node_matrices(tree)
+        call = _measured_call(name, tree)
+        classify_calls.clear()
+        call()
+        assert len(classify_calls) == (2 if per_node else 1)

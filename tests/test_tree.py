@@ -15,6 +15,7 @@ from affinegames.tree import (
 
 K2 = SquareMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
 NOT_Z = SquareMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+SINGULAR = SquareMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def node(nid, t, parent, p, X, G=None):
@@ -169,6 +170,30 @@ class TestValidate:
         two_level_tree(m=2, G=K2).require_valid()
         with pytest.raises(ValueError, match="invalid tree"):
             two_level_tree(m=2, G=NOT_Z).require_valid()
+
+    def test_missing_matrix_is_a_violation(self):
+        problems = validate(two_level_tree(m=2))
+        assert problems == [
+            f"node {nid!r} has no matrix and no shared default"
+            for nid in ("a", "b", "c")
+        ]
+
+    def test_require_valid_returns_effective_classes(self):
+        override = SquareMatrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        nodes = (
+            node("n0", 0, None, 1.0, [0.0, 0.0], G=override),
+            node("n1", 1, "n0", 1.0, [0.0, 0.0]),
+        )
+        classes = ScenarioTree(T=1, m=2, nodes=nodes, G=SINGULAR).require_valid()
+        assert classes["n0"].is_K and not classes["n1"].is_K
+        assert classes["n1"].is_K0prime
+
+    def test_require_valid_uses_the_callers_tolerance(self):
+        near = SquareMatrix(np.array([[1.0, -1.0], [-1.0, 0.99999999]]))
+        tree = two_level_tree(m=2, G=near)
+        with pytest.raises(ValueError, match="almost-P"):
+            tree.require_valid()
+        assert tree.require_valid(1e-6)["a"].is_K0prime
 
 
 class TestConditionalExpectation:
