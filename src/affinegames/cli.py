@@ -41,10 +41,9 @@ from .lcp import LcpProblem, solve_enum, solve_lemke
 from .matrices import CLASSIFY_CAP, DEFAULT_TOL, classify, gen_k_matrix, gen_p_matrix
 from .multi_period import (
     ENUMERATION_BUDGET,
-    _check_budget,
+    _verify_optimal,
     backward_induction,
     naive_equilibrium_search,
-    verify_optimal_equilibrium,
 )
 from .redistribution import dhat_det, grg_game
 from .single_period import (
@@ -57,7 +56,7 @@ from .single_period import (
     solve_game,
     wuc_check,
 )
-from .tree import ScenarioTree, TreeNode, validate
+from .tree import ScenarioTree, TreeNode, _checked
 
 __all__ = ["main", "BUILTIN_INSTANCES", "gen_game", "gen_tree"]
 
@@ -297,14 +296,12 @@ def _cmd_tree_solve(args: argparse.Namespace) -> Dict[str, Any]:
 
 def _cmd_tree_verify(args: argparse.Namespace) -> Dict[str, Any]:
     tree = parse_tree(_load_input(args))
-    violations = validate(tree, tol=args.tolerance)
+    violations, classes = _checked(tree, args.tolerance)
     result = dict(valid=not violations, violations=violations, optimal_equilibrium=None)
     if not violations:
         budget = args.cap if args.cap is not None else ENUMERATION_BUDGET
-        _check_budget(tree, budget)
-        vp = backward_induction(tree, tol=args.tolerance)
-        result["optimal_equilibrium"] = verify_optimal_equilibrium(
-            tree, vp.tau_star, tol=args.tolerance, budget=budget
+        result["optimal_equilibrium"] = _verify_optimal(
+            tree, classes, args.tolerance, budget
         )
     return {"input": tree_json(tree), "result": result}
 

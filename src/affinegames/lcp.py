@@ -1,12 +1,15 @@
 """Linear complementarity problems: find z >= 0 with w = q + Mz >= 0, z^T w = 0.
 
-Two independent solvers are provided on purpose. solve_enum walks supports
-in a canonical order and is the reference oracle at small m; solve_lemke is
-the classical complementary pivoting method with a covering vector of ones
-and lexicographic degeneracy resolution. For P-matrices both must agree.
-The singular-but-almost-P case (P0' matrices) gets a solvability test with
-a positive left-null certificate: the problem has a solution exactly when
-v^T q >= 0.
+Two independent general solvers are provided on purpose. solve_enum walks
+supports in a canonical order and is the reference oracle at small m;
+solve_lemke is the classical complementary pivoting method with a covering
+vector of ones and lexicographic degeneracy resolution. For P-matrices both
+must agree. Z-matrices have a third, polynomial solver: solve_chandrasekaran
+grows the support at most m times and accepts its answer by solve_enum's
+test. The singular-but-almost-P case (P0' matrices) gets a solvability test
+with a positive left-null certificate: the problem has a solution exactly
+when v^T q >= 0; it solves with solve_chandrasekaran when the matrix is Z and
+with solve_enum otherwise.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from .errors import DimensionTooLarge, DomainError
 from .matrices import (
     DEFAULT_TOL,
     ENUM_CAP,
+    MatrixClass,
     NullCertificate,
     SquareMatrix,
+    _log_minor_scale,
     _minor_scale,
     classify,
     positive_left_null,
@@ -35,6 +40,7 @@ __all__ = [
     "CycleLimit",
     "CertificateUnavailable",
     "solve_enum",
+    "solve_chandrasekaran",
     "solve_lemke",
     "solvability_p0prime",
     "verify_projection_characterization",
@@ -131,6 +137,41 @@ def solve_enum(
     return None
 
 
+def solve_chandrasekaran(
+    problem: LcpProblem, tol: float = DEFAULT_TOL
+) -> Optional[LcpSolution]:
+    """Chandrasekaran's method for Z-matrices, in at most m re-solves.
+
+    Starts from the empty support; while some off-support w_i is below the
+    scaled tolerance, adds every such index and re-solves M_SS z_S = -q_S.
+    On a K-matrix the iterates increase to the unique solution. The final
+    support passes solve_enum's acceptance test and z, w are computed the
+    same way, so the two solvers agree bit for bit when their supports do.
+    Returns None when z_S falls below the tolerance or M_SS is singular at
+    it (on a singular P0' matrix, only the full support can be).
+    """
+    q, Ma, m = problem.q, problem.M.entries, problem.m
+    tau = _feas_tol(q, Ma, tol)
+    z, w = np.zeros(m), q.copy()
+    support = np.zeros(m, dtype=bool)
+    while True:
+        grow = ~support & (w < -tau)
+        if not grow.any():
+            return _finish(z, w)
+        support |= grow
+        idx = np.flatnonzero(support)
+        sub = Ma[np.ix_(idx, idx)]
+        sign, log_det = np.linalg.slogdet(sub)
+        if sign == 0.0 or log_det <= np.log(tol) + _log_minor_scale(sub):
+            return None
+        z_s = np.linalg.solve(sub, -q[idx])
+        if float(np.min(z_s)) < -tau:
+            return None
+        z = np.zeros(m)
+        z[idx] = z_s
+        w = q + Ma @ z
+
+
 def solve_lemke(
     problem: LcpProblem,
     tol: float = DEFAULT_TOL,
@@ -218,14 +259,17 @@ def solvability_p0prime(
     cls = classify(problem.M, tol=tol)
     if not cls.is_P0prime:
         raise ValueError("matrix is outside the P0' class; dichotomy does not apply")
-    return _p0prime_dichotomy(problem, cls.is_P, tol)
+    return _p0prime_dichotomy(problem, cls, tol)
 
 
-def _p0prime_dichotomy(problem: LcpProblem, is_P: bool, tol: float) -> P0PrimeOutcome:
+def _p0prime_dichotomy(
+    problem: LcpProblem, cls: MatrixClass, tol: float
+) -> P0PrimeOutcome:
     """solvability_p0prime for a matrix its caller has already classified as P0'."""
     q = problem.q
-    if is_P:
-        sol = solve_enum(problem, tol=tol)
+    solve = solve_chandrasekaran if cls.is_Z else solve_enum
+    if cls.is_P:
+        sol = solve(problem, tol=tol)
         if sol is None:
             raise ArithmeticError("P-matrix problem unexpectedly failed to solve")
         return P0PrimeOutcome(solvable=True, solution=sol, certificate=None)
@@ -238,13 +282,13 @@ def _p0prime_dichotomy(problem: LcpProblem, is_P: bool, tol: float) -> P0PrimeOu
     tau = tol * max(1.0, float(np.max(np.abs(q))))
     if vq < -tau:
         return P0PrimeOutcome(solvable=False, solution=None, certificate=cert)
-    sol = solve_enum(problem, tol=tol)
+    sol = solve(problem, tol=tol)
     if sol is not None:
         return P0PrimeOutcome(solvable=True, solution=sol, certificate=cert)
     if vq <= tau:
         # boundary case lost to roundoff; report honestly as unsolvable
         return P0PrimeOutcome(solvable=False, solution=None, certificate=cert)
-    raise ArithmeticError("certificate promises a solution but enumeration found none")
+    raise ArithmeticError("certificate promises a solution but the solver found none")
 
 
 def project_quadratic(

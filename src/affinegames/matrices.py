@@ -4,16 +4,28 @@ The solvers in this package only have guarantees for matrices whose
 principal minors behave: P-matrices (all principal minors positive),
 Z-matrices (non-positive off-diagonal entries), K = P-and-Z, and the
 almost-P class P0' (non-negative determinant, positive proper minors).
-This module provides exhaustive minor-based classification, the Schur
-pivot reduction used to eliminate a player from a game, positive
+This module provides minor-based classification, the Schur pivot
+reduction used to eliminate a player from a game, positive
 left-null-vector certificates for singular P0' matrices, and seeded
 random generators for K and P instances.
 
-Minors are computed by LU factorization with partial pivoting
-(numpy.linalg.det). A minor counts as positive when it exceeds
-tol * scale, and as zero when its magnitude is at most tol * scale,
-where scale is the product of the submatrix's largest absolute row
-entries; this keeps the test invariant under row scaling.
+A minor counts as positive when it exceeds tol * scale, and as zero when
+its magnitude is at most tol * scale, where scale is the product of the
+submatrix's largest absolute row entries; this keeps the test invariant
+under row scaling.
+
+Classification has two paths. A Z-matrix (no positive off-diagonal
+entry) is decided in O(m^3), for any m: by Fiedler and Ptak it is a
+K-matrix exactly when its leading principal minors are positive, and
+those are read off one LU factorization without pivoting, which a
+K-matrix does not need. When the determinant is zero at the tolerance,
+the Z-matrix is K0' exactly when its m principal (m-1)-minors are
+positive; they come from one solve with the leading block. Every other
+matrix, and a Z-matrix that is not K0', is classified by the signs of
+all 2^m - 1 principal minors, each from numpy.linalg.det (LU with partial
+pivoting), and is refused above a cap. The is_Z flag allows positive
+off-diagonal entries up to the entry tolerance; such a matrix takes the
+sweep.
 """
 
 from __future__ import annotations
@@ -114,6 +126,12 @@ def _minor_scale(sub: np.ndarray) -> float:
     return float(np.prod(np.max(np.abs(sub), axis=1)))
 
 
+def _log_minor_scale(sub: np.ndarray) -> float:
+    """log of _minor_scale, which cannot underflow at large m."""
+    with np.errstate(divide="ignore"):
+        return float(np.sum(np.log(np.max(np.abs(sub), axis=1))))
+
+
 def _minor_sign(sub: np.ndarray, tol: float) -> int:
     """-1, 0, or +1 for the determinant of sub at the scaled tolerance."""
     det = float(np.linalg.det(sub))
@@ -147,13 +165,30 @@ def classify(
     tol: float = DEFAULT_TOL,
     cap: int = CLASSIFY_CAP,
 ) -> MatrixClass:
-    """Exhaustively classify M by the signs of all 2^m - 1 principal minors."""
+    """Classify M by the signs of its principal minors.
+
+    A K0' Z-matrix is decided in polynomial time at any size; any other
+    matrix by the sweep over all 2^m - 1 minors, refused when m > cap.
+    """
+    a = _as_array(M)
+    det_sign = _k0prime_det_sign(a, tol)
+    if det_sign is None:
+        return _classify_sweep(a, tol, cap)
+    return _matrix_class(a, tol, True, True, det_sign)
+
+
+def _classify_sweep(
+    M: Union[SquareMatrix, np.ndarray],
+    tol: float = DEFAULT_TOL,
+    cap: int = CLASSIFY_CAP,
+) -> MatrixClass:
+    """classify by the signs of all 2^m - 1 principal minors; the oracle tests
+    hold the Z-matrix path to."""
     a = _as_array(M)
     m = a.shape[0]
     if m > cap:
         raise DimensionTooLarge(f"classification sweeps 2^{m} minors; cap is {cap}")
 
-    all_positive = True
     proper_positive = True
     proper_nonzero = True
     det_sign = -1
@@ -167,13 +202,17 @@ def classify(
                     proper_positive = False
                 if sign == 0:
                     proper_nonzero = False
-            if sign <= 0:
-                all_positive = False
+    return _matrix_class(a, tol, proper_positive, proper_nonzero, det_sign)
 
+
+def _matrix_class(
+    a: np.ndarray, tol: float, proper_positive: bool, proper_nonzero: bool, det_sign: int
+) -> MatrixClass:
+    """The flags from the minor signs, plus the entrywise tests at tol."""
     tau = entry_tolerance(a, tol)
     off = a - np.diag(np.diag(a))
     is_z = bool(np.all(off <= tau))
-    is_p = all_positive
+    is_p = proper_positive and det_sign > 0
     is_p0prime = proper_positive and det_sign >= 0
     return MatrixClass(
         is_Z=is_z,
@@ -185,6 +224,66 @@ def classify(
         has_nonzero_proper_minors=proper_nonzero,
         column_sums_nonneg=bool(np.all(a.sum(axis=0) >= -tau)),
     )
+
+
+def _k0prime_det_sign(a: np.ndarray, tol: float) -> Optional[int]:
+    """For a Z-matrix whose proper principal minors are positive at tol, the
+    sign of its determinant at tol (1, or 0); None for any other matrix.
+
+    Pivots of the unpivoted LU give the leading minors; when the determinant
+    is zero at tol, the (m-1)-minors are det(A11) * (x_i y_i + s inv(A11)_ii),
+    where A11 is the leading block, s the last pivot, and x, y the right and
+    left vectors with A x = s e_m, y^T A = s e_m^T and x_m = y_m = 1. On a
+    K-matrix no principal minor is relatively smaller (minor over its
+    _minor_scale) than the determinant of a principal block containing it,
+    by Fischer's and Hadamard's inequalities, so these m tests decide at the
+    same tolerance as the sweep. Sizes are compared as logarithms, so long
+    products of small pivots cannot underflow.
+    """
+    m = a.shape[0]
+    ab = np.abs(a)
+    if np.any(a[~np.eye(m, dtype=bool)] > 0.0) or not np.all(ab.max(axis=1) > 0.0):
+        return None  # not a Z-matrix, or a zero row makes every minor through it 0
+    u = a.copy()
+    for k in range(m - 1):
+        if not u[k, k] > 0.0:
+            return None
+        u[k + 1 :, k + 1 :] -= np.outer(u[k + 1 :, k], u[k, k + 1 :]) / u[k, k]
+    pivots = np.diag(u)
+    log_tol = np.log(tol)
+    with np.errstate(divide="ignore"):
+        log_lead = np.cumsum(np.log(np.abs(pivots)))
+        log_scales = np.log(np.maximum.accumulate(ab, axis=1))
+    # row i of leading block k spans columns 0..k-1, so its scale sums column k-1
+    rel = log_lead - np.diag(np.cumsum(log_scales, axis=0))
+    if not np.all(rel[:-1] > log_tol):
+        return None
+    s = pivots[-1]
+    if s > 0.0 and rel[-1] > log_tol:
+        return 1
+    if not rel[-1] <= log_tol:
+        return None  # determinant negative beyond the tolerance
+    inv = np.linalg.inv(a[:-1, :-1])
+    x = -inv @ a[:-1, -1]
+    y = -a[-1, :-1] @ inv
+    d = x * y + s * np.diag(inv)
+    if not np.all(d > 0.0):
+        return None
+    # the scale of the block without index i: each other row's largest entry
+    # outside column i
+    order = np.argsort(ab, axis=1)
+    rows = np.arange(m)
+    top, at = ab[rows, order[:, -1]], order[:, -1]
+    log_top = np.log(top)
+    with np.errstate(divide="ignore"):
+        gap = np.log(ab[rows, order[:, -2]]) - log_top
+    moved = np.zeros(m)
+    np.add.at(moved, at[at != rows], gap[at != rows])
+    log_scale_without = log_top.sum() - log_top + moved
+    if not np.all(np.isfinite(log_scale_without)):
+        return None
+    rel_without = log_lead[-2] + np.log(d) - log_scale_without[:-1]
+    return 0 if np.all(rel_without > log_tol) else None
 
 
 def schur_reduce(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -287,19 +287,34 @@ def enumerate_stopping_times(tree: ScenarioTree) -> List[FrozenSet[str]]:
 
 
 def stopping_time_count(tree: ScenarioTree) -> int:
+    return [count for _, count in _subtree_counts(tree)][-1]
+
+
+def _subtree_counts(tree: ScenarioTree) -> Iterator[Tuple[TreeNode, int]]:
+    """Each node after its descendants, with the stopping-time count under it."""
     counts: Dict[str, int] = {}
     for n in _postorder(tree, tree.root):
         kids = tree.children(n)
         counts[n.id] = 1 + math.prod(counts.pop(c.id) for c in kids) if kids else 1
-    return counts[tree.root.id]
+        yield n, counts[n.id]
 
 
 def _check_budget(tree: ScenarioTree, budget: int) -> None:
-    per_player = stopping_time_count(tree)
-    if per_player**tree.m > budget:
-        raise EnumerationTooLarge(
-            f"{per_player}^{tree.m} joint stopping profiles exceed budget {budget}"
-        )
+    """Refuse a tree whose joint tables would exceed budget entries in all.
+
+    joint_table builds, at every non-terminal node, one entry per joint
+    profile of the stopping times under the node: (count there)^m. The
+    check stops at the first node that crosses the budget, before the
+    counts above it grow.
+    """
+    total = 0
+    for n, count in _subtree_counts(tree):
+        if tree.children(n):
+            total += count**tree.m
+            if total > budget:
+                raise EnumerationTooLarge(
+                    f"at least {total} joint stopping profiles exceed budget {budget}"
+                )
 
 
 def _first_stops(tree: ScenarioTree, stops: FrozenSet[str]) -> FrozenSet[str]:
@@ -329,8 +344,22 @@ def verify_optimal_equilibrium(
     """
     classes = tree.require_valid(tol)
     _check_profile(tree, profile)
+    return _verify_optimal(tree, classes, tol, budget, profile)
+
+
+def _verify_optimal(
+    tree: ScenarioTree,
+    classes: Dict[str, MatrixClass],
+    tol: float,
+    budget: int,
+    profile: Optional[StoppingProfile] = None,
+) -> bool:
+    """verify_optimal_equilibrium on a tree validated at tol, given its matrix
+    classes; without a profile, of the canonical profile tau_star."""
     _check_budget(tree, budget)
     values = _value_process(tree, classes, tol)
+    if profile is None:
+        profile = values.tau_star
     table = _ProfileEvaluator(tree, values.U.values, tol).joint_table()
     position = {c: k for k, c in enumerate(enumerate_stopping_times(tree))}
     at = tuple(position[_first_stops(tree, s)] for s in profile.stops)

@@ -262,8 +262,10 @@ class GameSolution:
 
 
 def solve_game(spec: GameSpec, tol: float = DEFAULT_TOL) -> GameSolution:
-    """Classify G once and solve: P games by enumeration, singular P0' games
-    by the solvability dichotomy; anything else is NotCovered."""
+    """Classify G once and solve: P games through the complementarity
+    problem (Chandrasekaran's method for a Z-matrix, enumeration otherwise),
+    singular P0' games by the solvability dichotomy; anything else is
+    NotCovered."""
     if spec.non_exercising:
         raise NotCovered("unique-payoff solver applies to fully exercisable games")
     return _solve_classified(spec, classify(spec.G, tol=tol), tol)
@@ -274,7 +276,7 @@ def _solve_classified(spec: GameSpec, cls: MatrixClass, tol: float) -> GameSolut
     if not cls.is_P0prime:
         raise NotCovered("G is outside P and P0'; no unique Nash payoff is guaranteed")
     problem = LcpProblem(q=spec.P - spec.X, M=spec.G)
-    outcome = _p0prime_dichotomy(problem, cls.is_P, tol)
+    outcome = _p0prime_dichotomy(problem, cls, tol)
     if outcome.solvable:
         V = spec.X + outcome.solution.w
         status, certificate = "solved", None

@@ -6,7 +6,8 @@ tree assign one length-m vector per node; conditional expectation at a
 node averages the children's values with the branch probabilities.
 Validation returns violations as data so callers can report all problems
 at once instead of failing on the first; a non-terminal node with no
-matrix is one. Each call validates its tree once, at the caller's
+matrix is one, and so is a matrix without a positive diagonal, which no
+one-shot game accepts. Each call validates its tree once, at the caller's
 tolerance, and reads the matrix classes that require_valid returns.
 """
 
@@ -128,11 +129,10 @@ class ScenarioTree:
 
     def require_valid(self, tol: float = DEFAULT_TOL) -> Dict[str, MatrixClass]:
         """Validate at tol; the class of each node's effective matrix, by node id."""
-        problems, by_entries = _checked(self, tol)
+        problems, classes = _checked(self, tol)
         if problems:
             raise ValueError("invalid tree: " + "; ".join(problems))
-        effective = ((n.id, self.effective_G(n)) for n in self.nodes)
-        return {i: by_entries[G.entries.tobytes()] for i, G in effective if G is not None}
+        return classes
 
 
 def validate(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> List[str]:
@@ -140,8 +140,9 @@ def validate(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> List[str]:
     return _checked(tree, tol)[0]
 
 
-def _checked(tree: ScenarioTree, tol: float) -> Tuple[List[str], Dict[bytes, MatrixClass]]:
-    """Violations, and the class of each well-sized matrix keyed by its entries."""
+def _checked(tree: ScenarioTree, tol: float) -> Tuple[List[str], Dict[str, MatrixClass]]:
+    """Violations, and the class of each node's well-sized effective matrix by
+    node id; each distinct matrix is classified once."""
     out: List[str] = []
     seen: Dict[str, int] = {}
     for n in tree.nodes:
@@ -199,7 +200,15 @@ def _checked(tree: ScenarioTree, tol: float) -> Tuple[List[str], Dict[bytes, Mat
                 f"matrix at {label!r} is not a Z-matrix with the almost-P "
                 "minor signs"
             )
-    return out, by_entries
+        if not by_entries[key].has_positive_diagonal:
+            out.append(f"matrix at {label!r} has a diagonal entry that is not positive")
+    effective = ((n.id, tree.effective_G(n)) for n in tree.nodes)
+    classes = {
+        i: by_entries[G.entries.tobytes()]
+        for i, G in effective
+        if G is not None and G.m == tree.m
+    }
+    return out, classes
 
 
 def _process_values(proc: Union[AdaptedProcess, Mapping[str, Iterable[float]]]):

@@ -305,6 +305,27 @@ class TestTreeCommands:
             assert code == 2 and out == ""
             assert "no matrix and no shared default" in err
 
+    def test_zero_diagonal_is_a_violation(self, capsys):
+        doc = {
+            "T": 1,
+            "m": 1,
+            "G": {"m": 1, "rows": [[0.0]]},
+            "nodes": [
+                {"id": "a", "t": 0, "parent": None, "p": 1.0, "X": [0.0]},
+                {"id": "b", "t": 1, "parent": "a", "p": 1.0, "X": [1.0]},
+            ],
+        }
+        report, _ = run_json(capsys, "tree-verify", "--input", json.dumps(doc))
+        assert report["result"] == {
+            "valid": False,
+            "violations": ["matrix at '<shared>' has a diagonal entry that is not positive"],
+            "optimal_equilibrium": None,
+        }
+        check_schema(report)
+        code, out, err = run(capsys, "tree-solve", "--input", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert err.startswith("malformed input: invalid tree")
+
     def test_tree_is_validated_at_the_callers_tolerance(self, capsys):
         # det = -1e-8: singular P0' at tolerance 1e-6, outside P0' at 1e-9.
         doc = json.dumps(NEAR_SINGULAR_TREE)

@@ -7,13 +7,16 @@ from affinegames.lcp import (
     CertificateUnavailable,
     CycleLimit,
     LcpProblem,
+    _feas_tol,
     project_quadratic,
     solvability_p0prime,
+    solve_chandrasekaran,
     solve_enum,
     solve_lemke,
     verify_projection_characterization,
 )
 from affinegames.matrices import SquareMatrix, gen_k_matrix, gen_p_matrix
+from affinegames.redistribution import dhat_matrix
 
 
 def lcp(q, rows):
@@ -60,6 +63,80 @@ class TestSolveEnum:
             solve_enum(big)
         sol = solve_enum(big, cap=21)
         assert sol is not None and sol.support == (0,)
+
+
+def z_problem(seed, m, kind):
+    """A seeded LCP on a K-matrix, a D-hat with weights summing to 0.9 (K),
+    or a D-hat with weights summing to 1 (singular K0')."""
+    rng = np.random.default_rng([seed, m, 11])
+    q = rng.uniform(-5.0, 5.0, m)
+    if kind == "k":
+        return LcpProblem(q=q, M=gen_k_matrix(seed, m))
+    w = rng.uniform(0.5, 1.5, m)
+    return LcpProblem(q=q, M=dhat_matrix((0.9 if kind == "dhat-0.9" else 1.0) * w / w.sum()))
+
+
+class TestSolveChandrasekaran:
+    def test_hand_instance(self):
+        sol = solve_chandrasekaran(HAND)
+        assert sol.z == pytest.approx([2.0, 0.0])
+        assert sol.w == pytest.approx([0.0, 2.0])
+        assert sol.support == (0,)
+
+    def test_nonnegative_q_is_trivial(self):
+        sol = solve_chandrasekaran(lcp([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]]))
+        assert sol.support == () and sol.w == pytest.approx([1.0, 2.0])
+
+    def test_singular_branches(self):
+        sol = solve_chandrasekaran(lcp([-1.0, 1.0], SINGULAR))
+        assert sol.z == pytest.approx([1.0, 0.0]) and sol.w == pytest.approx([0.0, 0.0])
+        # no solution: the support would have to be all of a singular matrix
+        assert solve_chandrasekaran(lcp([-1.0, -1.0], SINGULAR)) is None
+
+    def test_negative_iterate_gives_none(self):
+        assert solve_chandrasekaran(lcp([-1.0, -1.0], [[-1.0, 0.0], [0.0, -1.0]])) is None
+
+    def test_large_k_matrix(self):
+        problem = z_problem(0, 200, "k")
+        sol, ref = solve_chandrasekaran(problem), solve_lemke(problem)
+        tau = _feas_tol(problem.q, problem.M.entries, 1e-9)
+        assert float(np.min(sol.z)) >= 0.0 and float(np.min(sol.w)) >= 0.0
+        assert abs(float(sol.z @ sol.w)) <= tau
+        assert float(np.max(np.abs(sol.z - ref.z))) <= tau
+        assert float(np.max(np.abs(sol.w - ref.w))) <= tau
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 10),
+        kind=st.sampled_from(["k", "dhat-0.9", "dhat"]),
+    )
+    def test_agrees_with_enumeration(self, seed, m, kind):
+        problem = z_problem(seed, m, kind)
+        a, b = solve_chandrasekaran(problem), solve_enum(problem)
+        if kind == "dhat":  # singular: either may miss a boundary solution
+            if a is None or b is None:
+                return
+        assert a is not None and b is not None
+        tau = _feas_tol(problem.q, problem.M.entries, 1e-9)
+        assert float(np.max(np.abs(a.w - b.w))) <= tau
+        if kind != "dhat":  # z is unique only for a nonsingular matrix
+            assert float(np.max(np.abs(a.z - b.z))) <= tau
+        if a.support == b.support:
+            assert np.array_equal(a.z, b.z) and np.array_equal(a.w, b.w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 10),
+        kind=st.sampled_from(["k", "dhat-0.9"]),
+    )
+    def test_agrees_with_lemke(self, seed, m, kind):
+        problem = z_problem(seed, m, kind)
+        a, b = solve_chandrasekaran(problem), solve_lemke(problem)
+        tau = _feas_tol(problem.q, problem.M.entries, 1e-9)
+        assert float(np.max(np.abs(a.z - b.z))) <= tau
+        assert float(np.max(np.abs(a.w - b.w))) <= tau
 
 
 class TestSolveLemke:
@@ -151,6 +228,15 @@ class TestSolvabilityDichotomy:
                 continue
             out = solvability_p0prime(LcpProblem(q=q, M=dhat))
             assert out.solvable == (vq > 0), trial
+
+
+    def test_z_matrices_beyond_the_enumeration_cap(self):
+        out = solvability_p0prime(z_problem(1, 40, "k"))
+        assert out.solvable and out.certificate is None
+        problem = z_problem(1, 40, "dhat")
+        out = solvability_p0prime(problem)
+        assert out.certificate is not None
+        assert out.solvable == (float(np.sum(problem.q)) > 0)
 
 
 def test_certificate_unavailable_error_exists():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from affinegames.errors import DimensionTooLarge
 from affinegames.matrices import (
     NotSingular,
+    _classify_sweep,
     SquareMatrix,
     ZeroPivot,
     classify,
@@ -26,6 +29,12 @@ SINGULAR_K0 = np.array(
         [-1 / 9, -1 / 9, 2 / 9],
     ]
 )
+
+
+def _timed(call):
+    started = time.perf_counter()
+    call()
+    return time.perf_counter() - started
 
 
 class TestSquareMatrix:
@@ -86,11 +95,83 @@ class TestClassify:
         assert cls.is_P and not cls.is_Z
 
     def test_cap(self):
+        # the exhaustive sweep, which every non-Z matrix takes, keeps its cap
         with pytest.raises(DimensionTooLarge):
-            classify(np.eye(17))
+            classify(gen_p_matrix(0, 17))
+
+    def test_z_matrices_are_not_capped(self):
+        cls = classify(np.eye(17))
+        assert cls.is_K and cls.is_K0prime and cls.is_P
+
+    def test_z_matrix_outside_k0prime_keeps_the_cap(self):
+        with pytest.raises(DimensionTooLarge):
+            classify(-np.eye(17))
 
     def test_cap_override(self):
         assert classify(np.eye(17), cap=17).is_K
+        assert classify(gen_p_matrix(0, 17), cap=17).is_P
+
+
+def dhat(weights):
+    alpha = np.asarray(weights, dtype=float)
+    return np.diag(alpha) - np.outer(alpha, alpha)
+
+
+def z_matrix(seed, m, kind):
+    """Seeded Z-matrices: K, D-hat with weights summing to 1 (singular K0')
+    and to 0.9 (K), singular with a positive left null vector, and sparse
+    random ones that are often outside K0'."""
+    rng = np.random.default_rng([seed, m])
+    if kind == "k":
+        return gen_k_matrix(seed, m).entries
+    if kind in ("dhat", "dhat-0.9"):
+        w = rng.uniform(0.5, 1.5, m)
+        return dhat((1.0 if kind == "dhat" else 0.9) * w / w.sum())
+    off = -rng.uniform(0.0, 1.0, (m, m)) * (rng.uniform(size=(m, m)) < 0.6)
+    np.fill_diagonal(off, 0.0)
+    if kind == "singular":
+        v = rng.uniform(0.5, 1.5, m)
+        return off + np.diag(-(v @ off) / v) if m > 1 else np.zeros((1, 1))
+    return off + np.diag(rng.uniform(0.0, 2.0, m))
+
+
+class TestZMatrixPath:
+    """classify's polynomial path against the exhaustive sweep it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 10),
+        kind=st.sampled_from(["k", "dhat", "dhat-0.9", "singular", "sparse"]),
+        tol=st.sampled_from([1e-9, 1e-6]),
+    )
+    def test_flags_equal_the_sweep(self, seed, m, kind, tol):
+        a = z_matrix(seed, m, kind)
+        assert classify(a, tol) == _classify_sweep(a, tol)
+
+    @pytest.mark.parametrize(
+        "a, tol, k0prime",
+        [
+            (dhat([0.2, 0.3, 0.5]), 1e-9, True),
+            (dhat([0.2, 0.3, 0.5 + 1e-7]), 1e-9, False),
+            (dhat([0.2, 0.3, 0.5 + 1e-7]), 1e-6, True),
+            (np.array([[1.0, -1.0], [-1.0, 0.99999999]]), 1e-9, False),
+            (np.array([[1.0, -1.0], [-1.0, 0.99999999]]), 1e-6, True),
+            (np.zeros((1, 1)), 1e-9, True),
+        ],
+    )
+    def test_tolerance_boundary(self, a, tol, k0prime):
+        cls = classify(a, tol)
+        assert cls == _classify_sweep(a, tol)
+        assert cls.is_K0prime is k0prime and not cls.is_K
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_m200_in_under_100_ms(self, singular):
+        a = dhat(np.full(200, 1 / 200)) if singular else gen_k_matrix(0, 200).entries
+        best = min(_timed(lambda: classify(a)) for _ in range(3))
+        cls = classify(a)
+        assert cls.is_K0prime and cls.is_K is not singular
+        assert best < 0.1
 
 
 def test_principal_minor_hand_values():

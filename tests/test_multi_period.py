@@ -1,11 +1,11 @@
 import dataclasses
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from affinegames import matrices
 from affinegames.bsde import solve_reflected_bsde, verify_bsde_solution
 from affinegames.cli import BUILTIN_INSTANCES, gen_tree, main
 from affinegames.jsonio import dump_json, parse_tree, tree_json
@@ -381,20 +381,44 @@ class TestDeepTrees:
         assert stopping_time_count(tree) == 1201
         assert verify_optimal_equilibrium(tree, backward_induction(tree).tau_star)
 
+    def test_budget_counts_every_table(self):
+        # 1001 stopping times at the root, 1001^2 < 10^6 joint profiles there,
+        # but the tables below add up to about 3.3e8 entries
+        tree = long_chain(2, 1000)
+        started = time.perf_counter()
+        with pytest.raises(EnumerationTooLarge, match="exceed budget"):
+            verify_optimal_equilibrium(tree, never(2))
+        assert time.perf_counter() - started < 0.5
+
+
+class TestManyPlayers:
+    def test_backward_induction_matches_the_reflected_equation(self):
+        tree = gen_tree(3, 50, T=2, branching=2)
+        vp = backward_induction(tree)
+        Z = solve_reflected_bsde(tree).Z
+        scale = max(1.0, max(float(np.max(np.abs(n.X))) for n in tree.nodes))
+        for n in tree.nodes:
+            assert float(np.max(np.abs(vp.U[n.id] - Z[n.id]))) <= 1e-9 * scale, n.id
+
 
 @pytest.fixture
 def classify_calls(monkeypatch):
     """Count classify calls through every module binding of the function."""
+    return _counted(monkeypatch, "affinegames.matrices", "classify")
+
+
+def _counted(monkeypatch, module_name, attr):
+    """Count calls to module.attr through every module binding of it."""
     calls = []
-    real = matrices.classify
+    real = getattr(sys.modules[module_name], attr)
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "affinegames" and getattr(module, "classify", None) is real:
-            monkeypatch.setattr(module, "classify", counted)
+        if name.split(".")[0] == "affinegames" and getattr(module, attr, None) is real:
+            monkeypatch.setattr(module, attr, counted)
     return calls
 
 
@@ -451,3 +475,11 @@ class TestClassifyOncePerCall:
         classify_calls.clear()
         call()
         assert len(classify_calls) == (2 if per_node else 1)
+
+    def test_tree_verify_does_its_work_once(self, classify_calls, monkeypatch, tmp_path):
+        values = _counted(monkeypatch, "affinegames.multi_period", "_value_process")
+        path = tmp_path / "tree.json"
+        path.write_text(dump_json(tree_json(gen_tree(0, 3, T=2))), encoding="utf-8")
+        assert main(["tree-verify", "--input", str(path)]) == 0
+        assert len(classify_calls) == 1
+        assert len(values) == 1

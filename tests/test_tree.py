@@ -188,6 +188,13 @@ class TestValidate:
         assert classes["n0"].is_K and not classes["n1"].is_K
         assert classes["n1"].is_K0prime
 
+    def test_zero_diagonal_is_a_violation(self):
+        # [[0]] is K0' (no proper minors, determinant 0), but no game has it
+        tree = chain_tree([0.0, 1.0], G=SquareMatrix(np.zeros((1, 1))))
+        assert validate(tree) == [
+            "matrix at '<shared>' has a diagonal entry that is not positive"
+        ]
+
     def test_require_valid_uses_the_callers_tolerance(self):
         near = SquareMatrix(np.array([[1.0, -1.0], [-1.0, 0.99999999]]))
         tree = two_level_tree(m=2, G=near)
