@@ -1,21 +1,20 @@
 """Linear complementarity problems: find z >= 0 with w = q + Mz >= 0, z^T w = 0.
 
 Two independent general solvers are provided on purpose. solve_enum walks
-supports in a canonical order and is the reference oracle at small m;
-solve_lemke is the classical complementary pivoting method with a covering
-vector of ones and lexicographic degeneracy resolution. For P-matrices both
-must agree. Z-matrices have a third, polynomial solver: solve_chandrasekaran
-grows the support at most m times and accepts its answer by solve_enum's
-test. The singular-but-almost-P case (P0' matrices) gets a solvability test
-with a positive left-null certificate: the problem has a solution exactly
-when v^T q >= 0; it solves with solve_chandrasekaran when the matrix is Z and
-with solve_enum otherwise.
+supports in a canonical order, stacked by size, and is the reference oracle
+at small m; solve_lemke is the classical complementary pivoting method with
+a covering vector of ones and lexicographic degeneracy resolution. For
+P-matrices both must agree. Z-matrices have a third, polynomial solver:
+solve_chandrasekaran grows the support at most m times and accepts its
+answer by solve_enum's test. The singular-but-almost-P case (P0' matrices)
+gets a solvability test with a positive left-null certificate: the problem
+has a solution exactly when v^T q >= 0; it solves with solve_chandrasekaran
+when the matrix is Z and with solve_enum otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
@@ -27,8 +26,8 @@ from .matrices import (
     MatrixClass,
     NullCertificate,
     SquareMatrix,
-    _log_minor_scale,
-    _minor_scale,
+    _minor_signs,
+    _principal_blocks,
     classify,
     positive_left_null,
 )
@@ -106,10 +105,10 @@ def solve_enum(
 ) -> Optional[LcpSolution]:
     """Support enumeration in increasing cardinality, then lexicographic order.
 
-    For each candidate support S with det(M_SS) != 0, solves
-    M_SS z_S = -q_S and accepts the first S whose z and off-support w are
-    nonnegative at the scaled tolerance. Accepted near-zero negatives are
-    clamped to exactly 0. Returns None when no support qualifies.
+    Solves M_SS z_S = -q_S, stacked over the supports of one size whose
+    det(M_SS) is nonzero at the scaled tolerance, and accepts the first S whose
+    z and off-support w are nonnegative at the scaled tolerance. Accepted
+    near-zero negatives are clamped to 0. Returns None when no S qualifies.
     """
     q, Ma, m = problem.q, problem.M.entries, problem.m
     if m > cap:
@@ -119,21 +118,17 @@ def solve_enum(
     if float(np.min(q)) >= -tau:
         return _finish(np.zeros(m), q.copy())
     for k in range(1, m + 1):
-        for S in combinations(range(m), k):
-            idx = list(S)
-            sub = Ma[np.ix_(idx, idx)]
-            if abs(float(np.linalg.det(sub))) <= tol * _minor_scale(sub):
-                continue
-            z_s = np.linalg.solve(sub, -q[idx])
-            if float(np.min(z_s)) < -tau:
-                continue
-            z = np.zeros(m)
-            z[idx] = z_s
-            w = q + Ma @ z
-            off = np.setdiff1d(np.arange(m), idx)
-            if off.size and float(np.min(w[off])) < -tau:
-                continue
-            return _finish(z, w)
+        for S, blocks in _principal_blocks(Ma, k):
+            ok = _minor_signs(blocks, tol) != 0
+            S = S[ok]
+            on = (S[:, :, None] == np.arange(m)).any(axis=1)
+            z = np.zeros(on.shape)
+            z[on] = np.linalg.solve(blocks[ok], -q[S][..., None]).ravel()
+            w = q + (Ma @ z[..., None])[..., 0]
+            feasible = np.all((z >= -tau) & (on | (w >= -tau)), axis=1)
+            if feasible.any():
+                first = int(np.argmax(feasible))
+                return _finish(z[first], w[first])
     return None
 
 
@@ -161,8 +156,7 @@ def solve_chandrasekaran(
         support |= grow
         idx = np.flatnonzero(support)
         sub = Ma[np.ix_(idx, idx)]
-        sign, log_det = np.linalg.slogdet(sub)
-        if sign == 0.0 or log_det <= np.log(tol) + _log_minor_scale(sub):
+        if _minor_signs(sub, tol) == 0:
             return None
         z_s = np.linalg.solve(sub, -q[idx])
         if float(np.min(z_s)) < -tau:

@@ -12,7 +12,8 @@ random generators for K and P instances.
 A minor counts as positive when it exceeds tol * scale, and as zero when
 its magnitude is at most tol * scale, where scale is the product of the
 submatrix's largest absolute row entries; this keeps the test invariant
-under row scaling.
+under row scaling. _minor_signs is that test; it compares logarithms
+(numpy.linalg.slogdet), so neither side underflows on small entries.
 
 Classification has two paths. A Z-matrix (no positive off-diagonal
 entry) is decided in O(m^3), for any m: by Fiedler and Ptak it is a
@@ -22,17 +23,16 @@ K-matrix does not need. When the determinant is zero at the tolerance,
 the Z-matrix is K0' exactly when its m principal (m-1)-minors are
 positive; they come from one solve with the leading block. Every other
 matrix, and a Z-matrix that is not K0', is classified by the signs of
-all 2^m - 1 principal minors, each from numpy.linalg.det (LU with partial
-pivoting), and is refused above a cap. The is_Z flag allows positive
-off-diagonal entries up to the entry tolerance; such a matrix takes the
-sweep.
+all 2^m - 1 principal minors, stacked by size from _principal_blocks, and
+is refused above a cap. The is_Z flag allows positive off-diagonal entries
+up to the entry tolerance; such a matrix takes the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,26 +121,27 @@ def _as_array(M: Union[SquareMatrix, np.ndarray]) -> np.ndarray:
     return SquareMatrix.from_rows(M).entries
 
 
-def _minor_scale(sub: np.ndarray) -> float:
-    """Product of the largest absolute entries of each row of a submatrix."""
-    return float(np.prod(np.max(np.abs(sub), axis=1)))
+# A 2^m walk stacks at most this many principal blocks at a time, which bounds
+# its memory: at k = 17 one slice of blocks is 2.4 MB.
+_BLOCK_ROWS = 1024
 
 
-def _log_minor_scale(sub: np.ndarray) -> float:
-    """log of _minor_scale, which cannot underflow at large m."""
+def _principal_blocks(a: np.ndarray, k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The k-subsets S of range(m) in lexicographic order, with their blocks
+    a[S, S]: (n, k) and (n, k, k) arrays of at most _BLOCK_ROWS rows each."""
+    subsets = combinations(range(a.shape[0]), k)
+    while chunk := list(islice(subsets, _BLOCK_ROWS)):
+        S = np.array(chunk, dtype=np.intp)
+        yield S, a[S[:, :, None], S[:, None, :]]
+
+
+def _minor_signs(blocks: np.ndarray, tol: float) -> np.ndarray:
+    """-1, 0 or +1 for each determinant of a (..., k, k) stack at the scaled
+    tolerance, as logarithms so that neither side can underflow."""
+    sign, log_det = np.linalg.slogdet(blocks)
     with np.errstate(divide="ignore"):
-        return float(np.sum(np.log(np.max(np.abs(sub), axis=1))))
-
-
-def _minor_sign(sub: np.ndarray, tol: float) -> int:
-    """-1, 0, or +1 for the determinant of sub at the scaled tolerance."""
-    det = float(np.linalg.det(sub))
-    bound = tol * _minor_scale(sub)
-    if det > bound:
-        return 1
-    if abs(det) <= bound:
-        return 0
-    return -1
+        log_bound = np.log(tol) + np.log(np.abs(blocks).max(axis=-1)).sum(axis=-1)
+    return np.where(log_det > log_bound, sign, 0.0).astype(int)
 
 
 def entry_tolerance(M: Union[SquareMatrix, np.ndarray], tol: float = DEFAULT_TOL) -> float:
@@ -189,19 +190,13 @@ def _classify_sweep(
     if m > cap:
         raise DimensionTooLarge(f"classification sweeps 2^{m} minors; cap is {cap}")
 
-    proper_positive = True
-    proper_nonzero = True
-    det_sign = -1
-    for k in range(1, m + 1):
-        for S in combinations(range(m), k):
-            sign = _minor_sign(a[np.ix_(S, S)], tol)
-            if k == m:
-                det_sign = sign
-            else:
-                if sign <= 0:
-                    proper_positive = False
-                if sign == 0:
-                    proper_nonzero = False
+    proper_positive = proper_nonzero = True
+    for k in range(1, m):
+        for _, blocks in _principal_blocks(a, k):
+            signs = _minor_signs(blocks, tol)
+            proper_positive &= bool(np.all(signs > 0))
+            proper_nonzero &= bool(np.all(signs != 0))
+    det_sign = int(_minor_signs(a, tol))
     return _matrix_class(a, tol, proper_positive, proper_nonzero, det_sign)
 
 
@@ -234,8 +229,8 @@ def _k0prime_det_sign(a: np.ndarray, tol: float) -> Optional[int]:
     is zero at tol, the (m-1)-minors are det(A11) * (x_i y_i + s inv(A11)_ii),
     where A11 is the leading block, s the last pivot, and x, y the right and
     left vectors with A x = s e_m, y^T A = s e_m^T and x_m = y_m = 1. On a
-    K-matrix no principal minor is relatively smaller (minor over its
-    _minor_scale) than the determinant of a principal block containing it,
+    K-matrix no principal minor is relatively smaller (minor over the scale
+    _minor_signs uses) than the determinant of a principal block containing it,
     by Fischer's and Hadamard's inequalities, so these m tests decide at the
     same tolerance as the sweep. Sizes are compared as logarithms, so long
     products of small pivots cannot underflow.
@@ -319,7 +314,7 @@ def positive_left_null(
     tolerance.
     """
     a = _as_array(M)
-    if _minor_sign(a, tol) != 0:
+    if _minor_signs(a, tol) != 0:
         raise NotSingular("matrix determinant exceeds tolerance; no null certificate")
     u, s, _ = np.linalg.svd(a)
     null_cols = np.nonzero(s <= tol * max(s[0], 1e-300))[0]

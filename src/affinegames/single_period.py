@@ -31,7 +31,8 @@ from .matrices import (
     MatrixClass,
     NullCertificate,
     SquareMatrix,
-    _minor_scale,
+    _minor_signs,
+    _principal_blocks,
     classify,
     entry_tolerance,
 )
@@ -185,45 +186,55 @@ def payoff(
     tol: float = DEFAULT_TOL,
 ) -> PayoffOutcome:
     """Evaluate the payoff vector for one strategy profile."""
-    E = list(_checked_profile(spec, s).exercising)
-    Ga = spec.G.entries
-    m = spec.m
-    if not E:
-        return PayoffOutcome(V=spec.P.copy(), a=np.zeros(m))
-    if len(E) == m:
-        if abs(float(np.linalg.det(Ga))) <= tol * _minor_scale(Ga):
-            return PayoffOutcome(V=spec.X.copy(), a=None)
-        a = np.linalg.solve(Ga, spec.X - spec.P)
-        return PayoffOutcome(V=spec.X.copy(), a=a)
-    sub = Ga[np.ix_(E, E)]
-    if abs(float(np.linalg.det(sub))) <= tol * _minor_scale(sub):
+    E = np.array([_checked_profile(spec, s).exercising], dtype=np.intp)
+    V, a = _payoffs(spec, E, spec.G.entries[E[:, :, None], E[:, None, :]], tol)
+    return PayoffOutcome(V=V[0], a=None if a is None else a[0])
+
+
+def _payoffs(
+    spec: GameSpec, sets: np.ndarray, blocks: np.ndarray, tol: float
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """V and a for each exercising set in the rows of sets, an (n, k) array of
+    one size k, with blocks = G[E, E] stacked; a is None when everyone
+    exercises and G is singular."""
+    n, k = sets.shape
+    a = np.zeros((n, spec.m))
+    if k == 0:
+        return np.tile(spec.P, (n, 1)), a
+    singular = _minor_signs(blocks, tol) == 0
+    if k == spec.m and singular[0]:
+        return spec.X[None, :].copy(), None
+    if singular.any():
+        E = sets[np.argmax(singular)].tolist()
         raise SingularSubmatrix(f"G restricted to exercising set {E} is singular")
-    a = np.zeros(m)
-    a[E] = np.linalg.solve(sub, (spec.X - spec.P)[E])
-    V = spec.P + Ga @ a
-    V[E] = spec.X[E]
-    return PayoffOutcome(V=V, a=a)
+    rows = np.arange(n)[:, None]
+    a[rows, sets] = np.linalg.solve(blocks, (spec.X - spec.P)[sets][..., None])[..., 0]
+    V = spec.P + (spec.G.entries @ a[..., None])[..., 0]
+    V[rows, sets] = spec.X[sets]
+    return V, a
 
 
 def _payoff_table(spec: GameSpec, tol: float) -> np.ndarray:
-    """Payoffs of every profile in one array, built in lexicographic order.
+    """Payoffs of every profile in one array, stacked by size of exercising set.
 
     Axis i is player i's exercise bit; a non-exercising player's axis has
     size 1, its one entry standing for stay (bit 1).
     """
     shape = tuple(1 if i in spec.non_exercising else 2 for i in range(spec.m))
+    free = np.array(spec.exercisable, dtype=np.intp)
     table = np.empty(shape + (spec.m,))
-    for idx in np.ndindex(*shape):
-        table[idx] = payoff(spec, _profile_at(idx, shape), tol=tol).V
+    for k in range(len(free) + 1):
+        for S, blocks in _principal_blocks(spec.G.entries[np.ix_(free, free)], k):
+            bits = np.tile(np.array(shape) - 1, (len(S), 1))
+            bits[np.arange(len(S))[:, None], free[S]] = 0
+            table[tuple(bits.T)] = _payoffs(spec, free[S], blocks, tol)[0]
     return table
 
 
-def _profile_at(idx: Tuple[int, ...], shape: Tuple[int, ...]) -> StrategyProfile:
-    return StrategyProfile(tuple(b if n == 2 else 1 for b, n in zip(idx, shape)))
-
-
 def _profiles_where(mask: np.ndarray) -> List[StrategyProfile]:
-    return [_profile_at(tuple(idx), mask.shape) for idx in np.argwhere(mask)]
+    """The profiles at the true entries of a table mask, in lexicographic order."""
+    stay = np.array(mask.shape) == 1  # a non-exercising player's one entry
+    return [StrategyProfile(tuple(np.where(stay, 1, idx))) for idx in np.argwhere(mask)]
 
 
 def _table_tol(table: np.ndarray, tol: float) -> float:

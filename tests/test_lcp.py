@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +66,74 @@ class TestSolveEnum:
             solve_enum(big)
         sol = solve_enum(big, cap=21)
         assert sol is not None and sol.support == (0,)
+
+
+def loop_enum(problem, tol=1e-9):
+    """Reference solve_enum: one determinant test and one solve a support."""
+    q, Ma, m = problem.q, problem.M.entries, problem.m
+    tau = _feas_tol(q, Ma, tol)
+    if float(np.min(q)) >= -tau:
+        return np.zeros(m), q.copy()
+    for k in range(1, m + 1):
+        for idx in map(list, itertools.combinations(range(m), k)):
+            sub = Ma[np.ix_(idx, idx)]
+            scale = np.prod(np.max(np.abs(sub), axis=1))
+            if abs(float(np.linalg.det(sub))) <= tol * scale:
+                continue
+            z_s = np.linalg.solve(sub, -q[idx])
+            if float(np.min(z_s)) < -tau:
+                continue
+            z = np.zeros(m)
+            z[idx] = z_s
+            w = q + Ma @ z
+            off = np.setdiff1d(np.arange(m), idx)
+            if off.size and float(np.min(w[off])) < -tau:
+                continue
+            return np.where(z < 0.0, 0.0, z), np.where(w < 0.0, 0.0, w)
+    return None
+
+
+def oracle_problem(seed, m, kind):
+    """P, K and positive off-diagonal matrices; a negated P-matrix, which has
+    no solution for q < 0; and a matrix whose block on {0, 1} is singular."""
+    rng = np.random.default_rng([seed, m, 23])
+    q = rng.uniform(-5.0, 5.0, m)
+    if kind == "p":
+        return LcpProblem(q=q, M=gen_p_matrix(seed, m))
+    if kind == "k":
+        return LcpProblem(q=q, M=gen_k_matrix(seed, m))
+    if kind == "none":
+        return LcpProblem(q=-np.abs(q) - 0.1, M=SquareMatrix(-gen_p_matrix(seed, m).entries))
+    a = np.eye(m) + rng.uniform(0.5, 2.0, (m, m)) * (1 - np.eye(m))
+    if kind == "singular" and m > 1:
+        a[1], a[:, 1] = a[0], a[:, 0]
+    return LcpProblem(q=q, M=SquareMatrix(a))
+
+
+class TestBatchedEnumeration:
+    """The stacked solve_enum against the loop over supports, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["p", "k", "positive", "none", "singular"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_same_support_z_and_w(self, kind, m):
+        for seed in range(4):
+            problem = oracle_problem(seed, m, kind)
+            ref, got = loop_enum(problem), solve_enum(problem)
+            assert (got is None) == (ref is None) == (kind == "none"), (kind, m, seed)
+            if ref is not None:
+                z, w = ref
+                assert got.support == tuple(int(i) for i in np.flatnonzero(z > 0.0))
+                assert np.array_equal(got.z, z) and np.array_equal(got.w, w)
+
+    def test_unsolvable_walk_keeps_its_memory_bounded(self):
+        problem = LcpProblem(q=-np.ones(17), M=SquareMatrix(-gen_p_matrix(0, 17).entries))
+        tracemalloc.start()
+        try:
+            assert solve_enum(problem, cap=17) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def z_problem(seed, m, kind):

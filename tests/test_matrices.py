@@ -174,6 +174,20 @@ class TestZMatrixPath:
         assert best < 0.1
 
 
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+def test_minor_flags_are_scale_invariant(scale):
+    """Minors of a 12x12 matrix scaled by 1e-30 are about 1e-360: they and
+    their bound must not underflow to zero together."""
+    a = gen_p_matrix(0, 12).entries
+    plain, scaled = classify(a), classify(scale * a)
+    assert plain.is_P and plain.has_nonzero_proper_minors
+    assert (scaled.is_P, scaled.is_P0prime, scaled.has_nonzero_proper_minors) == (
+        plain.is_P,
+        plain.is_P0prime,
+        plain.has_nonzero_proper_minors,
+    )
+
+
 def test_principal_minor_hand_values():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert principal_minor(M, [0]) == pytest.approx(1.0)

@@ -339,9 +339,11 @@ class TestWorkDoneOnce:
         "spec", [hand_game(), dummy_extension(hand_game()), random_k_game(4, 4)]
     )
     def test_equilibrium_report_builds_one_table(self, monkeypatch, spec):
-        calls = counting(monkeypatch, [single_period], "payoff")
+        tables = counting(monkeypatch, [single_period], "_payoff_table")
+        rows = counting(monkeypatch, [single_period], "_payoffs")
         equilibrium_report(spec)
-        assert len(calls) == 2 ** len(spec.exercisable)
+        assert len(tables) == 1
+        assert sum(len(sets) for _, sets, _, _ in rows) == 2 ** len(spec.exercisable)
 
 
 def loop_report(spec, tol=1e-9):
@@ -428,3 +430,73 @@ def test_equilibrium_report_matches_profile_loops(seed):
     if val is not None:
         assert rep.value.tolist() == val
     assert rep.wuc is wuc
+
+
+def loop_payoff(spec, s, tol=1e-9):
+    """Reference payoff(): one determinant test and one solve a profile."""
+    E = [i for i, b in enumerate(s) if b == 0]
+    Ga, m = spec.G.entries, spec.m
+
+    def singular(sub):
+        scale = np.prod(np.max(np.abs(sub), axis=1))
+        return abs(float(np.linalg.det(sub))) <= tol * scale
+
+    if not E:
+        return spec.P.copy(), np.zeros(m)
+    if len(E) == m:
+        if singular(Ga):
+            return spec.X.copy(), None
+        return spec.X.copy(), np.linalg.solve(Ga, spec.X - spec.P)
+    sub = Ga[np.ix_(E, E)]
+    if singular(sub):
+        raise SingularSubmatrix(f"G restricted to exercising set {E} is singular")
+    a = np.zeros(m)
+    a[E] = np.linalg.solve(sub, (spec.X - spec.P)[E])
+    V = spec.P + Ga @ a
+    V[E] = spec.X[E]
+    return V, a
+
+
+def oracle_game(seed, m, kind):
+    rng = np.random.default_rng([seed, m, 41])
+    X, P = rng.uniform(-5, 5, m), rng.uniform(-5, 5, m)
+    if kind == "k":
+        return random_k_game(seed, m)
+    if kind == "p":
+        return game(X, P, gen_p_matrix(seed, m).entries)
+    if kind == "dummy":
+        return dummy_extension(random_k_game(seed, m - 1, nonneg=True))
+    return game(X, P, np.eye(m) + rng.uniform(0.5, 2.0, (m, m)) * (1 - np.eye(m)))
+
+
+class TestBatchedPayoffs:
+    """payoff() and the stacked table against the per-profile formula, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["k", "p", "dummy", "positive"])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_every_profile_matches_the_loop(self, kind, m):
+        for seed in range(3):
+            spec = oracle_game(seed, m, kind)
+            table = single_period._payoff_table(spec, 1e-9)
+            for s in itertools.product((0, 1), repeat=m):
+                if any(s[i] == 0 for i in spec.non_exercising):
+                    continue
+                V, a = loop_payoff(spec, s)
+                out = payoff(spec, s)
+                assert np.array_equal(out.V, V) and np.array_equal(out.a, a)
+                at = tuple(0 if i in spec.non_exercising else b for i, b in enumerate(s))
+                assert np.array_equal(table[at], V)
+
+    def test_everyone_exercising_on_singular_g(self):
+        spec = game([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], 2.0 * np.eye(3) - 2.0 / 3.0)
+        V, a = loop_payoff(spec, (0, 0, 0))
+        out = payoff(spec, (0, 0, 0))
+        assert a is None and out.a is None
+        assert np.array_equal(out.V, V) and np.array_equal(out.V, spec.X)
+
+    def test_singular_exercised_block_raises_in_payoff_and_table(self):
+        spec = game([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        with pytest.raises(SingularSubmatrix, match=r"set \[0, 1\] is singular"):
+            payoff(spec, (0, 0, 1))
+        with pytest.raises(SingularSubmatrix, match=r"set \[0, 1\] is singular"):
+            enumerate_nash(spec)
