@@ -258,10 +258,9 @@ def _k0prime_det_sign(a: np.ndarray, tol: float) -> Optional[int]:
         return 1
     if not rel[-1] <= log_tol:
         return None  # determinant negative beyond the tolerance
-    inv = np.linalg.inv(a[:-1, :-1])
-    x = -inv @ a[:-1, -1]
-    y = -a[-1, :-1] @ inv
-    d = x * y + s * np.diag(inv)
+    t = _pivot_transform(a, m - 1)
+    x, y = -t[:-1, -1], t[-1, :-1]
+    d = x * y + s * np.diag(t)[:-1]
     if not np.all(d > 0.0):
         return None
     # the scale of the block without index i: each other row's largest entry
@@ -279,6 +278,26 @@ def _k0prime_det_sign(a: np.ndarray, tol: float) -> Optional[int]:
         return None
     rel_without = log_lead[-2] + np.log(d) - log_scale_without[:-1]
     return 0 if np.all(rel_without > log_tol) else None
+
+
+def _pivot_transform(a: np.ndarray, n: int) -> np.ndarray:
+    """Gauss-Jordan on the first n diagonal pivots of a, without pivoting:
+    [[A11, A12], [A21, A22]] becomes [[inv(A11), inv(A11) A12],
+    [-A21 inv(A11), A22 - A21 inv(A11) A12]].
+
+    Elementwise numpy only, so no threaded BLAS call: on a busy two-core
+    machine a threaded inverse of a 199x199 block stalled for over 100 ms.
+    """
+    t = a.astype(float)
+    for k in range(n):
+        p = t[k, k]
+        col = t[:, k] / p
+        row = t[k].copy()
+        t -= np.outer(col, row)
+        t[k] = row / p
+        t[:, k] = -col
+        t[k, k] = 1.0 / p
+    return t
 
 
 def schur_reduce(
