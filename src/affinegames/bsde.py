@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lcp import LcpProblem, solve_lemke
-from .matrices import DEFAULT_TOL
+from .matrices import DEFAULT_TOL, scaled_tol
 from .tree import AdaptedProcess, ScenarioTree, conditional_expectation
 
 __all__ = [
@@ -126,13 +126,9 @@ def verify_bsde_solution(
                 out.append(f"{name} at node {n.id!r} is not length {tree.m}")
     if out:
         return out
-    scale = max(
-        1.0,
-        max(float(np.max(np.abs(sol.Z[n.id]))) for n in tree.nodes),
-        max(float(np.max(np.abs(n.X))) for n in tree.nodes),
-        max(float(np.max(np.abs(sol.K[n.id]))) for n in tree.nodes),
+    tau = scaled_tol(
+        tol, *(a for n in tree.nodes for a in (sol.Z[n.id], n.X, sol.K[n.id]))
     )
-    tau = tol * scale
     root = tree.root
     if float(np.max(np.abs(sol.K[root.id]))) > tau:
         out.append(f"K at root {root.id!r} is not zero")

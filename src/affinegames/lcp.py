@@ -30,6 +30,7 @@ from .matrices import (
     _principal_blocks,
     classify,
     positive_left_null,
+    scaled_tol,
 )
 
 __all__ = [
@@ -89,10 +90,6 @@ class P0PrimeOutcome:
     certificate: Optional[NullCertificate]
 
 
-def _feas_tol(q: np.ndarray, Ma: np.ndarray, tol: float) -> float:
-    return tol * max(1.0, float(np.max(np.abs(q))), float(np.max(np.abs(Ma))))
-
-
 def _finish(z: np.ndarray, w: np.ndarray) -> LcpSolution:
     z = np.where(z < 0.0, 0.0, z)
     w = np.where(w < 0.0, 0.0, w)
@@ -113,7 +110,7 @@ def solve_enum(
     q, Ma, m = problem.q, problem.M.entries, problem.m
     if m > cap:
         raise DimensionTooLarge(f"support enumeration is 2^{m} subsets; cap is {cap}")
-    tau = _feas_tol(q, Ma, tol)
+    tau = scaled_tol(tol, q, Ma)
 
     if float(np.min(q)) >= -tau:
         return _finish(np.zeros(m), q.copy())
@@ -146,7 +143,7 @@ def solve_chandrasekaran(
     it (on a singular P0' matrix, only the full support can be).
     """
     q, Ma, m = problem.q, problem.M.entries, problem.m
-    tau = _feas_tol(q, Ma, tol)
+    tau = scaled_tol(tol, q, Ma)
     z, w = np.zeros(m), q.copy()
     support = np.zeros(m, dtype=bool)
     while True:
@@ -180,7 +177,7 @@ def solve_lemke(
     pivot path).
     """
     q, Ma, m = problem.q, problem.M.entries, problem.m
-    tau = _feas_tol(q, Ma, tol)
+    tau = scaled_tol(tol, q, Ma)
     if float(np.min(q)) >= -tau:
         return _finish(np.zeros(m), q.copy())
     if max_pivots is None:
@@ -273,7 +270,7 @@ def _p0prime_dichotomy(
             "singular input without a one-dimensional positive left null space"
         )
     vq = float(cert.v @ q)
-    tau = tol * max(1.0, float(np.max(np.abs(q))))
+    tau = scaled_tol(tol, q)
     if vq < -tau:
         return P0PrimeOutcome(solvable=False, solution=None, certificate=cert)
     sol = solve(problem, tol=tol)
@@ -304,10 +301,8 @@ def project_quadratic(
     m = v.shape[0]
     x = np.maximum(v, lower)
     active = set(int(i) for i in np.nonzero(v < lower)[0])
-    tau = tol * max(1.0, float(np.max(np.abs(v))), float(np.max(np.abs(lower))))
-    lam_tau = tol * max(1.0, float(np.max(np.abs(Q)))) * max(
-        1.0, float(np.max(np.abs(v - lower)))
-    )
+    tau = scaled_tol(tol, v, lower)
+    lam_tau = scaled_tol(tol, Q) * max(1.0, float(np.max(np.abs(v - lower))))
 
     for _ in range(50 * (m + 2)):
         free = [i for i in range(m) if i not in active]
@@ -340,8 +335,7 @@ def project_quadratic(
 
 
 def _is_spd(Ma: np.ndarray, tol: float) -> bool:
-    tau = tol * max(1.0, float(np.max(np.abs(Ma))))
-    if float(np.max(np.abs(Ma - Ma.T))) > tau:
+    if float(np.max(np.abs(Ma - Ma.T))) > scaled_tol(tol, Ma):
         return False
     try:
         np.linalg.cholesky(0.5 * (Ma + Ma.T))
@@ -367,8 +361,7 @@ def verify_projection_characterization(
     """
     q, Ma = problem.q, problem.M.entries
     z, w = sol.z, sol.w
-    scale = max(1.0, float(np.max(np.abs(z))), float(np.max(np.abs(w))))
-    tau = tol * scale
+    tau = scaled_tol(tol, z, w)
 
     if float(np.max(np.abs(z - np.maximum(z - w, 0.0)))) > tau:
         return False

@@ -25,7 +25,7 @@ positive; they come from one solve with the leading block. Every other
 matrix, and a Z-matrix that is not K0', is classified by the signs of
 all 2^m - 1 principal minors, stacked by size from _principal_blocks, and
 is refused above a cap. The is_Z flag allows positive off-diagonal entries
-up to the entry tolerance; such a matrix takes the sweep.
+up to tol times the largest entry magnitude; such a matrix takes the sweep.
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ def _minor_signs(blocks: np.ndarray, tol: float) -> np.ndarray:
     return np.where(log_det > log_bound, sign, 0.0).astype(int)
 
 
-def entry_tolerance(M: Union[SquareMatrix, np.ndarray], tol: float = DEFAULT_TOL) -> float:
-    """Absolute tolerance for entrywise comparisons, scaled by magnitude."""
-    a = _as_array(M)
-    return tol * max(1.0, float(np.max(np.abs(a))))
+def scaled_tol(tol: float, *arrays: np.ndarray) -> float:
+    """Absolute tolerance for comparing values of the given arrays' size:
+    tol times the largest magnitude among them, floored at 1."""
+    return tol * max([1.0] + [float(np.max(np.abs(a))) for a in arrays])
 
 
 def principal_minor(M: Union[SquareMatrix, np.ndarray], S: Iterable[int]) -> float:
@@ -203,8 +203,9 @@ def _classify_sweep(
 def _matrix_class(
     a: np.ndarray, tol: float, proper_positive: bool, proper_nonzero: bool, det_sign: int
 ) -> MatrixClass:
-    """The flags from the minor signs, plus the entrywise tests at tol."""
-    tau = entry_tolerance(a, tol)
+    """The flags from the minor signs, plus the entrywise tests at tol times
+    the largest magnitude, with no floor, so they too are scale invariant."""
+    tau = tol * float(np.max(np.abs(a)))
     off = a - np.diag(np.diag(a))
     is_z = bool(np.all(off <= tau))
     is_p = proper_positive and det_sign > 0
@@ -313,7 +314,7 @@ def schur_reduce(
     if not 0 <= i < m:
         raise ValueError(f"pivot index {i} out of range for m={m}")
     pivot = a[i, i]
-    if abs(pivot) <= entry_tolerance(a, tol):
+    if abs(pivot) <= scaled_tol(tol, a):
         raise ZeroPivot(f"diagonal entry {i} is {pivot!r}, too close to zero to pivot")
     keep = [j for j in range(m) if j != i]
     sub = a[np.ix_(keep, keep)]
@@ -345,8 +346,7 @@ def positive_left_null(
     v = v / np.max(np.abs(v))
     if np.min(v) <= tol:
         return None
-    residual = float(np.max(np.abs(v @ a)))
-    if residual > tol * max(1.0, float(np.max(np.abs(a)))):
+    if float(np.max(np.abs(v @ a))) > scaled_tol(tol, a):
         return None
     return NullCertificate(v=v)
 

@@ -14,6 +14,9 @@ which breaks the equilibrium structure (see the builtin counterexample
 in the CLI). Verification is by brute-force enumeration of adapted
 stopping times, represented as the antichain of first-stop nodes: one
 payoff table over every joint profile, checked by the normal-form engine.
+That table is built bottom-up from each node's one-shot game, whose
+single-period payoff table covers every exercising set at once; a single
+profile's walk instead evaluates one exercising set per stop node.
 """
 
 from __future__ import annotations
@@ -26,9 +29,15 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, U
 import numpy as np
 
 from .errors import DomainError
-from .matrices import DEFAULT_TOL, MatrixClass
+from .matrices import DEFAULT_TOL, MatrixClass, scaled_tol
 from .normal_form import floor_mask, nash_mask, optimal_mask, sup_inf_inf_sup
-from .single_period import GameSpec, StrategyProfile, _solve_classified, payoff
+from .single_period import (
+    GameSpec,
+    StrategyProfile,
+    _payoff_table,
+    _solve_classified,
+    payoff,
+)
 from .tree import AdaptedProcess, ScenarioTree, TreeNode, conditional_expectation
 
 __all__ = [
@@ -92,13 +101,6 @@ class ValueProcess:
     tau_star: StoppingProfile
 
 
-def _scale(values: Iterable[np.ndarray]) -> float:
-    peak = 0.0
-    for v in values:
-        peak = max(peak, float(np.max(np.abs(v))))
-    return max(1.0, peak)
-
-
 def backward_induction(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> ValueProcess:
     """Value process U and the canonical stop-when-binding profile."""
     return _value_process(tree, tree.require_valid(tol), tol)
@@ -113,98 +115,93 @@ def _value_process(
         if tree.is_leaf(n):
             U[n.id] = n.X.copy()
             continue
-        cont = conditional_expectation(tree, U, n)
-        spec = GameSpec(X=n.X, P=cont, G=tree.effective_G(n))
-        U[n.id] = _solve_classified(spec, classes[n.id], tol).V_star
+        U[n.id] = _solve_classified(_node_game(tree, U, n), classes[n.id], tol).V_star
     binds = {
-        n.id: U[n.id] <= n.X + tol * _scale([U[n.id], n.X]) for n in tree.nonterminal()
+        n.id: U[n.id] <= n.X + scaled_tol(tol, U[n.id], n.X) for n in tree.nonterminal()
     }
     stops = (frozenset(k for k, b in binds.items() if b[i]) for i in range(tree.m))
     return ValueProcess(U=AdaptedProcess(values=U), tau_star=StoppingProfile(tuple(stops)))
 
 
-class _ProfileEvaluator:
-    """Pathwise payoff evaluation against a fixed anchor process.
+def _node_game(
+    tree: ScenarioTree, anchor: Dict[str, np.ndarray], n: TreeNode
+) -> GameSpec:
+    """The one-shot game at a non-terminal node: its stay-in payoff is the
+    conditional expectation of the anchor process over the node's children."""
+    stay = conditional_expectation(tree, anchor, n)
+    return GameSpec(X=n.X, P=stay, G=tree.effective_G(n))
 
-    anchor maps each node to the value process whose conditional
-    expectation plays the stay-in payoff role when the game ends below
-    the horizon: the continuation values for the standard payoff, the
-    terminal payoffs for the naive variant. One-shot end payoffs are
-    cached per (node, exercising set).
+
+def _profile_value(
+    tree: ScenarioTree,
+    anchor: Dict[str, np.ndarray],
+    profile: StoppingProfile,
+    start: TreeNode,
+    tol: float,
+) -> np.ndarray:
+    """Pathwise payoff of one profile seen from start, against an anchor process.
+
+    anchor maps each node to the process whose conditional expectation plays
+    the stay-in payoff role when the game ends below the horizon: the
+    continuation values for the standard payoff, the terminal payoffs for the
+    naive variant. Each reached stop node costs one payoff() call; a full
+    table there would be exponential in the number of players.
     """
+    walk, reached = [start], []
+    while walk:
+        n = walk.pop()
+        s = tuple(0 if n.id in stops else 1 for stops in profile.stops)
+        reached.append((n, s))
+        if 0 not in s:
+            walk.extend(tree.children(n))
+    vals: Dict[str, np.ndarray] = {}
+    for n, s in reversed(reached):
+        kids = tree.children(n)
+        if not kids:
+            vals[n.id] = n.X
+        elif 0 in s:
+            game = _node_game(tree, anchor, n)
+            vals[n.id] = payoff(game, StrategyProfile(s), tol=tol).V
+        else:
+            out = np.zeros(tree.m)
+            for c in kids:
+                out = out + c.p * vals[c.id]
+            vals[n.id] = out
+    return vals[start.id]
 
-    def __init__(self, tree: ScenarioTree, anchor: Dict[str, np.ndarray], tol: float):
-        self.tree = tree
-        self.anchor = anchor
-        self.tol = tol
-        self._ends: Dict[Tuple[str, FrozenSet[int]], np.ndarray] = {}
 
-    def _end_payoff(self, n: TreeNode, E: FrozenSet[int]) -> np.ndarray:
-        key = (n.id, E)
-        got = self._ends.get(key)
-        if got is not None:
-            return got
-        stay = conditional_expectation(self.tree, self.anchor, n)
-        spec_game = GameSpec(X=n.X, P=stay, G=self.tree.effective_G(n))
-        s = tuple(0 if i in E else 1 for i in range(self.tree.m))
-        V = payoff(spec_game, StrategyProfile(s), tol=self.tol).V
-        self._ends[key] = V
-        return V
+def _joint_table(
+    tree: ScenarioTree, anchor: Dict[str, np.ndarray], tol: float
+) -> np.ndarray:
+    """Root payoffs of every joint profile of first-stop antichains.
 
-    def value(self, profile: StoppingProfile, node: Union[str, TreeNode]) -> np.ndarray:
-        start = self.tree.node(node)
-        walk, reached = [start], []
-        while walk:
-            n = walk.pop()
-            E = frozenset(i for i, s in enumerate(profile.stops) if n.id in s)
-            reached.append((n, E))
-            if not E:
-                walk.extend(self.tree.children(n))
-        vals: Dict[str, np.ndarray] = {}
-        for n, E in reversed(reached):
-            kids = self.tree.children(n)
-            if not kids:
-                vals[n.id] = n.X
-            elif E:
-                vals[n.id] = self._end_payoff(n, E)
-            else:
-                out = np.zeros(self.tree.m)
-                for c in kids:
-                    out = out + c.p * vals[c.id]
-                vals[n.id] = out
-        return vals[start.id]
-
-    def joint_table(self) -> np.ndarray:
-        """Root payoffs of every joint profile of first-stop antichains.
-
-        Axis i runs over player i's antichains in enumerate_stopping_times
-        order; the last axis is the payoff vector. Built bottom-up: at a
-        node, antichain 0 stops there and the rest are the product of the
-        children's antichains, so the no-stop block is the probability
-        mix of the children's tables, summed in the same order value uses.
-        """
-        tree, m = self.tree, self.tree.m
-        tables: Dict[str, np.ndarray] = {}
-        for n in _postorder(tree, tree.root):
-            kids = tree.children(n)
-            if not kids:
-                tables[n.id] = n.X.reshape((1,) * m + (m,))
-                continue
-            subs = [tables.pop(c.id) for c in kids]
-            mix = np.zeros(m)
-            for j, (c, sub) in enumerate(zip(kids, subs)):
-                axes = [1] * len(kids)
-                axes[j] = sub.shape[0]
-                mix = mix + c.p * sub.reshape(tuple(axes) * m + (m,))
-            rest = math.prod(sub.shape[0] for sub in subs)
-            table = np.empty((1 + rest,) * m + (m,))
-            table[(slice(1, None),) * m] = mix.reshape((rest,) * m + (m,))
-            for bits in range(1, 2**m):
-                E = frozenset(i for i in range(m) if bits >> i & 1)
-                where = tuple(0 if i in E else slice(1, None) for i in range(m))
-                table[where] = self._end_payoff(n, E)
-            tables[n.id] = table
-        return tables[tree.root.id]
+    Axis i runs over player i's antichains in enumerate_stopping_times
+    order; the last axis is the payoff vector. Built bottom-up: at a
+    node, antichain 0 stops there and the rest are the product of the
+    children's antichains. The node's one-shot payoff table, widened so
+    that every index past 0 stays in, gives every block where someone
+    stops; the no-stop block is the probability mix of the children's
+    tables, summed in the same order _profile_value uses.
+    """
+    m = tree.m
+    tables: Dict[str, np.ndarray] = {}
+    for n in _postorder(tree, tree.root):
+        kids = tree.children(n)
+        if not kids:
+            tables[n.id] = n.X.reshape((1,) * m + (m,))
+            continue
+        subs = [tables.pop(c.id) for c in kids]
+        mix = np.zeros(m)
+        for j, (c, sub) in enumerate(zip(kids, subs)):
+            axes = [1] * len(kids)
+            axes[j] = sub.shape[0]
+            mix = mix + c.p * sub.reshape(tuple(axes) * m + (m,))
+        rest = math.prod(sub.shape[0] for sub in subs)
+        pick = np.minimum(np.arange(1 + rest), 1)  # 0 exercises, the rest stay
+        table = _payoff_table(_node_game(tree, anchor, n), tol)[np.ix_(*[pick] * m)]
+        table[(slice(1, None),) * m] = mix.reshape((rest,) * m + (m,))
+        tables[n.id] = table
+    return tables[tree.root.id]
 
 
 def _postorder(tree: ScenarioTree, start: TreeNode) -> List[TreeNode]:
@@ -253,8 +250,8 @@ def evaluate_profile(
     _check_profile(tree, profile)
     if values is None:
         values = _value_process(tree, classes, tol)
-    ev = _ProfileEvaluator(tree, values.U.values, tol)
-    return ev.value(profile, tree.root if node is None else node)
+    start = tree.root if node is None else tree.node(node)
+    return _profile_value(tree, values.U.values, profile, start, tol)
 
 
 def naive_evaluate_profile(
@@ -266,8 +263,8 @@ def naive_evaluate_profile(
     """Profile payoff with non-exercisers anchored to expected terminal payoffs."""
     tree.require_valid(tol)
     _check_profile(tree, profile)
-    ev = _ProfileEvaluator(tree, _terminal_anchor(tree), tol)
-    return ev.value(profile, tree.root if node is None else node)
+    start = tree.root if node is None else tree.node(node)
+    return _profile_value(tree, _terminal_anchor(tree), profile, start, tol)
 
 
 def enumerate_stopping_times(tree: ScenarioTree) -> List[FrozenSet[str]]:
@@ -302,7 +299,7 @@ def _subtree_counts(tree: ScenarioTree) -> Iterator[Tuple[TreeNode, int]]:
 def _check_budget(tree: ScenarioTree, budget: int) -> None:
     """Refuse a tree whose joint tables would exceed budget entries in all.
 
-    joint_table builds, at every non-terminal node, one entry per joint
+    _joint_table builds, at every non-terminal node, one entry per joint
     profile of the stopping times under the node: (count there)^m. The
     check stops at the first node that crosses the budget, before the
     counts above it grow.
@@ -360,13 +357,11 @@ def _verify_optimal(
     values = _value_process(tree, classes, tol)
     if profile is None:
         profile = values.tau_star
-    table = _ProfileEvaluator(tree, values.U.values, tol).joint_table()
+    table = _joint_table(tree, values.U.values, tol)
     position = {c: k for k, c in enumerate(enumerate_stopping_times(tree))}
     at = tuple(position[_first_stops(tree, s)] for s in profile.stops)
     base = table[at]
-    tau = tol * _scale(
-        [base] + [n.X for n in tree.nodes] + list(values.U.values.values())
-    )
+    tau = scaled_tol(tol, base, *(n.X for n in tree.nodes), *values.U.values.values())
     return bool(optimal_mask(table, tau)[at])
 
 
@@ -396,9 +391,9 @@ def coalition_value_tree(
             raise HypothesisViolated(f"matrix at {label!r} has a negative column sum")
     _check_budget(tree, budget)
     values = _value_process(tree, classes, tol)
-    table = _ProfileEvaluator(tree, values.U.values, tol).joint_table()
+    table = _joint_table(tree, values.U.values, tol)
     sup_inf, inf_sup = sup_inf_inf_sup(sum(table[..., i] for i in members), members)
-    tau = tol * _scale(list(values.U.values.values())) * max(1, len(members))
+    tau = scaled_tol(tol, *values.U.values.values()) * max(1, len(members))
     if abs(sup_inf - inf_sup) > tau:
         return None
     target = float(sum(values.U.values[tree.root.id][i] for i in members))
@@ -432,9 +427,9 @@ def naive_equilibrium_search(
     """
     tree.require_valid(tol)
     _check_budget(tree, budget)
-    table = _ProfileEvaluator(tree, _terminal_anchor(tree), tol).joint_table()
+    table = _joint_table(tree, _terminal_anchor(tree), tol)
     choices = enumerate_stopping_times(tree)
-    tau = tol * _scale([table])
+    tau = scaled_tol(tol, table)
     nash_at = nash_mask(table, tau)
     optimal_at = nash_at & floor_mask(table, tau)
 

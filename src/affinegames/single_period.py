@@ -34,7 +34,7 @@ from .matrices import (
     _minor_signs,
     _principal_blocks,
     classify,
-    entry_tolerance,
+    scaled_tol,
 )
 from .normal_form import (
     floor_mask,
@@ -94,6 +94,8 @@ class GameSpec:
     non_exercising lists players whose exercise action is removed from the
     game (used by the dummy extension); their diagonal entries are exempt
     from the positivity requirement because no exercised set contains them.
+    The others must be positive, with no tolerance: a GameSpec does not know
+    its caller's, and the minor tests judge near-singularity at that one.
     """
 
     X: np.ndarray
@@ -112,10 +114,9 @@ class GameSpec:
         frozen = frozenset(int(i) for i in self.non_exercising)
         if any(i < 0 or i >= m for i in frozen):
             raise ValueError("non_exercising indices out of range")
-        tau = entry_tolerance(self.G)
         diag = np.diag(self.G.entries)
         for i in range(m):
-            if i not in frozen and diag[i] <= tau:
+            if i not in frozen and diag[i] <= 0.0:
                 raise ValueError(f"diagonal entry {i} of G must be positive")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "P", P)
@@ -237,10 +238,6 @@ def _profiles_where(mask: np.ndarray) -> List[StrategyProfile]:
     return [StrategyProfile(tuple(np.where(stay, 1, idx))) for idx in np.argwhere(mask)]
 
 
-def _table_tol(table: np.ndarray, tol: float) -> float:
-    return tol * max(1.0, float(np.max(np.abs(table))))
-
-
 def _check_cap(spec: GameSpec, cap: int, what: str) -> None:
     free = len(spec.exercisable)
     if free > cap:
@@ -253,7 +250,7 @@ def enumerate_nash(
     """All pure Nash profiles, in lexicographic order of the exercise vector."""
     _check_cap(spec, cap, "Nash enumeration")
     table = _payoff_table(spec, tol)
-    return _profiles_where(nash_mask(table, _table_tol(table, tol)))
+    return _profiles_where(nash_mask(table, scaled_tol(tol, table)))
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,7 @@ def _solve_classified(spec: GameSpec, cls: MatrixClass, tol: float) -> GameSolut
     else:
         V = spec.X.copy()
         status, certificate = "unsolvable_certificate", outcome.certificate
-    tau = tol * max(1.0, float(np.max(np.abs(V))), float(np.max(np.abs(spec.X))))
+    tau = scaled_tol(tol, V, spec.X)
     s = tuple(0 if abs(V[i] - spec.X[i]) <= tau else 1 for i in range(spec.m))
     return GameSolution(status, V, StrategyProfile(s), certificate)
 
@@ -328,7 +325,7 @@ def is_optimal_equilibrium(
     idx = tuple(0 if i in spec.non_exercising else b for i, b in enumerate(profile.s))
     _check_cap(spec, cap, "optimality check")
     table = _payoff_table(spec, tol)
-    return bool(optimal_mask(table, _table_tol(table, tol))[idx])
+    return bool(optimal_mask(table, scaled_tol(tol, table))[idx])
 
 
 def wuc_check(
@@ -342,11 +339,11 @@ def wuc_check(
     """
     _check_cap(spec, cap, "competitiveness check")
     table = _payoff_table(spec, tol)
-    return wuc_holds(table, _table_tol(table, tol))
+    return wuc_holds(table, scaled_tol(tol, table))
 
 
 def _value(table: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    tau = _table_tol(table, tol)
+    tau = scaled_tol(tol, table)
     out = np.zeros(table.shape[-1])
     for k in range(table.shape[-1]):
         lo, hi = sup_inf_inf_sup(table[..., k], [k])
@@ -378,7 +375,7 @@ def coalition_value(
         raise ValueError("coalition indices out of range")
     _check_cap(spec, cap, "coalition value")
     table = _payoff_table(spec, tol)
-    tau = _table_tol(table, tol) * max(1, len(group))
+    tau = scaled_tol(tol, table) * max(1, len(group))
     lo, hi = sup_inf_inf_sup(sum(table[..., i] for i in group), group)
     if abs(hi - lo) > tau:
         return None
@@ -397,8 +394,7 @@ def dummy_extension(spec: GameSpec, tol: float = DEFAULT_TOL) -> GameSpec:
     """
     Ga = spec.G.entries
     colsums = Ga.sum(axis=0)
-    tau = entry_tolerance(spec.G, tol)
-    if float(np.min(colsums)) < -tau:
+    if float(np.min(colsums)) < -scaled_tol(tol, Ga):
         raise ColumnSumNegative("dummy extension needs nonnegative column sums")
     m = spec.m
     ext = np.zeros((m + 1, m + 1))
@@ -418,8 +414,7 @@ def projection_sol(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     active-set minimizer, bypassing the LCP entirely.
     """
     Ga = spec.G.entries
-    tau = entry_tolerance(spec.G, tol)
-    if float(np.max(np.abs(Ga - Ga.T))) > tau:
+    if float(np.max(np.abs(Ga - Ga.T))) > scaled_tol(tol, Ga):
         raise NotSymmetricPD("projection form needs a symmetric matrix")
     try:
         np.linalg.cholesky(0.5 * (Ga + Ga.T))
@@ -434,13 +429,13 @@ def equilibrium_report(
     """Bundle enumeration, optimality, value, and competitiveness results."""
     _check_cap(spec, ENUM_CAP, "Nash enumeration")
     table = _payoff_table(spec, tol)
-    tau = _table_tol(table, tol)
+    tau = scaled_tol(tol, table)
     nash_at = nash_mask(table, tau)
     nash = _profiles_where(nash_at)
     payoffs = [table[tuple(idx)] for idx in np.argwhere(nash_at)]
     nash_payoff = None
     if payoffs:
-        tau_v = tol * max(1.0, max(float(np.max(np.abs(v))) for v in payoffs))
+        tau_v = scaled_tol(tol, *payoffs)
         if all(float(np.max(np.abs(v - payoffs[0]))) <= tau_v for v in payoffs):
             nash_payoff = payoffs[0].copy()
     optimal = _profiles_where(nash_at & floor_mask(table, tau))

@@ -341,6 +341,29 @@ class TestTreeCommands:
         refused, _ = run_json(capsys, "tree-verify", "--input", doc)
         assert refused["result"]["valid"] is False
 
+    def test_small_positive_diagonal_is_judged_at_the_callers_tolerance(self, capsys):
+        # 1e-10 is below the default tolerance but positive at 1e-12.
+        doc = json.dumps(
+            {
+                "T": 1,
+                "m": 2,
+                "G": {"m": 2, "rows": [[1e-10, 0.0], [0.0, 1.0]]},
+                "nodes": [
+                    {"id": "r", "t": 0, "parent": None, "p": 1.0, "X": [1.0, -1.0]},
+                    {"id": "a", "t": 1, "parent": "r", "p": 0.5, "X": [0.0, 2.0]},
+                    {"id": "b", "t": 1, "parent": "r", "p": 0.5, "X": [2.0, 0.0]},
+                ],
+            }
+        )
+        tight = ("--input", doc, "--tolerance", "1e-12")
+        solved, _ = run_json(capsys, "tree-solve", *tight)
+        assert solved["result"]["root_value"] == pytest.approx([1.0, 1.0])
+        verified, _ = run_json(capsys, "tree-verify", *tight)
+        assert verified["result"]["valid"] is True
+        assert verified["result"]["optimal_equilibrium"] is True
+        for report in (solved, verified):
+            check_schema(report)
+
     def test_naive_counterexample_builtin(self, capsys):
         report, _ = run_json(capsys, "naive-counterexample")
         res = report["result"]

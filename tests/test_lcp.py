@@ -10,7 +10,6 @@ from affinegames.lcp import (
     CertificateUnavailable,
     CycleLimit,
     LcpProblem,
-    _feas_tol,
     project_quadratic,
     solvability_p0prime,
     solve_chandrasekaran,
@@ -18,7 +17,7 @@ from affinegames.lcp import (
     solve_lemke,
     verify_projection_characterization,
 )
-from affinegames.matrices import SquareMatrix, gen_k_matrix, gen_p_matrix
+from affinegames.matrices import SquareMatrix, gen_k_matrix, gen_p_matrix, scaled_tol
 from affinegames.redistribution import dhat_matrix
 
 
@@ -71,7 +70,7 @@ class TestSolveEnum:
 def loop_enum(problem, tol=1e-9):
     """Reference solve_enum: one determinant test and one solve a support."""
     q, Ma, m = problem.q, problem.M.entries, problem.m
-    tau = _feas_tol(q, Ma, tol)
+    tau = scaled_tol(tol, q, Ma)
     if float(np.min(q)) >= -tau:
         return np.zeros(m), q.copy()
     for k in range(1, m + 1):
@@ -170,7 +169,7 @@ class TestSolveChandrasekaran:
     def test_large_k_matrix(self):
         problem = z_problem(0, 200, "k")
         sol, ref = solve_chandrasekaran(problem), solve_lemke(problem)
-        tau = _feas_tol(problem.q, problem.M.entries, 1e-9)
+        tau = scaled_tol(1e-9, problem.q, problem.M.entries)
         assert float(np.min(sol.z)) >= 0.0 and float(np.min(sol.w)) >= 0.0
         assert abs(float(sol.z @ sol.w)) <= tau
         assert float(np.max(np.abs(sol.z - ref.z))) <= tau
@@ -189,7 +188,7 @@ class TestSolveChandrasekaran:
             if a is None or b is None:
                 return
         assert a is not None and b is not None
-        tau = _feas_tol(problem.q, problem.M.entries, 1e-9)
+        tau = scaled_tol(1e-9, problem.q, problem.M.entries)
         assert float(np.max(np.abs(a.w - b.w))) <= tau
         if kind != "dhat":  # z is unique only for a nonsingular matrix
             assert float(np.max(np.abs(a.z - b.z))) <= tau
@@ -205,7 +204,7 @@ class TestSolveChandrasekaran:
     def test_agrees_with_lemke(self, seed, m, kind):
         problem = z_problem(seed, m, kind)
         a, b = solve_chandrasekaran(problem), solve_lemke(problem)
-        tau = _feas_tol(problem.q, problem.M.entries, 1e-9)
+        tau = scaled_tol(1e-9, problem.q, problem.M.entries)
         assert float(np.max(np.abs(a.z - b.z))) <= tau
         assert float(np.max(np.abs(a.w - b.w))) <= tau
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -12,11 +13,11 @@ from affinegames.matrices import (
     SquareMatrix,
     ZeroPivot,
     classify,
-    entry_tolerance,
     gen_k_matrix,
     gen_p_matrix,
     positive_left_null,
     principal_minor,
+    scaled_tol,
     schur_reduce,
 )
 
@@ -177,15 +178,14 @@ class TestZMatrixPath:
 @pytest.mark.parametrize("scale", [1e-30, 1e30])
 def test_minor_flags_are_scale_invariant(scale):
     """Minors of a 12x12 matrix scaled by 1e-30 are about 1e-360: they and
-    their bound must not underflow to zero together."""
+    their bound must not underflow to zero together. The entrywise flags
+    must not change with the scale either: this matrix has positive
+    off-diagonal entries, so it is not a Z-matrix at any scale."""
     a = gen_p_matrix(0, 12).entries
     plain, scaled = classify(a), classify(scale * a)
     assert plain.is_P and plain.has_nonzero_proper_minors
-    assert (scaled.is_P, scaled.is_P0prime, scaled.has_nonzero_proper_minors) == (
-        plain.is_P,
-        plain.is_P0prime,
-        plain.has_nonzero_proper_minors,
-    )
+    assert not plain.is_Z and plain.has_positive_diagonal
+    assert dataclasses.asdict(scaled) == dataclasses.asdict(plain)
 
 
 def test_principal_minor_hand_values():
@@ -293,5 +293,5 @@ class TestGenerators:
 
 
 def test_entry_tolerance_scales_with_magnitude():
-    assert entry_tolerance(np.eye(2), 1e-9) == pytest.approx(1e-9)
-    assert entry_tolerance(100.0 * np.eye(2), 1e-9) == pytest.approx(1e-7)
+    assert scaled_tol(1e-9, np.eye(2)) == pytest.approx(1e-9)
+    assert scaled_tol(1e-9, 100.0 * np.eye(2)) == pytest.approx(1e-7)

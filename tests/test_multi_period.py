@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import sys
 import time
 
@@ -11,8 +12,10 @@ from affinegames.cli import BUILTIN_INSTANCES, gen_tree, main
 from affinegames.jsonio import dump_json, parse_tree, tree_json
 from affinegames.matrices import SquareMatrix, gen_k_matrix
 from affinegames.multi_period import (
+    ENUMERATION_BUDGET,
     EnumerationTooLarge,
-    _ProfileEvaluator,
+    _check_budget,
+    _joint_table,
     _terminal_anchor,
     HypothesisViolated,
     StoppingProfile,
@@ -25,7 +28,9 @@ from affinegames.multi_period import (
     stopping_time_count,
     verify_optimal_equilibrium,
 )
-from affinegames.tree import ScenarioTree, TreeNode
+from affinegames.redistribution import dhat_matrix
+from affinegames.single_period import GameSpec, payoff
+from affinegames.tree import ScenarioTree, TreeNode, conditional_expectation, validate
 
 K1 = SquareMatrix(np.array([[1.0]]))
 K2 = SquareMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
@@ -122,6 +127,16 @@ class TestBackwardInduction:
         )
         with pytest.raises(ValueError, match="invalid tree"):
             backward_induction(bad)
+
+    def test_scaled_down_matrix_validates_and_solves(self):
+        # The validity tests are scale invariant: 1e-12 G is still K.
+        tree = gen_tree(0, 3, T=2)
+        small = dataclasses.replace(tree, G=SquareMatrix(1e-12 * tree.G.entries))
+        assert validate(small) == []
+        vp, ref = backward_induction(small), backward_induction(tree)
+        for n in tree.nodes:
+            assert vp.U[n.id] == pytest.approx(ref.U[n.id], rel=1e-9, abs=1e-9), n.id
+        assert verify_optimal_equilibrium(small, vp.tau_star)
 
     def test_per_node_override_used(self):
         slack = SquareMatrix(np.array([[10.0]]))
@@ -340,6 +355,45 @@ class TestProfileBasics:
         assert prof.stops[0] == frozenset({"1", "a"})
 
 
+def loop_joint_table(tree, anchor, n=None, tol=1e-9):
+    """Reference _joint_table: one payoff() call per node and exercising set."""
+    n = tree.root if n is None else n
+    m, kids = tree.m, tree.children(n)
+    if not kids:
+        return n.X.reshape((1,) * m + (m,))
+    subs = [loop_joint_table(tree, anchor, c, tol) for c in kids]
+    mix = np.zeros(m)
+    for j, (c, sub) in enumerate(zip(kids, subs)):
+        axes = [1] * len(kids)
+        axes[j] = sub.shape[0]
+        mix = mix + c.p * sub.reshape(tuple(axes) * m + (m,))
+    rest = math.prod(sub.shape[0] for sub in subs)
+    table = np.empty((1 + rest,) * m + (m,))
+    table[(slice(1, None),) * m] = mix.reshape((rest,) * m + (m,))
+    stay = conditional_expectation(tree, anchor, n)
+    game = GameSpec(X=n.X, P=stay, G=tree.effective_G(n))
+    for s in itertools.product((0, 1), repeat=m):
+        if 0 in s:
+            at = tuple(0 if b == 0 else slice(1, None) for b in s)
+            table[at] = payoff(game, s, tol=tol).V
+    return table
+
+
+def _per_node_dhat(tree, seed):
+    """Own D-hat matrices at the non-terminal nodes: singular (weights summing
+    to one) at the root and at random elsewhere, nonsingular otherwise."""
+    rng = np.random.default_rng([seed, 31])
+    nodes = []
+    for n in tree.nodes:
+        G = None
+        if tree.children(n):
+            alpha = rng.uniform(0.5, 1.5, tree.m)
+            total = 1.0 if n.parent is None or rng.integers(2) else 0.8
+            G = dhat_matrix(alpha * (total / alpha.sum()))
+        nodes.append(dataclasses.replace(n, G=G))
+    return ScenarioTree(T=tree.T, m=tree.m, nodes=tuple(nodes))
+
+
 class TestJointTable:
     @pytest.mark.parametrize("naive", [False, True])
     @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (2, 2, 3), (1, 3, 2)])
@@ -348,12 +402,59 @@ class TestJointTable:
         tree = gen_tree(sum(shape), m, T=T, branching=b)
         evaluate = naive_evaluate_profile if naive else evaluate_profile
         anchor = _terminal_anchor(tree) if naive else backward_induction(tree).U.values
-        table = _ProfileEvaluator(tree, anchor, 1e-9).joint_table()
+        table = _joint_table(tree, anchor, 1e-9)
         choices = enumerate_stopping_times(tree)
         assert table.shape == (len(choices),) * m + (m,)
         for idx in itertools.product(range(len(choices)), repeat=m):
             prof = StoppingProfile(tuple(choices[k] for k in idx))
             assert np.array_equal(table[idx], evaluate(tree, prof)), idx
+
+    @pytest.mark.parametrize(
+        "m,per_node",
+        [(1, False), (2, False), (2, True), (3, False), (3, True), (4, False), (4, True)],
+    )
+    def test_equals_one_payoff_call_per_exercising_set(self, m, per_node):
+        checked = 0
+        for T, b in itertools.product((1, 2, 3), (1, 2, 3)):
+            tree = gen_tree(10 * T + b, m, T=T, branching=b)
+            if per_node:
+                tree = _per_node_dhat(tree, T + b)
+            try:
+                _check_budget(tree, ENUMERATION_BUDGET)
+            except EnumerationTooLarge:
+                continue
+            for anchor in (backward_induction(tree).U.values, _terminal_anchor(tree)):
+                table = _joint_table(tree, anchor, 1e-9)
+                ref = loop_joint_table(tree, anchor)
+                assert table.shape == ref.shape, (T, b)
+                assert table.tobytes() == ref.tobytes(), (T, b)
+            checked += 1
+        assert checked >= 5
+
+    @pytest.mark.parametrize("builtin", [False, True])
+    @pytest.mark.parametrize(
+        "name",
+        ["verify_optimal_equilibrium", "coalition_value_tree", "naive_equilibrium_search"],
+    )
+    def test_one_payoff_table_per_node(self, monkeypatch, name, builtin):
+        """The joint table takes each node's exercising sets from one stacked
+        one-shot table, never from per-profile payoff() calls."""
+        if builtin:
+            tree = builtin_tree()
+        else:
+            tree = gen_tree(0, 3, T=2, require_nonneg_colsums=True)
+        if name == "verify_optimal_equilibrium":
+            tau_star = backward_induction(tree).tau_star
+            call = lambda: verify_optimal_equilibrium(tree, tau_star)
+        elif name == "coalition_value_tree":
+            call = lambda: coalition_value_tree(tree, [0, 1])
+        else:
+            call = lambda: naive_equilibrium_search(tree)
+        payoffs = _counted(monkeypatch, "affinegames.single_period", "payoff")
+        tables = _counted(monkeypatch, "affinegames.single_period", "_payoff_table")
+        call()
+        assert len(payoffs) == 0
+        assert len(tables) == len(tree.nonterminal())
 
 
 def long_chain(m, length):
