@@ -19,9 +19,8 @@ checks the defining conditions directly from the assembled processes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -57,28 +56,16 @@ class BsdeSolution:
     delta_K: Dict[str, np.ndarray]
 
 
-def solve_reflected_bsde(
-    tree: ScenarioTree,
-    tol: float = DEFAULT_TOL,
-    shuffle_seed: Optional[int] = None,
-) -> BsdeSolution:
-    """Backward sweep solving one complementarity problem per node.
-
-    shuffle_seed permutes the iteration order within each time slice;
-    the result must not depend on it (each node's problem only reads its
-    children), which makes the parameter a uniqueness probe for tests.
-    """
+def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSolution:
+    """Backward sweep solving one complementarity problem per node, latest
+    date first; each node's problem reads only its children."""
     classes = tree.require_valid(tol)
     for n in tree.nonterminal():
         if not classes[n.id].is_K:
             raise NotKMatrix(f"matrix at node {n.id!r} is singular or not a K-matrix")
-    order = list(tree.nodes)
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(order)
-    order.sort(key=lambda n: -n.t)
     Z: Dict[str, np.ndarray] = {}
     dK: Dict[str, np.ndarray] = {}
-    for n in order:
+    for n in sorted(tree.nodes, key=lambda n: -n.t):
         if tree.is_leaf(n):
             Z[n.id] = n.X.copy()
             continue

@@ -38,16 +38,10 @@ from .jsonio import (
     vector_json,
 )
 from .lcp import LcpProblem, solve_enum, solve_lemke
-from .matrices import CLASSIFY_CAP, DEFAULT_TOL, classify, gen_k_matrix, gen_p_matrix
-from .multi_period import (
-    ENUMERATION_BUDGET,
-    _verify_optimal,
-    backward_induction,
-    naive_equilibrium_search,
-)
+from .matrices import DEFAULT_TOL, classify, gen_k_matrix, gen_p_matrix
+from .multi_period import _verify_optimal, backward_induction, naive_equilibrium_search
 from .redistribution import dhat_det, grg_game
 from .single_period import (
-    BRUTE_FORCE_CAP,
     GameSolution,
     GameSpec,
     coalition_value,
@@ -95,8 +89,6 @@ def gen_game(seed: int, m: int, kind: str = "p") -> GameSpec:
         G = gen_p_matrix(seed, m)
     elif kind == "k":
         G = gen_k_matrix(seed, m)
-    elif kind == "k-nonneg":
-        G = gen_k_matrix(seed, m, require_nonneg_colsums=True)
     else:
         raise ValueError(f"unknown game kind {kind!r}")
     rng = np.random.default_rng([seed, 104729])
@@ -157,8 +149,7 @@ def _load_input(args: argparse.Namespace, default: Optional[str] = None) -> Any:
 
 def _cmd_classify(args: argparse.Namespace) -> Dict[str, Any]:
     M = parse_matrix(_load_input(args))
-    cap = args.cap if args.cap is not None else CLASSIFY_CAP
-    cls = classify(M, tol=args.tolerance, cap=cap)
+    cls = classify(M, tol=args.tolerance)
     result = {
         "m": M.m,
         "is_Z": cls.is_Z,
@@ -214,8 +205,7 @@ def _solution_json(solution: GameSolution) -> Dict[str, Any]:
 
 def _cmd_equilibria(args: argparse.Namespace) -> Dict[str, Any]:
     spec = parse_game(_load_input(args))
-    cap = args.cap if args.cap is not None else BRUTE_FORCE_CAP
-    rep = equilibrium_report(spec, tol=args.tolerance, cap=cap)
+    rep = equilibrium_report(spec, tol=args.tolerance)
     result = {
         "nash_profiles": [list(p.s) for p in rep.nash_profiles],
         "nash_payoff": None if rep.nash_payoff is None else vector_json(rep.nash_payoff),
@@ -228,10 +218,9 @@ def _cmd_equilibria(args: argparse.Namespace) -> Dict[str, Any]:
 
 def _cmd_wuc(args: argparse.Namespace) -> Dict[str, Any]:
     spec = parse_game(_load_input(args))
-    cap = args.cap if args.cap is not None else BRUTE_FORCE_CAP
     return {
         "input": game_json(spec),
-        "result": {"wuc": wuc_check(spec, tol=args.tolerance, cap=cap)},
+        "result": {"wuc": wuc_check(spec, tol=args.tolerance)},
     }
 
 
@@ -245,10 +234,7 @@ def _cmd_coalition(args: argparse.Namespace) -> Dict[str, Any]:
         raise InputFormatError(f"--coalition must be a comma list of players: {e}")
     if not members or any(i < 1 or i > spec.m for i in members):
         raise InputFormatError("--coalition players must be in 1..m")
-    cap = args.cap if args.cap is not None else BRUTE_FORCE_CAP
-    val = coalition_value(
-        spec, [i - 1 for i in members], tol=args.tolerance, cap=cap
-    )
+    val = coalition_value(spec, [i - 1 for i in members], tol=args.tolerance)
     return {
         "input": game_json(spec),
         "result": {"coalition": members, "value": val},
@@ -279,7 +265,7 @@ def _cmd_grg(args: argparse.Namespace) -> Dict[str, Any]:
     return {"input": echo, "result": result}
 
 
-def _tau_star_json(tree: ScenarioTree, stops) -> Dict[str, List[str]]:
+def _tau_star_json(stops) -> Dict[str, List[str]]:
     return {str(i + 1): sorted(s) for i, s in enumerate(stops)}
 
 
@@ -288,7 +274,7 @@ def _cmd_tree_solve(args: argparse.Namespace) -> Dict[str, Any]:
     vp = backward_induction(tree, tol=args.tolerance)
     result = {
         "U": {n.id: vector_json(vp.U[n.id]) for n in tree.nodes},
-        "tau_star": _tau_star_json(tree, vp.tau_star.stops),
+        "tau_star": _tau_star_json(vp.tau_star.stops),
         "root_value": vector_json(vp.U[tree.root.id]),
     }
     return {"input": tree_json(tree), "result": result}
@@ -299,17 +285,13 @@ def _cmd_tree_verify(args: argparse.Namespace) -> Dict[str, Any]:
     violations, classes = _checked(tree, args.tolerance)
     result = dict(valid=not violations, violations=violations, optimal_equilibrium=None)
     if not violations:
-        budget = args.cap if args.cap is not None else ENUMERATION_BUDGET
-        result["optimal_equilibrium"] = _verify_optimal(
-            tree, classes, args.tolerance, budget
-        )
+        result["optimal_equilibrium"] = _verify_optimal(tree, classes, args.tolerance)
     return {"input": tree_json(tree), "result": result}
 
 
 def _cmd_naive_counterexample(args: argparse.Namespace) -> Dict[str, Any]:
     tree = parse_tree(_load_input(args, default="paper-counterexample"))
-    budget = args.cap if args.cap is not None else ENUMERATION_BUDGET
-    found = naive_equilibrium_search(tree, tol=args.tolerance, budget=budget)
+    found = naive_equilibrium_search(tree, tol=args.tolerance)
     result = {
         "nash_profile_count": len(found.nash_profiles),
         "nash_payoff_count": len(found.distinct_nash_payoffs),
@@ -411,13 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=None,
-            help="enumeration cap (player count for game commands, "
-            "profile budget for tree commands)",
-        )
         if name == "coalition":
             p.add_argument("--coalition", help="comma list of 1-based players")
         p.set_defaults(handler=handler)

@@ -13,4 +13,5 @@ class DomainError(Exception):
 
 
 class DimensionTooLarge(DomainError):
-    """Matrix or game dimension exceeds the configured enumeration cap."""
+    """Matrix or game dimension exceeds a fixed enumeration cap (CLASSIFY_CAP,
+    ENUM_CAP or BRUTE_FORCE_CAP)."""

@@ -97,19 +97,18 @@ def _finish(z: np.ndarray, w: np.ndarray) -> LcpSolution:
     return LcpSolution(z=z, w=w, support=support)
 
 
-def solve_enum(
-    problem: LcpProblem, tol: float = DEFAULT_TOL, cap: int = ENUM_CAP
-) -> Optional[LcpSolution]:
+def solve_enum(problem: LcpProblem, tol: float = DEFAULT_TOL) -> Optional[LcpSolution]:
     """Support enumeration in increasing cardinality, then lexicographic order.
 
     Solves M_SS z_S = -q_S, stacked over the supports of one size whose
     det(M_SS) is nonzero at the scaled tolerance, and accepts the first S whose
     z and off-support w are nonnegative at the scaled tolerance. Accepted
     near-zero negatives are clamped to 0. Returns None when no S qualifies.
+    Refused when m > ENUM_CAP.
     """
     q, Ma, m = problem.q, problem.M.entries, problem.m
-    if m > cap:
-        raise DimensionTooLarge(f"support enumeration is 2^{m} subsets; cap is {cap}")
+    if m > ENUM_CAP:
+        raise DimensionTooLarge(f"support enumeration is 2^{m} subsets; cap is {ENUM_CAP}")
     tau = scaled_tol(tol, q, Ma)
 
     if float(np.min(q)) >= -tau:

@@ -24,8 +24,9 @@ the Z-matrix is K0' exactly when its m principal (m-1)-minors are
 positive; they come from one solve with the leading block. Every other
 matrix, and a Z-matrix that is not K0', is classified by the signs of
 all 2^m - 1 principal minors, stacked by size from _principal_blocks, and
-is refused above a cap. The is_Z flag allows positive off-diagonal entries
-up to tol times the largest entry magnitude; such a matrix takes the sweep.
+is refused above CLASSIFY_CAP players. The is_Z flag allows positive
+off-diagonal entries up to tol times the largest entry magnitude; such a
+matrix takes the sweep.
 """
 
 from __future__ import annotations
@@ -161,34 +162,30 @@ def principal_minor(M: Union[SquareMatrix, np.ndarray], S: Iterable[int]) -> flo
     return float(np.linalg.det(a[np.ix_(idx, idx)]))
 
 
-def classify(
-    M: Union[SquareMatrix, np.ndarray],
-    tol: float = DEFAULT_TOL,
-    cap: int = CLASSIFY_CAP,
-) -> MatrixClass:
+def classify(M: Union[SquareMatrix, np.ndarray], tol: float = DEFAULT_TOL) -> MatrixClass:
     """Classify M by the signs of its principal minors.
 
     A K0' Z-matrix is decided in polynomial time at any size; any other
-    matrix by the sweep over all 2^m - 1 minors, refused when m > cap.
+    matrix by the sweep over all 2^m - 1 minors, refused when m > CLASSIFY_CAP.
     """
     a = _as_array(M)
     det_sign = _k0prime_det_sign(a, tol)
     if det_sign is None:
-        return _classify_sweep(a, tol, cap)
+        return _classify_sweep(a, tol)
     return _matrix_class(a, tol, True, True, det_sign)
 
 
 def _classify_sweep(
-    M: Union[SquareMatrix, np.ndarray],
-    tol: float = DEFAULT_TOL,
-    cap: int = CLASSIFY_CAP,
+    M: Union[SquareMatrix, np.ndarray], tol: float = DEFAULT_TOL
 ) -> MatrixClass:
     """classify by the signs of all 2^m - 1 principal minors; the oracle tests
     hold the Z-matrix path to."""
     a = _as_array(M)
     m = a.shape[0]
-    if m > cap:
-        raise DimensionTooLarge(f"classification sweeps 2^{m} minors; cap is {cap}")
+    if m > CLASSIFY_CAP:
+        raise DimensionTooLarge(
+            f"classification sweeps 2^{m} minors; cap is {CLASSIFY_CAP}"
+        )
 
     proper_positive = proper_nonzero = True
     for k in range(1, m):
@@ -204,8 +201,11 @@ def _matrix_class(
     a: np.ndarray, tol: float, proper_positive: bool, proper_nonzero: bool, det_sign: int
 ) -> MatrixClass:
     """The flags from the minor signs, plus the entrywise tests at tol times
-    the largest magnitude, with no floor, so they too are scale invariant."""
-    tau = tol * float(np.max(np.abs(a)))
+    the largest magnitude, with no floor, so they too are scale invariant. A
+    diagonal entry is positive above tol times the largest magnitude in its
+    row, the scale the minor tests give that row."""
+    ab = np.abs(a)
+    tau = tol * float(np.max(ab))
     off = a - np.diag(np.diag(a))
     is_z = bool(np.all(off <= tau))
     is_p = proper_positive and det_sign > 0
@@ -216,7 +216,7 @@ def _matrix_class(
         is_P0prime=is_p0prime,
         is_K=is_p and is_z,
         is_K0prime=is_p0prime and is_z,
-        has_positive_diagonal=bool(np.all(np.diag(a) > tau)),
+        has_positive_diagonal=bool(np.all(np.diag(a) > tol * ab.max(axis=1))),
         has_nonzero_proper_minors=proper_nonzero,
         column_sums_nonneg=bool(np.all(a.sum(axis=0) >= -tau)),
     )

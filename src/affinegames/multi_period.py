@@ -60,7 +60,7 @@ ENUMERATION_BUDGET = 10**6
 
 
 class EnumerationTooLarge(DomainError):
-    """The stopping-time enumeration exceeds the configured budget."""
+    """The stopping-time enumeration exceeds ENUMERATION_BUDGET."""
 
 
 class HypothesisViolated(DomainError):
@@ -296,8 +296,9 @@ def _subtree_counts(tree: ScenarioTree) -> Iterator[Tuple[TreeNode, int]]:
         yield n, counts[n.id]
 
 
-def _check_budget(tree: ScenarioTree, budget: int) -> None:
-    """Refuse a tree whose joint tables would exceed budget entries in all.
+def _check_budget(tree: ScenarioTree) -> None:
+    """Refuse a tree whose joint tables would exceed ENUMERATION_BUDGET
+    entries in all.
 
     _joint_table builds, at every non-terminal node, one entry per joint
     profile of the stopping times under the node: (count there)^m. The
@@ -308,9 +309,10 @@ def _check_budget(tree: ScenarioTree, budget: int) -> None:
     for n, count in _subtree_counts(tree):
         if tree.children(n):
             total += count**tree.m
-            if total > budget:
+            if total > ENUMERATION_BUDGET:
                 raise EnumerationTooLarge(
-                    f"at least {total} joint stopping profiles exceed budget {budget}"
+                    f"at least {total} joint stopping profiles exceed budget "
+                    f"{ENUMERATION_BUDGET}"
                 )
 
 
@@ -331,7 +333,6 @@ def verify_optimal_equilibrium(
     tree: ScenarioTree,
     profile: StoppingProfile,
     tol: float = DEFAULT_TOL,
-    budget: int = ENUMERATION_BUDGET,
 ) -> bool:
     """Exhaustive check that no player can gain and none can be pushed down.
 
@@ -341,19 +342,18 @@ def verify_optimal_equilibrium(
     """
     classes = tree.require_valid(tol)
     _check_profile(tree, profile)
-    return _verify_optimal(tree, classes, tol, budget, profile)
+    return _verify_optimal(tree, classes, tol, profile)
 
 
 def _verify_optimal(
     tree: ScenarioTree,
     classes: Dict[str, MatrixClass],
     tol: float,
-    budget: int,
     profile: Optional[StoppingProfile] = None,
 ) -> bool:
     """verify_optimal_equilibrium on a tree validated at tol, given its matrix
     classes; without a profile, of the canonical profile tau_star."""
-    _check_budget(tree, budget)
+    _check_budget(tree)
     values = _value_process(tree, classes, tol)
     if profile is None:
         profile = values.tau_star
@@ -369,7 +369,6 @@ def coalition_value_tree(
     tree: ScenarioTree,
     A: Iterable[int],
     tol: float = DEFAULT_TOL,
-    budget: int = ENUMERATION_BUDGET,
 ) -> Optional[float]:
     """Guaranteed total payoff of coalition A, by exhaustive enumeration.
 
@@ -389,7 +388,7 @@ def coalition_value_tree(
         if n.id in classes and not classes[n.id].column_sums_nonneg:
             label = n.id if n.G is not None else "<shared>"
             raise HypothesisViolated(f"matrix at {label!r} has a negative column sum")
-    _check_budget(tree, budget)
+    _check_budget(tree)
     values = _value_process(tree, classes, tol)
     table = _joint_table(tree, values.U.values, tol)
     sup_inf, inf_sup = sup_inf_inf_sup(sum(table[..., i] for i in members), members)
@@ -413,9 +412,7 @@ class NaiveSearchResult:
 
 
 def naive_equilibrium_search(
-    tree: ScenarioTree,
-    tol: float = DEFAULT_TOL,
-    budget: int = ENUMERATION_BUDGET,
+    tree: ScenarioTree, tol: float = DEFAULT_TOL
 ) -> NaiveSearchResult:
     """Exhaustive Nash and optimality search under the naive payoff rule.
 
@@ -426,7 +423,7 @@ def naive_equilibrium_search(
     with two distinct equilibrium payoffs and no surviving profile.
     """
     tree.require_valid(tol)
-    _check_budget(tree, budget)
+    _check_budget(tree)
     table = _joint_table(tree, _terminal_anchor(tree), tol)
     choices = enumerate_stopping_times(tree)
     tau = scaled_tol(tol, table)

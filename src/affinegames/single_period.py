@@ -244,11 +244,9 @@ def _check_cap(spec: GameSpec, cap: int, what: str) -> None:
         raise DimensionTooLarge(f"{what} enumerates 2^{free} profiles; cap is {cap}")
 
 
-def enumerate_nash(
-    spec: GameSpec, tol: float = DEFAULT_TOL, cap: int = ENUM_CAP
-) -> List[StrategyProfile]:
+def enumerate_nash(spec: GameSpec, tol: float = DEFAULT_TOL) -> List[StrategyProfile]:
     """All pure Nash profiles, in lexicographic order of the exercise vector."""
-    _check_cap(spec, cap, "Nash enumeration")
+    _check_cap(spec, ENUM_CAP, "Nash enumeration")
     table = _payoff_table(spec, tol)
     return _profiles_where(nash_mask(table, scaled_tol(tol, table)))
 
@@ -318,26 +316,23 @@ def is_optimal_equilibrium(
     spec: GameSpec,
     s: Union[StrategyProfile, Iterable[int]],
     tol: float = DEFAULT_TOL,
-    cap: int = ENUM_CAP,
 ) -> bool:
     """Nash, and each player's payoff is a floor against arbitrary opponents."""
     profile = _checked_profile(spec, s)
     idx = tuple(0 if i in spec.non_exercising else b for i, b in enumerate(profile.s))
-    _check_cap(spec, cap, "optimality check")
+    _check_cap(spec, ENUM_CAP, "optimality check")
     table = _payoff_table(spec, tol)
     return bool(optimal_mask(table, scaled_tol(tol, table))[idx])
 
 
-def wuc_check(
-    spec: GameSpec, tol: float = DEFAULT_TOL, cap: int = BRUTE_FORCE_CAP
-) -> bool:
+def wuc_check(spec: GameSpec, tol: float = DEFAULT_TOL) -> bool:
     """Weak unilateral competitiveness, checked over every unilateral switch.
 
     A strict unilateral gain for the switching player must not strictly
     gain any other player, and unilateral indifference must leave every
     payoff unchanged.
     """
-    _check_cap(spec, cap, "competitiveness check")
+    _check_cap(spec, BRUTE_FORCE_CAP, "competitiveness check")
     table = _payoff_table(spec, tol)
     return wuc_holds(table, scaled_tol(tol, table))
 
@@ -353,11 +348,9 @@ def _value(table: np.ndarray, tol: float) -> Optional[np.ndarray]:
     return out
 
 
-def value(
-    spec: GameSpec, tol: float = DEFAULT_TOL, cap: int = BRUTE_FORCE_CAP
-) -> Optional[np.ndarray]:
+def value(spec: GameSpec, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
     """Per-player sup-inf payoffs, when they agree with the inf-sup side."""
-    _check_cap(spec, cap, "value computation")
+    _check_cap(spec, BRUTE_FORCE_CAP, "value computation")
     return _value(_payoff_table(spec, tol), tol)
 
 
@@ -365,7 +358,6 @@ def coalition_value(
     spec: GameSpec,
     A: Iterable[int],
     tol: float = DEFAULT_TOL,
-    cap: int = BRUTE_FORCE_CAP,
 ) -> Optional[float]:
     """Value of the summed payoff of coalition A against everyone else."""
     group = sorted(set(int(i) for i in A))
@@ -373,7 +365,7 @@ def coalition_value(
         raise ValueError("coalition must be nonempty")
     if any(i < 0 or i >= spec.m for i in group):
         raise ValueError("coalition indices out of range")
-    _check_cap(spec, cap, "coalition value")
+    _check_cap(spec, BRUTE_FORCE_CAP, "coalition value")
     table = _payoff_table(spec, tol)
     tau = scaled_tol(tol, table) * max(1, len(group))
     lo, hi = sup_inf_inf_sup(sum(table[..., i] for i in group), group)
@@ -423,10 +415,9 @@ def projection_sol(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     return project_quadratic(np.linalg.inv(Ga), spec.P, spec.X, tol=tol)
 
 
-def equilibrium_report(
-    spec: GameSpec, tol: float = DEFAULT_TOL, cap: int = BRUTE_FORCE_CAP
-) -> EquilibriumReport:
-    """Bundle enumeration, optimality, value, and competitiveness results."""
+def equilibrium_report(spec: GameSpec, tol: float = DEFAULT_TOL) -> EquilibriumReport:
+    """Bundle enumeration, optimality, value, and competitiveness results;
+    value and wuc are None above BRUTE_FORCE_CAP exercisable players."""
     _check_cap(spec, ENUM_CAP, "Nash enumeration")
     table = _payoff_table(spec, tol)
     tau = scaled_tol(tol, table)
@@ -439,11 +430,11 @@ def equilibrium_report(
         if all(float(np.max(np.abs(v - payoffs[0]))) <= tau_v for v in payoffs):
             nash_payoff = payoffs[0].copy()
     optimal = _profiles_where(nash_at & floor_mask(table, tau))
-    free = len(spec.exercisable)
+    small = len(spec.exercisable) <= BRUTE_FORCE_CAP
     return EquilibriumReport(
         nash_profiles=nash,
         nash_payoff=nash_payoff,
         optimal_profiles=optimal,
-        value=_value(table, tol) if free <= cap else None,
-        wuc=wuc_holds(table, tau) if free <= cap else None,
+        value=_value(table, tol) if small else None,
+        wuc=wuc_holds(table, tau) if small else None,
     )

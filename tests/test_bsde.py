@@ -92,16 +92,6 @@ class TestSolve:
             recon = cont + tree.effective_G(n).entries @ dK
             assert sol.Z[n.id] == pytest.approx(recon, abs=1e-9)
 
-    def test_order_independence(self):
-        tree = gen_tree(9, 2)
-        base = solve_reflected_bsde(tree)
-        for seed in (0, 1, 17):
-            other = solve_reflected_bsde(tree, shuffle_seed=seed)
-            for n in tree.nodes:
-                assert other.Z[n.id] == pytest.approx(base.Z[n.id], abs=1e-12)
-                assert other.K[n.id] == pytest.approx(base.K[n.id], abs=1e-12)
-                assert other.J[n.id] == pytest.approx(base.J[n.id], abs=1e-12)
-
     def test_singular_matrix_rejected(self):
         tree = parse_tree(BUILTIN_INSTANCES["paper-counterexample"])
         with pytest.raises(NotKMatrix):

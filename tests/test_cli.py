@@ -5,8 +5,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from affinegames.cli import gen_tree, main
-from affinegames.jsonio import dump_json, load_json, tree_json
+from affinegames.cli import _HANDLERS, gen_game, gen_tree, main
+from affinegames.jsonio import dump_json, game_json, matrix_json, tree_json
+from affinegames.matrices import gen_p_matrix
 from affinegames.tree import validate as validate_tree
 from affinegames.jsonio import parse_tree
 
@@ -19,6 +20,20 @@ NEAR_SINGULAR_TREE = {
     "nodes": [
         {"id": "r", "t": 0, "parent": None, "p": 1.0, "X": [1, 0]},
         {"id": "l", "t": 1, "parent": "r", "p": 1.0, "X": [0, 0]},
+    ],
+}
+
+
+# Its shared G = diag(1e-10, 1) has a diagonal entry far below the default
+# tolerance times the largest entry, and is a K-matrix at that tolerance.
+SMALL_DIAGONAL_TREE = {
+    "T": 1,
+    "m": 2,
+    "G": {"m": 2, "rows": [[1e-10, 0.0], [0.0, 1.0]]},
+    "nodes": [
+        {"id": "r", "t": 0, "parent": None, "p": 1.0, "X": [1.0, -1.0]},
+        {"id": "a", "t": 1, "parent": "r", "p": 0.5, "X": [0.0, 2.0]},
+        {"id": "b", "t": 1, "parent": "r", "p": 0.5, "X": [2.0, 0.0]},
     ],
 }
 
@@ -342,19 +357,9 @@ class TestTreeCommands:
         assert refused["result"]["valid"] is False
 
     def test_small_positive_diagonal_is_judged_at_the_callers_tolerance(self, capsys):
-        # 1e-10 is below the default tolerance but positive at 1e-12.
-        doc = json.dumps(
-            {
-                "T": 1,
-                "m": 2,
-                "G": {"m": 2, "rows": [[1e-10, 0.0], [0.0, 1.0]]},
-                "nodes": [
-                    {"id": "r", "t": 0, "parent": None, "p": 1.0, "X": [1.0, -1.0]},
-                    {"id": "a", "t": 1, "parent": "r", "p": 0.5, "X": [0.0, 2.0]},
-                    {"id": "b", "t": 1, "parent": "r", "p": 0.5, "X": [2.0, 0.0]},
-                ],
-            }
-        )
+        # 1e-10 is the largest entry of its row, so it is positive at 1e-12 as
+        # at the default tolerance: the diagonal is judged by its row's scale.
+        doc = json.dumps(SMALL_DIAGONAL_TREE)
         tight = ("--input", doc, "--tolerance", "1e-12")
         solved, _ = run_json(capsys, "tree-solve", *tight)
         assert solved["result"]["root_value"] == pytest.approx([1.0, 1.0])
@@ -363,6 +368,20 @@ class TestTreeCommands:
         assert verified["result"]["optimal_equilibrium"] is True
         for report in (solved, verified):
             check_schema(report)
+
+    def test_small_positive_diagonal_validates_where_solve_does(self, capsys):
+        # The tree's root game is solved at the default tolerance; its tree
+        # must then validate too, and give the same root value.
+        root_game = json.dumps(
+            {"X": [1.0, -1.0], "P": [1.0, 1.0], "G": SMALL_DIAGONAL_TREE["G"]}
+        )
+        solved, _ = run_json(capsys, "solve", "--input", root_game)
+        doc = json.dumps(SMALL_DIAGONAL_TREE)
+        tree_solved, _ = run_json(capsys, "tree-solve", "--input", doc)
+        assert tree_solved["result"]["root_value"] == solved["result"]["V_star"]
+        verified, _ = run_json(capsys, "tree-verify", "--input", doc)
+        assert verified["result"]["valid"] is True
+        assert verified["result"]["optimal_equilibrium"] is True
 
     def test_naive_counterexample_builtin(self, capsys):
         report, _ = run_json(capsys, "naive-counterexample")
@@ -435,3 +454,37 @@ class TestGen:
     def test_bad_recipes(self, capsys, recipe):
         code, _, _ = run(capsys, "gen", "--input", recipe)
         assert code == 2
+
+
+class TestFixedLimits:
+    """Enumeration limits are constants: no flag moves them."""
+
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_cap_flag_is_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", HAND_GAME, "--cap", "40"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --cap 40" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("wuc",), "competitiveness check enumerates 2^13 profiles; cap is 12"),
+            (
+                ("coalition", "--coalition", "1"),
+                "coalition value enumerates 2^13 profiles; cap is 12",
+            ),
+        ],
+    )
+    def test_brute_force_cap(self, capsys, argv, message):
+        doc = dump_json(game_json(gen_game(0, 13)))
+        code, out, err = run(capsys, *argv, "--input", doc)
+        assert code == 1 and out == ""
+        assert err.splitlines()[0] == f"error: {message}"
+
+    def test_classification_sweep_cap(self, capsys):
+        doc = dump_json(matrix_json(gen_p_matrix(0, 17)))
+        code, out, err = run(capsys, "classify", "--input", doc)
+        assert code == 1 and out == ""
+        assert err.splitlines()[0] == "error: classification sweeps 2^17 minors; cap is 16"

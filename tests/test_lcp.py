@@ -61,10 +61,8 @@ class TestSolveEnum:
         from affinegames.errors import DimensionTooLarge
 
         big = lcp([-1.0] + [1.0] * 20, np.eye(21))
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(DimensionTooLarge, match="cap is 20"):
             solve_enum(big)
-        sol = solve_enum(big, cap=21)
-        assert sol is not None and sol.support == (0,)
 
 
 def loop_enum(problem, tol=1e-9):
@@ -128,7 +126,7 @@ class TestBatchedEnumeration:
         problem = LcpProblem(q=-np.ones(17), M=SquareMatrix(-gen_p_matrix(0, 17).entries))
         tracemalloc.start()
         try:
-            assert solve_enum(problem, cap=17) is None
+            assert solve_enum(problem) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

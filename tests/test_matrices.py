@@ -90,6 +90,14 @@ class TestClassify:
         assert not cls.has_positive_diagonal
         assert not cls.has_nonzero_proper_minors
 
+    def test_diagonal_is_judged_against_its_own_row(self):
+        # 1e-10 is far below tol times the largest entry, 1.0, but it is the
+        # largest entry of its own row, the scale the minor tests give that row
+        cls = classify(np.diag([1e-10, 1.0]))
+        assert cls.is_K and cls.has_positive_diagonal
+        assert not classify(np.array([[1e-10, -1.0], [0.0, 1.0]])).has_positive_diagonal
+        assert not classify(np.array([[0.0]])).has_positive_diagonal
+
     def test_nonsymmetric_p_matrix(self):
         # minors 1, 1, det = 1 + 4 = 5: P but not Z and not symmetric
         cls = classify(np.array([[1.0, -2.0], [2.0, 1.0]]))
@@ -97,7 +105,7 @@ class TestClassify:
 
     def test_cap(self):
         # the exhaustive sweep, which every non-Z matrix takes, keeps its cap
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(DimensionTooLarge, match="cap is 16"):
             classify(gen_p_matrix(0, 17))
 
     def test_z_matrices_are_not_capped(self):
@@ -107,10 +115,6 @@ class TestClassify:
     def test_z_matrix_outside_k0prime_keeps_the_cap(self):
         with pytest.raises(DimensionTooLarge):
             classify(-np.eye(17))
-
-    def test_cap_override(self):
-        assert classify(np.eye(17), cap=17).is_K
-        assert classify(gen_p_matrix(0, 17), cap=17).is_P
 
 
 def dhat(weights):

@@ -12,7 +12,6 @@ from affinegames.cli import BUILTIN_INSTANCES, gen_tree, main
 from affinegames.jsonio import dump_json, parse_tree, tree_json
 from affinegames.matrices import SquareMatrix, gen_k_matrix
 from affinegames.multi_period import (
-    ENUMERATION_BUDGET,
     EnumerationTooLarge,
     _check_budget,
     _joint_table,
@@ -56,6 +55,14 @@ def never(m):
 
 def builtin_tree():
     return parse_tree(BUILTIN_INSTANCES["paper-counterexample"])
+
+
+def wide_tree():
+    """Three players, T = 3, branching 3: past ENUMERATION_BUDGET."""
+    return gen_tree(0, 3, T=3, branching=3)
+
+
+OVER_BUDGET = r"joint stopping profiles exceed budget 1000000$"
 
 
 def snell(tree):
@@ -247,12 +254,10 @@ class TestStoppingTimeEnumeration:
                 assert not (ancestors(nid) & stops)
 
     def test_budget_guard(self):
-        wide = gen_tree(0, 3, T=3, branching=3)
-        with pytest.raises(EnumerationTooLarge):
-            verify_optimal_equilibrium(wide, never(3))
-        small = chain([1.0, 2.0], K1)
-        with pytest.raises(EnumerationTooLarge):
-            verify_optimal_equilibrium(small, never(1), budget=1)
+        with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
+            _check_budget(wide_tree())
+        with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
+            verify_optimal_equilibrium(wide_tree(), never(3))
 
 
 class TestVerifyOptimalEquilibrium:
@@ -308,9 +313,8 @@ class TestCoalitionValueTree:
             coalition_value_tree(tree, [5])
 
     def test_budget_guard(self):
-        tree = chain([[1.0, 1.0], [0.0, 0.0]], K2)
-        with pytest.raises(EnumerationTooLarge):
-            coalition_value_tree(tree, [0], budget=1)
+        with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
+            coalition_value_tree(wide_tree(), [0])
 
 
 class TestNaiveEquilibriumSearch:
@@ -338,8 +342,8 @@ class TestNaiveEquilibriumSearch:
         assert res.optimal_profiles != []
 
     def test_budget_guard(self):
-        with pytest.raises(EnumerationTooLarge):
-            naive_equilibrium_search(builtin_tree(), budget=2)
+        with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
+            naive_equilibrium_search(wide_tree())
 
 
 class TestProfileBasics:
@@ -420,7 +424,7 @@ class TestJointTable:
             if per_node:
                 tree = _per_node_dhat(tree, T + b)
             try:
-                _check_budget(tree, ENUMERATION_BUDGET)
+                _check_budget(tree)
             except EnumerationTooLarge:
                 continue
             for anchor in (backward_induction(tree).U.values, _terminal_anchor(tree)):

@@ -46,6 +46,11 @@ def singular_game():
     return game([1.0, 1.0], [0.0, 0.0], [[1.0, -1.0], [-1.0, 1.0]])
 
 
+def over_cap_game(m):
+    """A fully exercisable P game one player past an enumeration cap."""
+    return GameSpec(X=np.zeros(m), P=np.ones(m), G=gen_p_matrix(0, m))
+
+
 def random_k_game(seed, m, nonneg=False):
     rng = np.random.default_rng([seed, 5])
     return GameSpec(
@@ -169,8 +174,9 @@ class TestNashAndSol:
         assert sol(spec) == pytest.approx(spec.X + lcp_sol.w)
 
     def test_enumeration_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            enumerate_nash(hand_game(), cap=1)
+        msg = r"Nash enumeration enumerates 2\^21 profiles; cap is 20"
+        with pytest.raises(DimensionTooLarge, match=msg):
+            enumerate_nash(over_cap_game(21))
 
 
 class TestOptimalityAndWuc:
@@ -195,11 +201,12 @@ class TestOptimalityAndWuc:
                 assert is_optimal_equilibrium(spec, p), seed
 
     def test_caps(self):
-        spec = hand_game()
-        with pytest.raises(DimensionTooLarge):
-            wuc_check(spec, cap=1)
-        with pytest.raises(DimensionTooLarge):
-            is_optimal_equilibrium(spec, (0, 1), cap=1)
+        msg = r"competitiveness check enumerates 2\^13 profiles; cap is 12"
+        with pytest.raises(DimensionTooLarge, match=msg):
+            wuc_check(over_cap_game(13))
+        msg = r"optimality check enumerates 2\^21 profiles; cap is 20"
+        with pytest.raises(DimensionTooLarge, match=msg):
+            is_optimal_equilibrium(over_cap_game(21), (1,) * 21)
 
 
 class TestValueAndCoalitions:
@@ -239,12 +246,14 @@ class TestValueAndCoalitions:
             coalition_value(spec, [])
         with pytest.raises(ValueError):
             coalition_value(spec, [5])
-        with pytest.raises(DimensionTooLarge):
-            coalition_value(spec, [0], cap=1)
+        msg = r"coalition value enumerates 2\^13 profiles; cap is 12"
+        with pytest.raises(DimensionTooLarge, match=msg):
+            coalition_value(over_cap_game(13), [0])
 
     def test_value_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            value(hand_game(), cap=1)
+        msg = r"value computation enumerates 2\^13 profiles; cap is 12"
+        with pytest.raises(DimensionTooLarge, match=msg):
+            value(over_cap_game(13))
 
 
 class TestDummyExtension:
