@@ -17,6 +17,7 @@ import argparse
 import copy
 import sys
 import time
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -149,18 +150,7 @@ def _load_input(args: argparse.Namespace, default: Optional[str] = None) -> Any:
 
 def _cmd_classify(args: argparse.Namespace) -> Dict[str, Any]:
     M = parse_matrix(_load_input(args))
-    cls = classify(M, tol=args.tolerance)
-    result = {
-        "m": M.m,
-        "is_Z": cls.is_Z,
-        "is_P": cls.is_P,
-        "is_P0prime": cls.is_P0prime,
-        "is_K": cls.is_K,
-        "is_K0prime": cls.is_K0prime,
-        "has_positive_diagonal": cls.has_positive_diagonal,
-        "has_nonzero_proper_minors": cls.has_nonzero_proper_minors,
-        "column_sums_nonneg": cls.column_sums_nonneg,
-    }
+    result = {"m": M.m, **asdict(classify(M, tol=args.tolerance))}
     return {"input": matrix_json(M), "result": result}
 
 

@@ -40,6 +40,9 @@ __all__ = [
     "load_json",
 ]
 
+# Spaces per nesting level in dump_json's output.
+INDENT = 2
+
 
 class InputFormatError(ValueError):
     """The input JSON does not match any accepted shape."""
@@ -226,7 +229,7 @@ def _is_scalar(x: Any) -> bool:
     return x is None or isinstance(x, (bool, int, float, str, np.integer, np.floating))
 
 
-def _serialize(obj: Any, level: int, indent: int) -> str:
+def _serialize(obj: Any, level: int) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -244,26 +247,24 @@ def _serialize(obj: Any, level: int, indent: int) -> str:
         if not items:
             return "[]"
         if all(_is_scalar(x) for x in items):
-            return "[" + ", ".join(_serialize(x, 0, indent) for x in items) + "]"
-        inner = " " * (indent * (level + 1))
-        body = ",\n".join(
-            inner + _serialize(x, level + 1, indent) for x in items
-        )
-        return "[\n" + body + "\n" + " " * (indent * level) + "]"
+            return "[" + ", ".join(_serialize(x, 0) for x in items) + "]"
+        inner = " " * (INDENT * (level + 1))
+        body = ",\n".join(inner + _serialize(x, level + 1) for x in items)
+        return "[\n" + body + "\n" + " " * (INDENT * level) + "]"
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
-        inner = " " * (indent * (level + 1))
+        inner = " " * (INDENT * (level + 1))
         parts = []
         for k, v in obj.items():
             parts.append(
                 inner + json.dumps(str(k), ensure_ascii=False) + ": "
-                + _serialize(v, level + 1, indent)
+                + _serialize(v, level + 1)
             )
-        return "{\n" + ",\n".join(parts) + "\n" + " " * (indent * level) + "}"
+        return "{\n" + ",\n".join(parts) + "\n" + " " * (INDENT * level) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dump_json(obj: Any, indent: int = 2) -> str:
+def dump_json(obj: Any) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
-    return _serialize(obj, 0, indent) + "\n"
+    return _serialize(obj, 0) + "\n"

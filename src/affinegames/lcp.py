@@ -47,6 +47,11 @@ __all__ = [
     "project_quadratic",
 ]
 
+# verify_projection_characterization's variational check: how many points it
+# samples in the orthant, and from which seed.
+PROJECTION_SAMPLES = 32
+PROJECTION_SEED = 0
+
 
 class CycleLimit(DomainError):
     """Pivoting exceeded the 10 * 2^m step budget; assumed to be cycling."""
@@ -347,16 +352,14 @@ def verify_projection_characterization(
     problem: LcpProblem,
     sol: LcpSolution,
     tol: float = 1e-7,
-    samples: int = 32,
-    seed: int = 0,
 ) -> bool:
     """Check a solution against the projection identities.
 
     (b) z is the Euclidean projection of z - w onto the nonnegative orthant;
-    (c) w^T (y - z) >= 0 for sampled y >= 0; and for symmetric positive
-    definite M, z and w are the Q-norm projections of -M^{-1} q and q onto
-    the orthant (Q = M and Q = M^{-1} respectively), recomputed here with
-    the active-set minimizer as an independent oracle.
+    (c) w^T (y - z) >= 0 for y = 0 and PROJECTION_SAMPLES seeded y >= 0; and
+    for symmetric positive definite M, z and w are the Q-norm projections of
+    -M^{-1} q and q onto the orthant (Q = M and Q = M^{-1} respectively),
+    recomputed here with the active-set minimizer as an independent oracle.
     """
     q, Ma = problem.q, problem.M.entries
     z, w = sol.z, sol.w
@@ -365,8 +368,9 @@ def verify_projection_characterization(
     if float(np.max(np.abs(z - np.maximum(z - w, 0.0)))) > tau:
         return False
 
-    rng = np.random.default_rng(seed)
-    ys = rng.uniform(0.0, 1.0 + 2.0 * float(np.max(np.abs(z))), size=(samples, len(z)))
+    rng = np.random.default_rng(PROJECTION_SEED)
+    high = 1.0 + 2.0 * float(np.max(np.abs(z)))
+    ys = rng.uniform(0.0, high, size=(PROJECTION_SAMPLES, len(z)))
     ys = np.vstack([ys, np.zeros(len(z))])
     vi_tau = tol * max(1.0, float(np.max(np.abs(w))) * max(1.0, float(np.max(ys))))
     if float(np.min(ys @ w - float(w @ z))) < -vi_tau:

@@ -200,12 +200,12 @@ def _classify_sweep(
 def _matrix_class(
     a: np.ndarray, tol: float, proper_positive: bool, proper_nonzero: bool, det_sign: int
 ) -> MatrixClass:
-    """The flags from the minor signs, plus the entrywise tests at tol times
-    the largest magnitude, with no floor, so they too are scale invariant. A
-    diagonal entry is positive above tol times the largest magnitude in its
-    row, the scale the minor tests give that row."""
-    ab = np.abs(a)
-    tau = tol * float(np.max(ab))
+    """The flags from the minor signs, plus the entrywise tests. The Z and
+    column-sum tests use tol times the largest magnitude, with no floor, so
+    they too are scale invariant. A diagonal entry is positive when it is
+    above 0, the rule GameSpec applies: a 1x1 block is its own scale, so for
+    tol < 1 _minor_signs gives any such entry the same sign."""
+    tau = tol * float(np.max(np.abs(a)))
     off = a - np.diag(np.diag(a))
     is_z = bool(np.all(off <= tau))
     is_p = proper_positive and det_sign > 0
@@ -216,7 +216,7 @@ def _matrix_class(
         is_P0prime=is_p0prime,
         is_K=is_p and is_z,
         is_K0prime=is_p0prime and is_z,
-        has_positive_diagonal=bool(np.all(np.diag(a) > tol * ab.max(axis=1))),
+        has_positive_diagonal=bool(np.all(np.diag(a) > 0.0)),
         has_nonzero_proper_minors=proper_nonzero,
         column_sums_nonneg=bool(np.all(a.sum(axis=0) >= -tau)),
     )

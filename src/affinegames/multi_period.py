@@ -34,6 +34,7 @@ from .normal_form import floor_mask, nash_mask, optimal_mask, sup_inf_inf_sup
 from .single_period import (
     GameSpec,
     StrategyProfile,
+    _coalition,
     _payoff_table,
     _solve_classified,
     payoff,
@@ -111,15 +112,14 @@ def _value_process(
 ) -> ValueProcess:
     """backward_induction on a tree validated at tol, given its matrix classes."""
     U: Dict[str, np.ndarray] = {}
+    exercising: Dict[str, Tuple[int, ...]] = {}
     for n in sorted(tree.nodes, key=lambda n: -n.t):
         if tree.is_leaf(n):
             U[n.id] = n.X.copy()
             continue
-        U[n.id] = _solve_classified(_node_game(tree, U, n), classes[n.id], tol).V_star
-    binds = {
-        n.id: U[n.id] <= n.X + scaled_tol(tol, U[n.id], n.X) for n in tree.nonterminal()
-    }
-    stops = (frozenset(k for k, b in binds.items() if b[i]) for i in range(tree.m))
+        solved = _solve_classified(_node_game(tree, U, n), classes[n.id], tol)
+        U[n.id], exercising[n.id] = solved.V_star, solved.equilibrium.exercising
+    stops = (frozenset(k for k, e in exercising.items() if i in e) for i in range(tree.m))
     return ValueProcess(U=AdaptedProcess(values=U), tau_star=StoppingProfile(tuple(stops)))
 
 
@@ -163,10 +163,7 @@ def _profile_value(
             game = _node_game(tree, anchor, n)
             vals[n.id] = payoff(game, StrategyProfile(s), tol=tol).V
         else:
-            out = np.zeros(tree.m)
-            for c in kids:
-                out = out + c.p * vals[c.id]
-            vals[n.id] = out
+            vals[n.id] = conditional_expectation(tree, vals, n)
     return vals[start.id]
 
 
@@ -181,7 +178,8 @@ def _joint_table(
     children's antichains. The node's one-shot payoff table, widened so
     that every index past 0 stays in, gives every block where someone
     stops; the no-stop block is the probability mix of the children's
-    tables, summed in the same order _profile_value uses.
+    tables, summed in the same order as conditional_expectation, which
+    _profile_value and _node_game use.
     """
     m = tree.m
     tables: Dict[str, np.ndarray] = {}
@@ -378,11 +376,7 @@ def coalition_value_tree(
     reports the failed conclusion rather than returning a bogus number.
     """
     classes = tree.require_valid(tol)
-    members = sorted(set(int(i) for i in A))
-    if not members:
-        raise ValueError("coalition must be nonempty")
-    if any(i < 0 or i >= tree.m for i in members):
-        raise ValueError("coalition indices out of range")
+    members = _coalition(A, tree.m)
     # Nodes on the shared matrix first, so it is reported before any override.
     for n in sorted(tree.nodes, key=lambda n: n.G is not None):
         if n.id in classes and not classes[n.id].column_sums_nonneg:

@@ -24,7 +24,7 @@ from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DimensionTooLarge, DomainError
-from .lcp import LcpProblem, _p0prime_dichotomy, project_quadratic
+from .lcp import LcpProblem, _is_spd, _p0prime_dichotomy, project_quadratic
 from .matrices import (
     DEFAULT_TOL,
     ENUM_CAP,
@@ -354,17 +354,23 @@ def value(spec: GameSpec, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
     return _value(_payoff_table(spec, tol), tol)
 
 
+def _coalition(A: Iterable[int], m: int) -> List[int]:
+    """The members of coalition A among m players, sorted and deduplicated."""
+    members = sorted(set(int(i) for i in A))
+    if not members:
+        raise ValueError("coalition must be nonempty")
+    if any(i < 0 or i >= m for i in members):
+        raise ValueError("coalition indices out of range")
+    return members
+
+
 def coalition_value(
     spec: GameSpec,
     A: Iterable[int],
     tol: float = DEFAULT_TOL,
 ) -> Optional[float]:
     """Value of the summed payoff of coalition A against everyone else."""
-    group = sorted(set(int(i) for i in A))
-    if not group:
-        raise ValueError("coalition must be nonempty")
-    if any(i < 0 or i >= spec.m for i in group):
-        raise ValueError("coalition indices out of range")
+    group = _coalition(A, spec.m)
     _check_cap(spec, BRUTE_FORCE_CAP, "coalition value")
     table = _payoff_table(spec, tol)
     tau = scaled_tol(tol, table) * max(1, len(group))
@@ -406,12 +412,8 @@ def projection_sol(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     active-set minimizer, bypassing the LCP entirely.
     """
     Ga = spec.G.entries
-    if float(np.max(np.abs(Ga - Ga.T))) > scaled_tol(tol, Ga):
-        raise NotSymmetricPD("projection form needs a symmetric matrix")
-    try:
-        np.linalg.cholesky(0.5 * (Ga + Ga.T))
-    except np.linalg.LinAlgError:
-        raise NotSymmetricPD("projection form needs a positive definite matrix")
+    if not _is_spd(Ga, tol):
+        raise NotSymmetricPD("projection form needs a symmetric positive definite matrix")
     return project_quadratic(np.linalg.inv(Ga), spec.P, spec.X, tol=tol)
 
 

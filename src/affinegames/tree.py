@@ -6,9 +6,10 @@ tree assign one length-m vector per node; conditional expectation at a
 node averages the children's values with the branch probabilities.
 Validation returns violations as data so callers can report all problems
 at once instead of failing on the first; a non-terminal node with no
-matrix is one, and so is a matrix without a positive diagonal, which no
-one-shot game accepts. Each call validates its tree once, at the caller's
-tolerance, and reads the matrix classes that require_valid returns.
+matrix is one, and so is a matrix with a diagonal entry that is not above
+0, which no one-shot game accepts. Each call validates its tree once, at
+the caller's tolerance, and reads the matrix classes that require_valid
+returns; the diagonal rule alone takes no tolerance, as in GameSpec.
 """
 
 from __future__ import annotations

@@ -37,6 +37,18 @@ SMALL_DIAGONAL_TREE = {
     ],
 }
 
+# G is K0' at the default tolerance, and its first diagonal entry is far below
+# tol times the largest entry of its row.
+NEAR_ZERO_DIAGONAL_TREE = {
+    "T": 1,
+    "m": 2,
+    "G": {"m": 2, "rows": [[1e-13, -1e-3], [0.0, 1.0]]},
+    "nodes": [
+        {"id": "r", "t": 0, "parent": None, "p": 1.0, "X": [1.0, 0.5]},
+        {"id": "a", "t": 1, "parent": "r", "p": 1.0, "X": [2.0, 1.0]},
+    ],
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -357,8 +369,8 @@ class TestTreeCommands:
         assert refused["result"]["valid"] is False
 
     def test_small_positive_diagonal_is_judged_at_the_callers_tolerance(self, capsys):
-        # 1e-10 is the largest entry of its row, so it is positive at 1e-12 as
-        # at the default tolerance: the diagonal is judged by its row's scale.
+        # 1e-10 is positive at 1e-12 as at the default tolerance: a diagonal
+        # entry is positive when it is above 0, at any tolerance.
         doc = json.dumps(SMALL_DIAGONAL_TREE)
         tight = ("--input", doc, "--tolerance", "1e-12")
         solved, _ = run_json(capsys, "tree-solve", *tight)
@@ -382,6 +394,28 @@ class TestTreeCommands:
         verified, _ = run_json(capsys, "tree-verify", "--input", doc)
         assert verified["result"]["valid"] is True
         assert verified["result"]["optimal_equilibrium"] is True
+
+    def test_near_zero_diagonal_tree_solves_where_solve_does(self, capsys):
+        # The one-shot game of the T = 1 tree: its stay-in payoff is the leaf's.
+        G = NEAR_ZERO_DIAGONAL_TREE["G"]
+        root_game = json.dumps({"X": [1.0, 0.5], "P": [2.0, 1.0], "G": G})
+        solved, _ = run_json(capsys, "solve", "--input", root_game)
+        assert solved["result"]["V_star"] == [2.0, 1.0]
+        doc = json.dumps(NEAR_ZERO_DIAGONAL_TREE)
+        tree_solved, _ = run_json(capsys, "tree-solve", "--input", doc)
+        assert tree_solved["result"]["root_value"] == solved["result"]["V_star"]
+        verified, _ = run_json(capsys, "tree-verify", "--input", doc)
+        assert verified["result"]["valid"] is True
+        assert verified["result"]["optimal_equilibrium"] is True
+        for report in (solved, tree_solved, verified):
+            check_schema(report)
+
+    def test_near_zero_diagonal_is_positive_to_classify(self, capsys):
+        G = json.dumps(NEAR_ZERO_DIAGONAL_TREE["G"])
+        classified, _ = run_json(capsys, "classify", "--input", G)
+        assert classified["result"]["has_positive_diagonal"] is True
+        assert classified["result"]["is_K0prime"] is True
+        check_schema(classified)
 
     def test_naive_counterexample_builtin(self, capsys):
         report, _ = run_json(capsys, "naive-counterexample")

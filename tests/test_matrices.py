@@ -90,13 +90,15 @@ class TestClassify:
         assert not cls.has_positive_diagonal
         assert not cls.has_nonzero_proper_minors
 
-    def test_diagonal_is_judged_against_its_own_row(self):
-        # 1e-10 is far below tol times the largest entry, 1.0, but it is the
-        # largest entry of its own row, the scale the minor tests give that row
+    def test_diagonal_is_positive_above_zero(self):
+        # the rule GameSpec applies: an entry far below tol times the largest
+        # entry of its row, or of the matrix, is still positive
         cls = classify(np.diag([1e-10, 1.0]))
         assert cls.is_K and cls.has_positive_diagonal
-        assert not classify(np.array([[1e-10, -1.0], [0.0, 1.0]])).has_positive_diagonal
+        assert classify(np.array([[1e-10, -1.0], [0.0, 1.0]])).has_positive_diagonal
+        assert classify(np.array([[1e-13, -1e-3], [0.0, 1.0]])).has_positive_diagonal
         assert not classify(np.array([[0.0]])).has_positive_diagonal
+        assert not classify(np.array([[-1e-300]])).has_positive_diagonal
 
     def test_nonsymmetric_p_matrix(self):
         # minors 1, 1, det = 1 + 4 = 5: P but not Z and not symmetric

@@ -28,7 +28,7 @@ from affinegames.multi_period import (
     verify_optimal_equilibrium,
 )
 from affinegames.redistribution import dhat_matrix
-from affinegames.single_period import GameSpec, payoff
+from affinegames.single_period import GameSpec, payoff, solve_game
 from affinegames.tree import ScenarioTree, TreeNode, conditional_expectation, validate
 
 K1 = SquareMatrix(np.array([[1.0]]))
@@ -154,6 +154,29 @@ class TestBackwardInduction:
         tree = ScenarioTree(T=1, m=1, nodes=nodes, G=K1)
         vp = backward_induction(tree)
         assert vp.U["r"] == pytest.approx([4.0])
+
+
+class TestTauStar:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_stops_where_the_node_game_exercises(self, per_node, tol):
+        stopped = 0
+        for seed in range(4):
+            tree = gen_tree(seed, 3, T=3, branching=2)
+            if per_node:
+                tree = _per_node_dhat(tree, seed)
+            values = backward_induction(tree, tol=tol)
+            exercised = {}
+            for n in tree.nonterminal():
+                stay = conditional_expectation(tree, values.U, n)
+                game = GameSpec(X=n.X, P=stay, G=tree.effective_G(n))
+                solution = solve_game(game, tol=tol)
+                assert np.array_equal(solution.V_star, values.U[n.id])
+                exercised[n.id] = solution.equilibrium.exercising
+            for i, stops in enumerate(values.tau_star.stops):
+                assert stops == {k for k, e in exercised.items() if i in e}
+                stopped += len(stops)
+        assert 0 < stopped < 4 * 3 * 7
 
 
 class TestEvaluateProfile:
