@@ -6,16 +6,28 @@ complementarity problems as {"q": [...], "M": <matrix>}, games as
 "G"?}. Wherever a matrix is accepted, {"alpha": [...]} stands for the
 proportional-redistribution matrix built from those weights.
 
-Serialization is hand-rolled so that floats always print with 17
-significant digits (round-trip exact for doubles) and output bytes are
-identical across runs for identical data; the stdlib encoder does not
-allow overriding float formatting.
+Serialization is hand-rolled because the stdlib encoder does not allow
+overriding float formatting. The contract of `dump_json`:
+
+- It accepts None, bool, int, float, str, list, tuple, Mapping and
+  numpy arrays, integers and floats; anything else (a set, np.bool_)
+  raises TypeError.
+- Floats print with 17 significant digits, which round-trips every
+  double, and always carry a '.' or an exponent; -0.0 prints as 0.0 so
+  reruns cannot differ on sign noise; nan and infinities raise
+  ValueError.
+- Strings and mapping keys (keys through str()) are encoded as
+  json.dumps(..., ensure_ascii=False) encodes them.
+- Scalar-only lists print on one line; other containers print one item
+  a line, indented by INDENT spaces a level. Identical data therefore
+  gives identical bytes across runs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, List, Mapping, Optional
+from json.encoder import encode_basestring
+from typing import Any, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +63,7 @@ class InputFormatError(ValueError):
 def load_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise InputFormatError(f"not valid JSON: {e}") from e
 
 
@@ -61,13 +73,17 @@ def _require_mapping(obj: Any, what: str) -> Mapping:
     return obj
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def parse_vector(obj: Any, what: str, m: Optional[int] = None) -> np.ndarray:
-    if not isinstance(obj, (list, tuple)) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
+    if not isinstance(obj, (list, tuple)) or not (
+        set(map(type, obj)) <= _NUMBER_TYPES
+        or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise InputFormatError(f"{what} must be an array of numbers")
     v = np.asarray(obj, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputFormatError(f"{what} has non-finite entries")
     if m is not None and v.shape != (m,):
         raise InputFormatError(f"{what} must have length {m}")
@@ -87,8 +103,11 @@ def parse_matrix(obj: Any, what: str = "matrix") -> SquareMatrix:
     m = len(rows)
     entries = np.vstack([parse_vector(r, f"{what}.rows[{i}]", m) for i, r in enumerate(rows)])
     declared = mp.get("m")
-    if declared is not None and int(declared) != m:
-        raise InputFormatError(f"{what} declares m={declared} but has {m} rows")
+    if declared is not None:
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise InputFormatError(f"{what}.m must be an integer")
+        if declared != m:
+            raise InputFormatError(f"{what} declares m={declared} but has {m} rows")
     try:
         return SquareMatrix(entries)
     except ValueError as e:
@@ -176,11 +195,11 @@ def parse_tree(obj: Any) -> ScenarioTree:
 
 
 def vector_json(v: Iterable[float]) -> List[float]:
-    return [float(x) for x in np.asarray(v, dtype=float)]
+    return np.asarray(v, dtype=float).tolist()
 
 
 def matrix_json(M: SquareMatrix) -> dict:
-    return {"m": M.m, "rows": [vector_json(r) for r in M.entries]}
+    return {"m": M.m, "rows": np.asarray(M.entries, dtype=float).tolist()}
 
 
 def game_json(spec: GameSpec) -> dict:
@@ -214,22 +233,77 @@ def tree_json(tree: ScenarioTree) -> dict:
     return out
 
 
-def _float_repr(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+# Bound once: every float, alone or in a list, is formatted through it.
+_FORMAT_FLOAT = "{:.17g}".format
+
+
+def _float_fixup(s: str) -> str:
+    """Finish a 17g string that has neither '.' nor 'e'.
+
+    Only integer-valued floats below 1e17, zeros and non-finite values
+    format that way.
+    """
+    if s in ("nan", "inf", "-inf"):
         raise ValueError("cannot serialize non-finite numbers")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0 so reruns cannot differ on sign noise
-    s = format(x, ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    if s == "-0":
+        return "0.0"  # normalize -0.0 so reruns cannot differ on sign noise
+    return s + ".0"
+
+
+def _float_repr(x: float) -> str:
+    s = _FORMAT_FLOAT(x)
+    return s if "." in s or "e" in s else _float_fixup(s)
+
+
+_FLOAT_ONLY = frozenset({float})
+_SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
 
 
 def _is_scalar(x: Any) -> bool:
     return x is None or isinstance(x, (bool, int, float, str, np.integer, np.floating))
 
 
+def _serialize_list(items: Sequence[Any], level: int) -> str:
+    if not items:
+        return "[]"
+    types = set(map(type, items))
+    if types == _FLOAT_ONLY:
+        return "[" + ", ".join(map(_float_repr, items)) + "]"
+    if types <= _SCALAR_TYPES or all(map(_is_scalar, items)):
+        return "[" + ", ".join([_serialize(x, 0) for x in items]) + "]"
+    inner = " " * (INDENT * (level + 1))
+    body = (",\n" + inner).join([_serialize(x, level + 1) for x in items])
+    return "[\n" + inner + body + "\n" + " " * (INDENT * level) + "]"
+
+
+def _serialize_mapping(obj: Mapping, level: int) -> str:
+    if not obj:
+        return "{}"
+    inner = " " * (INDENT * (level + 1))
+    body = (",\n" + inner).join(
+        [
+            encode_basestring(k if type(k) is str else str(k)) + ": " + _serialize(v, level + 1)
+            for k, v in obj.items()
+        ]
+    )
+    return "{\n" + inner + body + "\n" + " " * (INDENT * level) + "}"
+
+
 def _serialize(obj: Any, level: int) -> str:
+    t = type(obj)
+    if t is float:
+        return _float_repr(obj)
+    if t is dict:
+        return _serialize_mapping(obj, level)
+    if t is list or t is tuple:
+        return _serialize_list(obj, level)
+    if t is str:
+        return encode_basestring(obj)
+    if t is np.ndarray and obj.ndim:
+        return _serialize_list(obj.tolist(), level)
+    if t is int:
+        return str(obj)
+    # None, bools, numpy scalars, 0-d arrays and subclasses
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -239,29 +313,13 @@ def _serialize(obj: Any, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return _float_repr(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return encode_basestring(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if all(_is_scalar(x) for x in items):
-            return "[" + ", ".join(_serialize(x, 0) for x in items) + "]"
-        inner = " " * (INDENT * (level + 1))
-        body = ",\n".join(inner + _serialize(x, level + 1) for x in items)
-        return "[\n" + body + "\n" + " " * (INDENT * level) + "]"
+        return _serialize_list(list(obj), level)
     if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        inner = " " * (INDENT * (level + 1))
-        parts = []
-        for k, v in obj.items():
-            parts.append(
-                inner + json.dumps(str(k), ensure_ascii=False) + ": "
-                + _serialize(v, level + 1)
-            )
-        return "{\n" + ",\n".join(parts) + "\n" + " " * (INDENT * level) + "}"
+        return _serialize_mapping(obj, level)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

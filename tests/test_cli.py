@@ -116,6 +116,13 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("malformed input:")
 
+    def test_too_deeply_nested_json_is_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, "tree-solve", "--input", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("malformed input: not valid JSON")
+
     def test_missing_file_is_two(self, capsys):
         code, _, err = run(capsys, "classify", "--input", "no/such/file.json")
         assert code == 2

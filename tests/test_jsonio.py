@@ -1,10 +1,12 @@
 import json
 import math
+from typing import Any, Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from affinegames.jsonio import (
     InputFormatError,
@@ -63,6 +65,10 @@ class TestParseMatrix:
             {"rows": [[1, 2]]},
             {"m": 3, "rows": [[1, 2], [3, 4]]},
             {"m": 2},
+            {"m": 2.7, "rows": [[1, 0], [0, 1]]},
+            {"m": 2.0, "rows": [[1, 0], [0, 1]]},
+            {"m": "2", "rows": [[1, 0], [0, 1]]},
+            {"m": True, "rows": [[1]]},
         ],
     )
     def test_rejected_shapes(self, bad):
@@ -200,6 +206,7 @@ class TestDumpJson:
         assert dump_json(3.0) == "3.0\n"
         assert dump_json(0.5).strip() == "0.5"
         assert dump_json(-0.0).strip() == "0.0"
+        assert dump_json(np.array([-0.0, 1e16, 1e17])) == "[0.0, 10000000000000000.0, 1e+17]\n"
 
     def test_scalars_and_null(self):
         assert dump_json({"x": None, "y": True, "z": 3}) == (
@@ -207,13 +214,15 @@ class TestDumpJson:
         )
 
     def test_non_finite_rejected(self):
-        for bad in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError):
-                dump_json({"x": bad})
+        for x in (float("nan"), float("inf"), -float("inf")):
+            for bad in (x, [1.0, x], np.array([1.0, x]), np.array([[1.0], [x]]), np.float32(x)):
+                with pytest.raises(ValueError):
+                    dump_json({"x": bad})
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            dump_json({"x": {1, 2}})
+        for bad in ({1, 2}, np.bool_(True), [1.0, np.bool_(False)]):
+            with pytest.raises(TypeError):
+                dump_json({"x": bad})
 
     def test_numpy_values_accepted(self):
         text = dump_json({"v": np.array([1.5, 2.0]), "n": np.int64(3)})
@@ -235,3 +244,94 @@ class TestDumpJson:
     def test_matrix_json_shape(self):
         out = matrix_json(SquareMatrix(np.array([[1.0, 2.0], [3.0, 4.0]])))
         assert out == {"m": 2, "rows": [[1.0, 2.0], [3.0, 4.0]]}
+
+
+# The serialiser as it was before its exact-type fast paths, kept verbatim
+# (with its INDENT) as the reference that dump_json must match byte for byte.
+INDENT = 2
+
+
+def _float_repr(x: float) -> str:
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError("cannot serialize non-finite numbers")
+    if x == 0.0:
+        x = 0.0  # normalize -0.0 so reruns cannot differ on sign noise
+    s = format(x, ".17g")
+    if not any(c in s for c in ".eE"):
+        s += ".0"
+    return s
+
+
+def _is_scalar(x: Any) -> bool:
+    return x is None or isinstance(x, (bool, int, float, str, np.integer, np.floating))
+
+
+def _serialize(obj: Any, level: int) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _float_repr(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        items = list(obj)
+        if not items:
+            return "[]"
+        if all(_is_scalar(x) for x in items):
+            return "[" + ", ".join(_serialize(x, 0) for x in items) + "]"
+        inner = " " * (INDENT * (level + 1))
+        body = ",\n".join(inner + _serialize(x, level + 1) for x in items)
+        return "[\n" + body + "\n" + " " * (INDENT * level) + "]"
+    if isinstance(obj, Mapping):
+        if not obj:
+            return "{}"
+        inner = " " * (INDENT * (level + 1))
+        parts = []
+        for k, v in obj.items():
+            parts.append(
+                inner + json.dumps(str(k), ensure_ascii=False) + ": "
+                + _serialize(v, level + 1)
+            )
+        return "{\n" + ",\n".join(parts) + "\n" + " " * (INDENT * level) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1.0, -3.0, 1e16, -1e16, 1e17, 1e300, 5e-324, -5e-324])
+_FLOATS = _EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+# Escapes, control characters and non-ASCII text, for values and keys alike.
+_TEXT = st.text(alphabet=st.characters(), max_size=8) | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x7f", "caf\u00e9", "\u2028", "\U0001f600"]
+)
+_SCALARS = (
+    _FLOATS
+    | _FLOATS.map(np.float64)
+    | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | _TEXT
+)
+_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4), elements=_FLOATS
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS | _ARRAYS | st.lists(_FLOATS, max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT | st.integers(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDumpJsonMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENTS)
+    def test_bytes_equal_the_reference_serialiser(self, doc):
+        assert dump_json(doc) == _serialize(doc, 0) + "\n"
