@@ -65,7 +65,7 @@ def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSo
             raise NotKMatrix(f"matrix at node {n.id!r} is singular or not a K-matrix")
     Z: Dict[str, np.ndarray] = {}
     dK: Dict[str, np.ndarray] = {}
-    for n in sorted(tree.nodes, key=lambda n: -n.t):
+    for n in tree._children_first:
         if tree.is_leaf(n):
             Z[n.id] = n.X.copy()
             continue
@@ -80,7 +80,7 @@ def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSo
         Z[n.id] = n.X + lcp_sol.w
     K: Dict[str, np.ndarray] = {}
     J: Dict[str, np.ndarray] = {}
-    for n in sorted(tree.nodes, key=lambda n: n.t):
+    for n in reversed(tree._children_first):
         if n.parent is None:
             K[n.id] = np.zeros(tree.m)
             J[n.id] = np.zeros(tree.m)

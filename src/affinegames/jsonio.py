@@ -15,7 +15,7 @@ overriding float formatting. The contract of `dump_json`:
 - Floats print with 17 significant digits, which round-trips every
   double, and always carry a '.' or an exponent; -0.0 prints as 0.0 so
   reruns cannot differ on sign noise; nan and infinities raise
-  ValueError.
+  ValueError, and so does data nested too deep to recurse through.
 - Strings and mapping keys (keys through str()) are encoded as
   json.dumps(..., ensure_ascii=False) encodes them.
 - Scalar-only lists print on one line; other containers print one item
@@ -325,4 +325,7 @@ def _serialize(obj: Any, level: int) -> str:
 
 def dump_json(obj: Any) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
-    return _serialize(obj, 0) + "\n"
+    try:
+        return _serialize(obj, 0) + "\n"
+    except RecursionError as e:
+        raise ValueError(f"too deeply nested to serialise: {e}") from e

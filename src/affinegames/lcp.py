@@ -167,10 +167,13 @@ def solve_chandrasekaran(
         w = q + Ma @ z
 
 
+def _pivot_budget(m: int) -> int:
+    return 10 * 2 ** min(m, 40)
+
+
 def solve_lemke(
     problem: LcpProblem,
     tol: float = DEFAULT_TOL,
-    max_pivots: Optional[int] = None,
 ) -> Optional[LcpSolution]:
     """Complementary pivoting with covering vector of ones.
 
@@ -184,8 +187,6 @@ def solve_lemke(
     tau = scaled_tol(tol, q, Ma)
     if float(np.min(q)) >= -tau:
         return _finish(np.zeros(m), q.copy())
-    if max_pivots is None:
-        max_pivots = 10 * (2 ** min(m, 40))
 
     # Columns: w_0..w_{m-1}, z_0..z_{m-1}, z0, rhs. System w - Mz - z0*1 = q.
     T = np.zeros((m, 2 * m + 2))
@@ -225,7 +226,7 @@ def solve_lemke(
     pivot(row, z0_col)
     entering = leaving + m  # complement of the departed w variable
 
-    for _ in range(max_pivots):
+    for _ in range(_pivot_budget(m)):
         row = ratio_row(entering)
         if row is None:
             return None
@@ -239,7 +240,7 @@ def solve_lemke(
             z = np.where(z < 0.0, 0.0, z)
             return _finish(z, q + Ma @ z)
         entering = leaving + m if leaving < m else leaving - m
-    raise CycleLimit(f"no termination within {max_pivots} pivots")
+    raise CycleLimit(f"no termination within {_pivot_budget(m)} pivots")
 
 
 def solvability_p0prime(

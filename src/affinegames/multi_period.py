@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError
 from .matrices import DEFAULT_TOL, MatrixClass, scaled_tol
-from .normal_form import floor_mask, nash_mask, optimal_mask, sup_inf_inf_sup
+from .normal_form import distinct_payoffs, floor_mask, group_margin, group_value
+from .normal_form import nash_mask, optimal_mask
 from .single_period import (
     GameSpec,
     StrategyProfile,
@@ -113,7 +114,7 @@ def _value_process(
     """backward_induction on a tree validated at tol, given its matrix classes."""
     U: Dict[str, np.ndarray] = {}
     exercising: Dict[str, Tuple[int, ...]] = {}
-    for n in sorted(tree.nodes, key=lambda n: -n.t):
+    for n in tree._children_first:
         if tree.is_leaf(n):
             U[n.id] = n.X.copy()
             continue
@@ -183,12 +184,12 @@ def _joint_table(
     """
     m = tree.m
     tables: Dict[str, np.ndarray] = {}
-    for n in _postorder(tree, tree.root):
+    for n in tree._children_first:
         kids = tree.children(n)
         if not kids:
             tables[n.id] = n.X.reshape((1,) * m + (m,))
             continue
-        subs = [tables.pop(c.id) for c in kids]
+        subs = _from_children(tree, n, tables)
         mix = np.zeros(m)
         for j, (c, sub) in enumerate(zip(kids, subs)):
             axes = [1] * len(kids)
@@ -202,19 +203,9 @@ def _joint_table(
     return tables[tree.root.id]
 
 
-def _postorder(tree: ScenarioTree, start: TreeNode) -> List[TreeNode]:
-    """The subtree under start, every node after all of its descendants."""
-    walk, order = [start], []
-    while walk:
-        n = walk.pop()
-        order.append(n)
-        walk.extend(tree.children(n))
-    return order[::-1]
-
-
 def _terminal_anchor(tree: ScenarioTree) -> Dict[str, np.ndarray]:
     out: Dict[str, np.ndarray] = {}
-    for n in sorted(tree.nodes, key=lambda n: -n.t):
+    for n in tree._children_first:
         if tree.is_leaf(n):
             out[n.id] = n.X.copy()
         else:
@@ -265,14 +256,21 @@ def naive_evaluate_profile(
     return _profile_value(tree, _terminal_anchor(tree), profile, start, tol)
 
 
+def _from_children(tree: ScenarioTree, n: TreeNode, done: Dict[str, Any]) -> List[Any]:
+    """Pop the results of n's children; a child dated no later than n has none yet."""
+    if any(c.id not in done for c in tree.children(n)):
+        raise ValueError(f"invalid tree: a child of {n.id!r} is not dated after it")
+    return [done.pop(c.id) for c in tree.children(n)]
+
+
 def enumerate_stopping_times(tree: ScenarioTree) -> List[FrozenSet[str]]:
     """Every adapted single-player stopping time, as its first-stop antichain.
 
     The empty set is the never-stop-early time (exercise at the horizon).
     """
     choices: Dict[str, List[FrozenSet[str]]] = {}
-    for n in _postorder(tree, tree.root):
-        per_child = [choices.pop(c.id) for c in tree.children(n)]
+    for n in tree._children_first:
+        per_child = _from_children(tree, n, choices)
         if not per_child:
             choices[n.id] = [frozenset()]
             continue
@@ -282,15 +280,15 @@ def enumerate_stopping_times(tree: ScenarioTree) -> List[FrozenSet[str]]:
 
 
 def stopping_time_count(tree: ScenarioTree) -> int:
-    return [count for _, count in _subtree_counts(tree)][-1]
+    return {n.id: count for n, count in _subtree_counts(tree)}[tree.root.id]
 
 
 def _subtree_counts(tree: ScenarioTree) -> Iterator[Tuple[TreeNode, int]]:
     """Each node after its descendants, with the stopping-time count under it."""
     counts: Dict[str, int] = {}
-    for n in _postorder(tree, tree.root):
-        kids = tree.children(n)
-        counts[n.id] = 1 + math.prod(counts.pop(c.id) for c in kids) if kids else 1
+    for n in tree._children_first:
+        kids = _from_children(tree, n, counts)
+        counts[n.id] = 1 + math.prod(kids) if kids else 1
         yield n, counts[n.id]
 
 
@@ -358,9 +356,7 @@ def _verify_optimal(
     table = _joint_table(tree, values.U.values, tol)
     position = {c: k for k, c in enumerate(enumerate_stopping_times(tree))}
     at = tuple(position[_first_stops(tree, s)] for s in profile.stops)
-    base = table[at]
-    tau = scaled_tol(tol, base, *(n.X for n in tree.nodes), *values.U.values.values())
-    return bool(optimal_mask(table, tau)[at])
+    return bool(optimal_mask(table, scaled_tol(tol, table))[at])
 
 
 def coalition_value_tree(
@@ -385,16 +381,16 @@ def coalition_value_tree(
     _check_budget(tree)
     values = _value_process(tree, classes, tol)
     table = _joint_table(tree, values.U.values, tol)
-    sup_inf, inf_sup = sup_inf_inf_sup(sum(table[..., i] for i in members), members)
-    tau = scaled_tol(tol, *values.U.values.values()) * max(1, len(members))
-    if abs(sup_inf - inf_sup) > tau:
+    tau = scaled_tol(tol, table)
+    value = group_value(table, members, tau)
+    if value is None:
         return None
     target = float(sum(values.U.values[tree.root.id][i] for i in members))
-    if abs(sup_inf - target) > tau:
+    if abs(value - target) > group_margin(tau, members):
         raise HypothesisViolated(
-            f"coalition value {sup_inf!r} differs from summed root values {target!r}"
+            f"coalition value {value!r} differs from summed root values {target!r}"
         )
-    return float(sup_inf)
+    return value
 
 
 @dataclass(frozen=True)
@@ -429,14 +425,9 @@ def naive_equilibrium_search(
             StoppingProfile(tuple(choices[k] for k in idx)) for idx in np.argwhere(mask)
         ]
 
-    nash_vals = [table[tuple(idx)].copy() for idx in np.argwhere(nash_at)]
-    distinct: List[np.ndarray] = []
-    for v in nash_vals:
-        if all(float(np.max(np.abs(v - u))) > tau for u in distinct):
-            distinct.append(v)
     return NaiveSearchResult(
         nash_profiles=profiles(nash_at),
-        nash_payoffs=nash_vals,
-        distinct_nash_payoffs=distinct,
+        nash_payoffs=[table[tuple(idx)].copy() for idx in np.argwhere(nash_at)],
+        distinct_nash_payoffs=list(distinct_payoffs(table, nash_at, tau)),
         optimal_profiles=profiles(optimal_at),
     )

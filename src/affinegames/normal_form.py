@@ -4,15 +4,15 @@ A payoff table has shape (|S_1|, ..., |S_m|, m): axis i indexes player
 i's strategies and the last axis holds the payoff vector of the profile.
 One-shot games index each player's exercise bit (size 1 for a player who
 cannot exercise); tree games index each player's first-stop antichains.
-Callers build the table once and pass their own tolerance tau. Every test
-compares payoffs exactly as a loop over profiles would, so results do not
-depend on reduction order. Nothing here solves the game: these are the
-verifier side of the solver/verifier cross-checks.
+Callers build the table once and pass tau = scaled_tol(tol, table) to the
+one value rule group_value and the one same-payoff rule distinct_payoffs.
+Every test compares payoffs exactly as a loop over profiles would, so results
+do not depend on reduction order; nothing here solves the game.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,11 +67,27 @@ def wuc_holds(table: np.ndarray, tau: float) -> bool:
     return True
 
 
-def sup_inf_inf_sup(score: np.ndarray, group: Sequence[int]) -> Tuple[float, float]:
-    """(sup-inf, inf-sup) of score, one entry per profile, between the group's
-    axes and all other axes."""
-    own = tuple(group)
-    rest = tuple(a for a in range(score.ndim) if a not in own)
-    sup_inf = np.max(np.min(score, axis=rest, keepdims=True))
-    inf_sup = np.min(np.max(score, axis=own, keepdims=True))
-    return float(sup_inf), float(inf_sup)
+def group_margin(tau: float, group: Sequence[int]) -> float:
+    """The margin for a payoff summed over group: tau per member."""
+    return tau * len(group)
+
+
+def group_value(table: np.ndarray, group: Sequence[int], tau: float) -> Optional[float]:
+    """Sup-inf of the group's summed payoff between its axes and all others,
+    or None when the inf-sup differs by more than the group margin."""
+    score = sum(table[..., i] for i in group)
+    rest = tuple(a for a in range(score.ndim) if a not in group)
+    sup_inf = float(np.max(np.min(score, axis=rest)))
+    inf_sup = float(np.min(np.max(score, axis=tuple(group))))
+    return None if abs(inf_sup - sup_inf) > group_margin(tau, group) else sup_inf
+
+
+def distinct_payoffs(table: np.ndarray, mask: np.ndarray, tau: float) -> Iterator[np.ndarray]:
+    """Lazily, in lexicographic order, each payoff vector at a true entry of
+    mask that is more than tau from every payoff yielded before it."""
+    kept: List[np.ndarray] = []
+    for idx in np.argwhere(mask):
+        v = table[tuple(idx)]
+        if all(float(np.max(np.abs(v - u))) > tau for u in kept):
+            kept.append(v.copy())
+            yield kept[-1]

@@ -19,6 +19,7 @@ verifiers in this module check all of that by exhaustive enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -37,10 +38,11 @@ from .matrices import (
     scaled_tol,
 )
 from .normal_form import (
+    distinct_payoffs,
     floor_mask,
+    group_value,
     nash_mask,
     optimal_mask,
-    sup_inf_inf_sup,
     wuc_holds,
 )
 
@@ -337,21 +339,16 @@ def wuc_check(spec: GameSpec, tol: float = DEFAULT_TOL) -> bool:
     return wuc_holds(table, scaled_tol(tol, table))
 
 
-def _value(table: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    tau = scaled_tol(tol, table)
-    out = np.zeros(table.shape[-1])
-    for k in range(table.shape[-1]):
-        lo, hi = sup_inf_inf_sup(table[..., k], [k])
-        if abs(hi - lo) > tau:
-            return None
-        out[k] = lo
-    return out
+def _value(table: np.ndarray, tau: float) -> Optional[np.ndarray]:
+    values = [group_value(table, [k], tau) for k in range(table.shape[-1])]
+    return None if None in values else np.array(values)
 
 
 def value(spec: GameSpec, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
     """Per-player sup-inf payoffs, when they agree with the inf-sup side."""
     _check_cap(spec, BRUTE_FORCE_CAP, "value computation")
-    return _value(_payoff_table(spec, tol), tol)
+    table = _payoff_table(spec, tol)
+    return _value(table, scaled_tol(tol, table))
 
 
 def _coalition(A: Iterable[int], m: int) -> List[int]:
@@ -373,11 +370,7 @@ def coalition_value(
     group = _coalition(A, spec.m)
     _check_cap(spec, BRUTE_FORCE_CAP, "coalition value")
     table = _payoff_table(spec, tol)
-    tau = scaled_tol(tol, table) * max(1, len(group))
-    lo, hi = sup_inf_inf_sup(sum(table[..., i] for i in group), group)
-    if abs(hi - lo) > tau:
-        return None
-    return lo
+    return group_value(table, group, scaled_tol(tol, table))
 
 
 def dummy_extension(spec: GameSpec, tol: float = DEFAULT_TOL) -> GameSpec:
@@ -424,19 +417,12 @@ def equilibrium_report(spec: GameSpec, tol: float = DEFAULT_TOL) -> EquilibriumR
     table = _payoff_table(spec, tol)
     tau = scaled_tol(tol, table)
     nash_at = nash_mask(table, tau)
-    nash = _profiles_where(nash_at)
-    payoffs = [table[tuple(idx)] for idx in np.argwhere(nash_at)]
-    nash_payoff = None
-    if payoffs:
-        tau_v = scaled_tol(tol, *payoffs)
-        if all(float(np.max(np.abs(v - payoffs[0]))) <= tau_v for v in payoffs):
-            nash_payoff = payoffs[0].copy()
-    optimal = _profiles_where(nash_at & floor_mask(table, tau))
+    payoffs = list(islice(distinct_payoffs(table, nash_at, tau), 2))
     small = len(spec.exercisable) <= BRUTE_FORCE_CAP
     return EquilibriumReport(
-        nash_profiles=nash,
-        nash_payoff=nash_payoff,
-        optimal_profiles=optimal,
-        value=_value(table, tol) if small else None,
+        nash_profiles=_profiles_where(nash_at),
+        nash_payoff=payoffs[0] if len(payoffs) == 1 else None,
+        optimal_profiles=_profiles_where(nash_at & floor_mask(table, tau)),
+        value=_value(table, tau) if small else None,
         wuc=wuc_holds(table, tau) if small else None,
     )

@@ -74,9 +74,9 @@ class AdaptedProcess:
 class ScenarioTree:
     """Horizon T, player count m, nodes, and an optional shared matrix G.
 
-    A per-node matrix overrides the shared one. Lookup tables are built
-    eagerly; semantic problems are reported by validate, not raised here,
-    so a malformed tree can still be inspected.
+    A per-node matrix overrides the shared one. Lookup tables and the
+    latest-date-first sweep order are built eagerly; semantic problems are
+    reported by validate, not raised here, so a malformed tree can still be inspected.
     """
 
     T: int
@@ -85,6 +85,7 @@ class ScenarioTree:
     G: Optional[SquareMatrix] = None
     _by_id: Dict[str, TreeNode] = field(repr=False, default_factory=dict)
     _children: Dict[str, Tuple[TreeNode, ...]] = field(repr=False, default_factory=dict)
+    _children_first: Tuple[TreeNode, ...] = field(repr=False, default=())
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
@@ -102,6 +103,7 @@ class ScenarioTree:
         object.__setattr__(
             self, "_children", {k: tuple(v) for k, v in kids.items()}
         )
+        object.__setattr__(self, "_children_first", tuple(sorted(nodes, key=lambda n: -n.t)))
 
     def node(self, node_id: Union[str, TreeNode]) -> TreeNode:
         if isinstance(node_id, TreeNode):

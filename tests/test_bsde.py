@@ -134,6 +134,13 @@ class TestVerify:
         problems = verify_bsde_solution(tree, edited(sol, K={"r": [1.0, 0.0]}))
         assert any("K at root" in p for p in problems)
 
+    def test_nonzero_root_j(self):
+        # one shift at every node keeps each J increment equal to G dK
+        tree, sol = self.make()
+        shifted = {k: v + 1.0 for k, v in sol.J.values.items()}
+        problems = verify_bsde_solution(tree, edited(sol, J=shifted))
+        assert problems == ["J at root 'r' is not zero"]
+
     def test_decreasing_reflection(self):
         chain_tree = chain([1.0, 3.0, 2.0], K1)
         sol = solve_reflected_bsde(chain_tree)

@@ -10,6 +10,7 @@ from affinegames.jsonio import dump_json, game_json, matrix_json, tree_json
 from affinegames.matrices import gen_p_matrix
 from affinegames.tree import validate as validate_tree
 from affinegames.jsonio import parse_tree
+from affinegames.lcp import LcpProblem, solve_enum, solve_lemke
 
 K2_JSON = '{"m": 2, "rows": [[1, -0.5], [-0.5, 1]]}'
 HAND_GAME = '{"X": [2, 0], "P": [0, 3], "G": {"m": 2, "rows": [[1, -0.5], [-0.5, 1]]}}'
@@ -123,6 +124,16 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("malformed input: not valid JSON")
 
+    def test_deeply_nested_recipe_is_two(self, capsys):
+        # json.loads accepts 600 levels, but gen echoes the recipe, and the
+        # serialiser recurses once a level
+        recipe = '{"kind": "k-matrix", "m": 1, "x": ' + "[" * 600 + "]" * 600 + "}"
+        code, out, err = run(capsys, "gen", "--input", recipe)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("malformed input:")
+        assert lines[1].startswith("elapsed_ms=")
+
     def test_missing_file_is_two(self, capsys):
         code, _, err = run(capsys, "classify", "--input", "no/such/file.json")
         assert code == 2
@@ -205,6 +216,30 @@ class TestSolve:
         assert res["V_star"] == pytest.approx([1.0, 1.0])
         assert res["equilibrium"] == [0, 0]
         assert res["certificate"] == pytest.approx([1.0, 1.0])
+        check_schema(report)
+
+    def test_lcp_past_the_enumeration_cutoff_pivots(self, capsys, monkeypatch):
+        # 13 players: a raw problem goes to Lemke's method, not to enumeration
+        calls = []
+        monkeypatch.setattr(
+            "affinegames.cli.solve_lemke",
+            lambda problem, tol: calls.append(problem.m) or solve_lemke(problem, tol),
+        )
+        M = gen_p_matrix(3, 13)
+        q = np.random.default_rng(3).uniform(-5.0, 5.0, 13)
+        doc = dump_json({"q": q, "M": matrix_json(M)})
+        report, _ = run_json(capsys, "solve", "--input", doc)
+        assert calls == [13]
+        res = report["result"]
+        assert res["status"] == "solved"
+        z, w = np.array(res["z"]), np.array(res["w"])
+        assert np.all(z >= 0.0) and np.all(w >= 0.0)
+        assert np.allclose(w, q + M.entries @ z, atol=1e-9)
+        assert float(z @ w) == pytest.approx(0.0, abs=1e-9)
+        assert res["support"] == [i + 1 for i in np.flatnonzero(z > 0.0)]
+        expected = solve_enum(LcpProblem(q=q, M=M))
+        assert z == pytest.approx(expected.z, abs=1e-9)
+        assert w == pytest.approx(expected.w, abs=1e-9)
         check_schema(report)
 
     def test_frozen_players_rejected(self, capsys):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinegames import lcp as lcp_module
 from affinegames.lcp import (
     CertificateUnavailable,
     CycleLimit,
     LcpProblem,
+    LcpSolution,
     project_quadratic,
     solvability_p0prime,
     solve_chandrasekaran,
@@ -220,14 +222,16 @@ class TestSolveLemke:
     def test_ray_termination(self):
         assert solve_lemke(lcp([-1.0, -1.0], [[-1.0, 0.0], [0.0, -1.0]])) is None
 
-    def test_pivot_budget(self):
+    def test_pivot_budget(self, monkeypatch):
         # this instance needs five complementary pivots
         M = gen_p_matrix(13, 4)
         q = np.random.default_rng([13, 4, 5]).uniform(-5.0, 5.0, 4)
         problem = LcpProblem(q=q, M=M)
+        monkeypatch.setattr(lcp_module, "_pivot_budget", lambda m: 2)
         with pytest.raises(CycleLimit):
-            solve_lemke(problem, max_pivots=2)
-        assert solve_lemke(problem, max_pivots=5) is not None
+            solve_lemke(problem)
+        monkeypatch.setattr(lcp_module, "_pivot_budget", lambda m: 5)
+        assert solve_lemke(problem) is not None
 
     def test_agrees_with_enumeration_on_p_matrices(self):
         rng = np.random.default_rng(42)
@@ -357,3 +361,23 @@ class TestVerifyProjection:
         sol = solve_enum(HAND)
         bad = type(sol)(z=sol.z + 0.5, w=sol.w, support=sol.support)
         assert not verify_projection_characterization(HAND, bad)
+
+    def test_rejects_variational_violation(self):
+        # w_2 = -5e-5 is within the projection check's tolerance, scaled by
+        # z_1 = 1000, but the sampled points y >= 0 drive w^T (y - z) below 0
+        problem = lcp([-1000.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        z, w = np.array([1000.0, 0.0]), np.array([0.0, -5e-5])
+        assert float(np.max(np.abs(z - np.maximum(z - w, 0.0)))) <= scaled_tol(1e-7, z, w)
+        bad = LcpSolution(z=z, w=w, support=(0,))
+        assert not verify_projection_characterization(problem, bad)
+
+    def test_rejects_wrong_projections(self):
+        # both tampered solutions are complementary and nonnegative, so only
+        # the Q-norm projections of an SPD matrix can tell them apart
+        problem = lcp([-1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
+        good = LcpSolution(z=np.array([1.0, 0.0]), w=np.array([0.0, 1.0]), support=(0,))
+        assert verify_projection_characterization(problem, good)
+        wrong_z = LcpSolution(z=np.array([2.0, 0.0]), w=good.w, support=(0,))
+        assert not verify_projection_characterization(problem, wrong_z)
+        wrong_w = LcpSolution(z=good.z, w=np.array([0.0, 2.0]), support=(0,))
+        assert not verify_projection_characterization(problem, wrong_w)

@@ -11,6 +11,7 @@ from affinegames.bsde import solve_reflected_bsde, verify_bsde_solution
 from affinegames.cli import BUILTIN_INSTANCES, gen_tree, main
 from affinegames.jsonio import dump_json, parse_tree, tree_json
 from affinegames.matrices import SquareMatrix, gen_k_matrix
+from affinegames import multi_period
 from affinegames.multi_period import (
     EnumerationTooLarge,
     _check_budget,
@@ -18,6 +19,7 @@ from affinegames.multi_period import (
     _terminal_anchor,
     HypothesisViolated,
     StoppingProfile,
+    ValueProcess,
     backward_induction,
     coalition_value_tree,
     enumerate_stopping_times,
@@ -29,7 +31,13 @@ from affinegames.multi_period import (
 )
 from affinegames.redistribution import dhat_matrix
 from affinegames.single_period import GameSpec, payoff, solve_game
-from affinegames.tree import ScenarioTree, TreeNode, conditional_expectation, validate
+from affinegames.tree import (
+    AdaptedProcess,
+    ScenarioTree,
+    TreeNode,
+    conditional_expectation,
+    validate,
+)
 
 K1 = SquareMatrix(np.array([[1.0]]))
 K2 = SquareMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
@@ -276,6 +284,30 @@ class TestStoppingTimeEnumeration:
             for nid in stops:
                 assert not (ancestors(nid) & stops)
 
+    def test_unvalidated_trees(self):
+        # a skipped date breaks validation but not the children-first order,
+        # so the count follows the parent links; a child dated before its
+        # parent is refused, whatever order the nodes are listed in
+        skipped = ScenarioTree(
+            T=3,
+            m=1,
+            nodes=(node("r", 0, None, 1.0, [0.0]), node("a", 2, "r", 1.0, [1.0])),
+            G=K1,
+        )
+        assert validate(skipped)
+        assert stopping_time_count(skipped) == 2
+        assert set(enumerate_stopping_times(skipped)) == {frozenset(), frozenset({"r"})}
+        early = (
+            node("r", 0, None, 1.0, [0.0]),
+            node("a", 2, "r", 1.0, [1.0]),
+            node("b", 1, "a", 1.0, [2.0]),
+        )
+        for nodes in (early, early[::-1]):
+            tree = ScenarioTree(T=2, m=1, nodes=nodes, G=K1)
+            for count in (stopping_time_count, enumerate_stopping_times):
+                with pytest.raises(ValueError, match="child of 'a' is not dated after it"):
+                    count(tree)
+
     def test_budget_guard(self):
         with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
             _check_budget(wide_tree())
@@ -338,6 +370,22 @@ class TestCoalitionValueTree:
     def test_budget_guard(self):
         with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
             coalition_value_tree(wide_tree(), [0])
+
+    def test_shifted_value_process_is_reported(self, monkeypatch):
+        # the root value plays no part in the joint table, so shifting it
+        # leaves the enumerated value and moves only the summed target
+        tree = gen_tree(0, 2, T=2, require_nonneg_colsums=True)
+        real = multi_period._value_process
+
+        def shifted(tree, classes, tol):
+            vp = real(tree, classes, tol)
+            U = dict(vp.U.values)
+            U[tree.root.id] = U[tree.root.id] + 1.0
+            return ValueProcess(U=AdaptedProcess(values=U), tau_star=vp.tau_star)
+
+        monkeypatch.setattr(multi_period, "_value_process", shifted)
+        with pytest.raises(HypothesisViolated, match="differs from summed root values"):
+            coalition_value_tree(tree, [0, 1])
 
 
 class TestNaiveEquilibriumSearch:

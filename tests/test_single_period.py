@@ -6,7 +6,9 @@ import pytest
 from affinegames import lcp, single_period
 from affinegames.errors import DimensionTooLarge
 from affinegames.lcp import LcpProblem, solve_enum
+from affinegames.cli import gen_game
 from affinegames.matrices import SquareMatrix, gen_k_matrix, gen_p_matrix
+from affinegames.normal_form import distinct_payoffs, group_value, wuc_holds
 from affinegames.single_period import (
     ColumnSumNegative,
     GameSpec,
@@ -200,6 +202,14 @@ class TestOptimalityAndWuc:
             for p in enumerate_nash(spec):
                 assert is_optimal_equilibrium(spec, p), seed
 
+    def test_wuc_indifference_must_leave_payoffs_unchanged(self):
+        # player 1 gains nothing by exercising against a staying player 2,
+        # but the switch moves player 2's payoff from 1 to 5
+        table = np.array([[[1.0, 0.0], [1.0, 1.0]], [[1.0, 5.0], [1.0, 1.0]]])
+        assert not wuc_holds(table, 1e-9)
+        table[1, 0, 1] = 0.0
+        assert wuc_holds(table, 1e-9)
+
     def test_caps(self):
         msg = r"competitiveness check enumerates 2\^13 profiles; cap is 12"
         with pytest.raises(DimensionTooLarge, match=msg):
@@ -254,6 +264,30 @@ class TestValueAndCoalitions:
         msg = r"value computation enumerates 2\^13 profiles; cap is 12"
         with pytest.raises(DimensionTooLarge, match=msg):
             value(over_cap_game(13))
+
+    def test_coalition_without_value(self):
+        # players 1 and 2 together are not guaranteed what they can be held to
+        assert coalition_value(gen_game(25, 3, "p"), [0, 1]) is None
+
+    def test_every_one_shot_game_has_player_values(self):
+        # an exerciser's row of the table is the constant X_i, so each player's
+        # sup-inf equals its inf-sup whatever the matrix class; none of these
+        # seeds draws a singular principal submatrix
+        for seed in range(20):
+            m = 2 + seed % 3
+            rng = np.random.default_rng([seed, 5])
+            rows = rng.uniform(-1.0, 1.0, (m, m))
+            np.fill_diagonal(rows, rng.uniform(0.5, 1.5, m))
+            spec = game(rng.uniform(-5.0, 5.0, m), rng.uniform(-5.0, 5.0, m), rows)
+            assert value(spec) is not None, seed
+
+    def test_value_none_without_a_saddle(self, monkeypatch):
+        # matching pennies between two players who both have two real choices:
+        # no payoff table of a one-shot exercise game looks like this
+        pennies = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]])
+        monkeypatch.setattr(single_period, "_payoff_table", lambda spec, tol: pennies)
+        assert value(hand_game()) is None
+        assert equilibrium_report(hand_game()).value is None
 
 
 class TestDummyExtension:
@@ -321,6 +355,31 @@ def test_equilibrium_report_hand_game():
     assert [p.s for p in rep.optimal_profiles] == [(0, 1)]
     assert rep.value == pytest.approx([2.0, 2.0])
     assert rep.wuc is True
+
+
+class TestNormalFormRules:
+    """One margin tau for a table; summed payoffs of a group are judged at
+    tau times the group size."""
+
+    def test_group_value_scales_with_group_size(self):
+        tau = 1e-9
+        gap = 1.5 * tau
+        parity = np.indices((2, 2, 2)).sum(axis=0) % 2
+        table = np.zeros((2, 2, 2, 3))
+        table[..., 0] = gap * parity  # sup-inf 0, inf-sup gap, alone or with player 2
+        assert group_value(table, [0], tau) is None
+        assert group_value(table, [0, 1], tau) == 0.0
+
+    def test_distinct_payoffs_is_one_exactly_when_all_near_the_first(self):
+        tau = 1e-9
+        table = np.array([[0.0], [0.6 * tau], [1.2 * tau]])
+        mask = np.ones(3, dtype=bool)
+        kept = distinct_payoffs(table, mask, tau)
+        assert float(next(kept)[0]) == 0.0  # yielded before the scan goes on
+        assert [float(v[0]) for v in kept] == [1.2 * tau]
+        mask[2] = False
+        assert len(list(distinct_payoffs(table, mask, tau))) == 1
+        assert list(distinct_payoffs(table, np.zeros(3, dtype=bool), tau)) == []
 
 
 def counting(monkeypatch, modules, name):
