@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .bsde import solve_reflected_bsde
+from .bsde import solve_reflected_bsde, verify_bsde_solution
 from .errors import DomainError
 from .jsonio import (
     InputFormatError,
@@ -295,6 +295,9 @@ def _cmd_naive_counterexample(args: argparse.Namespace) -> Dict[str, Any]:
 def _cmd_bsde(args: argparse.Namespace) -> Dict[str, Any]:
     tree = parse_tree(_load_input(args))
     solution = solve_reflected_bsde(tree, tol=args.tolerance)
+    violations = verify_bsde_solution(tree, solution, tol=args.tolerance)
+    if violations:
+        raise ArithmeticError("reflected equation fails its check: " + "; ".join(violations))
     result = {
         "Z": {n.id: vector_json(solution.Z[n.id]) for n in tree.nodes},
         "K": {n.id: vector_json(solution.K[n.id]) for n in tree.nodes},

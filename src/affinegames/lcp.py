@@ -4,12 +4,14 @@ Two independent general solvers are provided on purpose. solve_enum walks
 supports in a canonical order, stacked by size, and is the reference oracle
 at small m; solve_lemke is the classical complementary pivoting method with
 a covering vector of ones and lexicographic degeneracy resolution. For
-P-matrices both must agree. Z-matrices have a third, polynomial solver:
-solve_chandrasekaran grows the support at most m times and accepts its
-answer by solve_enum's test. The singular-but-almost-P case (P0' matrices)
-gets a solvability test with a positive left-null certificate: the problem
-has a solution exactly when v^T q >= 0; it solves with solve_chandrasekaran
-when the matrix is Z and with solve_enum otherwise.
+P-matrices both must agree. Lemke's one caller in the package is the CLI's
+raw {q, M} input above its enumeration cutoff; the reflected equation
+solves its K-matrix problems by policy iteration (bsde). Z-matrices have a
+third, polynomial solver: solve_chandrasekaran grows the support at most m
+times and accepts its answer by solve_enum's test. The singular-but-almost-P
+case (P0' matrices) gets a solvability test with a positive left-null
+certificate: the problem has a solution exactly when v^T q >= 0; it solves
+with solve_chandrasekaran when the matrix is Z and with solve_enum otherwise.
 """
 
 from __future__ import annotations

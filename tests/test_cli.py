@@ -173,6 +173,26 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: complementarity problem ended on a ray")
 
+    def test_bsde_checks_its_answer(self, capsys, monkeypatch):
+        from affinegames.bsde import solve_reflected_bsde
+
+        def shifted(tree, tol):
+            sol = solve_reflected_bsde(tree, tol=tol)
+            sol.Z.values[tree.root.id] = sol.Z[tree.root.id] + 1e-3
+            return sol
+
+        monkeypatch.setattr("affinegames.cli.solve_reflected_bsde", shifted)
+        tree = dump_json(tree_json(gen_tree(2, 2, T=1)))
+        code, out, err = run(capsys, "bsde", "--input", tree)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("elapsed_ms=")
+        assert lines[0] == (
+            "error: reflected equation fails its check: "
+            "backward recursion fails on edge 'r' -> 'r0'; "
+            "backward recursion fails on edge 'r' -> 'r1'"
+        )
+
 
 class TestClassify:
     def test_k_matrix(self, capsys):
