@@ -105,7 +105,11 @@ def gen_tree(
     branching: int = 2,
     require_nonneg_colsums: bool = False,
 ) -> ScenarioTree:
-    """Seeded random tree with one shared K-matrix and payoffs in [-5, 5]."""
+    """Seeded random tree with one shared K-matrix and payoffs in [-5, 5].
+
+    A child's id is its parent's followed by its index, padded to the width
+    of the largest index so that ids stay distinct at any branching.
+    """
     if T < 0 or branching < 1 or m < 1:
         raise ValueError("tree shape parameters must be positive")
     G = gen_k_matrix(seed, m, require_nonneg_colsums=require_nonneg_colsums)
@@ -114,13 +118,14 @@ def gen_tree(
         TreeNode(id="r", t=0, parent=None, p=1.0, X=rng.uniform(-5.0, 5.0, m))
     ]
     frontier = ["r"]
+    width = len(str(branching - 1))
     for t in range(1, T + 1):
         nxt: List[str] = []
         for parent in frontier:
             weights = rng.uniform(0.5, 1.5, branching)
             probs = weights / weights.sum()
             for k in range(branching):
-                nid = f"{parent}{k}"
+                nid = f"{parent}{k:0{width}d}"
                 nodes.append(
                     TreeNode(
                         id=nid,

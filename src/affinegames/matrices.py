@@ -21,19 +21,25 @@ K-matrix exactly when its leading principal minors are positive, and
 those are read off one LU factorization without pivoting, which a
 K-matrix does not need. When the determinant is zero at the tolerance,
 the Z-matrix is K0' exactly when its m principal (m-1)-minors are
-positive; they come from one solve with the leading block. Every other
-matrix, and a Z-matrix that is not K0', is classified by the signs of
-all 2^m - 1 principal minors, stacked by size from _principal_blocks, and
-is refused above CLASSIFY_CAP players. The is_Z flag allows positive
-off-diagonal entries up to tol times the largest entry magnitude; such a
-matrix takes the sweep.
+positive; they come from one Gauss-Jordan pass over the leading block.
+This path is decided for a whole stack of same-sized matrices at once
+(_classify_stack; validating a tree passes all its distinct matrices),
+and classify is the stack of one. Every other matrix, and a Z-matrix
+that is not K0', is classified by the signs of all 2^m - 1 principal
+minors, stacked by size from _principal_blocks, and is refused above
+CLASSIFY_CAP players. The is_Z flag allows positive off-diagonal entries
+up to tol times the largest entry magnitude; such a matrix takes the
+sweep.
+
+A SquareMatrix's entries are a read-only array, copied from the caller's
+when that one could be written to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,19 +75,32 @@ class NotSingular(DomainError):
     """A null-space certificate was requested for a nonsingular matrix."""
 
 
+def _read_only(x) -> np.ndarray:
+    """x as a float array that cannot be written to: x itself when it already
+    is one that owns its data, otherwise a read-only copy."""
+    if type(x) is np.ndarray and x.dtype == float and x.base is None and not x.flags.writeable:
+        return x
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SquareMatrix:
-    """An m-by-m array of finite float64 entries, row-major."""
+    """An m-by-m array of finite float64 entries, row-major and read-only."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
+        a = _read_only(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square 2-d array, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", a)
+
+    def __reduce__(self):  # copies and pickles rebuild read-only entries
+        return SquareMatrix, (self.entries,)
 
     @property
     def m(self) -> int:
@@ -168,11 +187,20 @@ def classify(M: Union[SquareMatrix, np.ndarray], tol: float = DEFAULT_TOL) -> Ma
     A K0' Z-matrix is decided in polynomial time at any size; any other
     matrix by the sweep over all 2^m - 1 minors, refused when m > CLASSIFY_CAP.
     """
-    a = _as_array(M)
-    det_sign = _k0prime_det_sign(a, tol)
-    if det_sign is None:
-        return _classify_sweep(a, tol)
-    return _matrix_class(a, tol, True, True, det_sign)
+    return _classify_stack(_as_array(M)[None], tol)[0]
+
+
+def _classify_stack(stack: np.ndarray, tol: float) -> List[MatrixClass]:
+    """classify for each matrix of an (n, m, m) stack: the Z-matrix path is
+    decided for the whole stack at once, and each row it leaves undecided
+    goes through the sweep on its own."""
+    decided, det_sign = _k0prime_det_sign(stack, tol)
+    fast = iter(
+        _matrix_class(stack[decided], tol, True, True, det_sign[decided]) if decided.any() else ()
+    )
+    return [
+        next(fast) if ok else _classify_sweep(a, tol) for a, ok in zip(stack, decided.tolist())
+    ]
 
 
 def _classify_sweep(
@@ -194,37 +222,43 @@ def _classify_sweep(
             proper_positive &= bool(np.all(signs > 0))
             proper_nonzero &= bool(np.all(signs != 0))
     det_sign = int(_minor_signs(a, tol))
-    return _matrix_class(a, tol, proper_positive, proper_nonzero, det_sign)
+    return _matrix_class(a[None], tol, proper_positive, proper_nonzero, det_sign)[0]
 
 
 def _matrix_class(
-    a: np.ndarray, tol: float, proper_positive: bool, proper_nonzero: bool, det_sign: int
-) -> MatrixClass:
-    """The flags from the minor signs, plus the entrywise tests. The Z and
-    column-sum tests use tol times the largest magnitude, with no floor, so
-    they too are scale invariant. A diagonal entry is positive when it is
+    stack: np.ndarray,
+    tol: float,
+    proper_positive: Union[bool, np.ndarray],
+    proper_nonzero: Union[bool, np.ndarray],
+    det_sign: Union[int, np.ndarray],
+) -> List[MatrixClass]:
+    """The flags of each matrix of an (n, m, m) stack from its minor signs
+    (one value for the stack, or one a row), plus the entrywise tests. The Z
+    and column-sum tests use tol times the largest magnitude, with no floor,
+    so they too are scale invariant. A diagonal entry is positive when it is
     above 0, the rule GameSpec applies: a 1x1 block is its own scale, so for
     tol < 1 _minor_signs gives any such entry the same sign."""
-    tau = tol * float(np.max(np.abs(a)))
-    off = a - np.diag(np.diag(a))
-    is_z = bool(np.all(off <= tau))
-    is_p = proper_positive and det_sign > 0
-    is_p0prime = proper_positive and det_sign >= 0
-    return MatrixClass(
-        is_Z=is_z,
-        is_P=is_p,
-        is_P0prime=is_p0prime,
-        is_K=is_p and is_z,
-        is_K0prime=is_p0prime and is_z,
-        has_positive_diagonal=bool(np.all(np.diag(a) > 0.0)),
-        has_nonzero_proper_minors=proper_nonzero,
-        column_sums_nonneg=bool(np.all(a.sum(axis=0) >= -tau)),
-    )
+    n, m = stack.shape[:2]
+    tau = tol * np.abs(stack).max(axis=(1, 2))
+    is_z = (np.where(np.eye(m, dtype=bool), 0.0, stack) <= tau[:, None, None]).all(axis=(1, 2))
+    is_p = proper_positive & (det_sign > 0)
+    is_p0prime = proper_positive & (det_sign >= 0)
+    flags = np.empty((n, 8), dtype=bool)  # the MatrixClass fields, in order
+    flags[:, 0] = is_z
+    flags[:, 1] = is_p
+    flags[:, 2] = is_p0prime
+    flags[:, 3] = is_p & is_z
+    flags[:, 4] = is_p0prime & is_z
+    flags[:, 5] = (stack.diagonal(axis1=1, axis2=2) > 0.0).all(axis=1)
+    flags[:, 6] = proper_nonzero
+    flags[:, 7] = (stack.sum(axis=1) >= -tau[:, None]).all(axis=1)
+    return [MatrixClass(*row) for row in flags.tolist()]
 
 
-def _k0prime_det_sign(a: np.ndarray, tol: float) -> Optional[int]:
-    """For a Z-matrix whose proper principal minors are positive at tol, the
-    sign of its determinant at tol (1, or 0); None for any other matrix.
+def _k0prime_det_sign(stack: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """For each matrix of an (n, m, m) stack, whether it is a Z-matrix whose
+    proper principal minors are positive at tol, and for those the sign of
+    its determinant at tol (1, or 0); both as length-n arrays.
 
     Pivots of the unpivoted LU give the leading minors; when the determinant
     is zero at tol, the (m-1)-minors are det(A11) * (x_i y_i + s inv(A11)_ii),
@@ -235,69 +269,87 @@ def _k0prime_det_sign(a: np.ndarray, tol: float) -> Optional[int]:
     by Fischer's and Hadamard's inequalities, so these m tests decide at the
     same tolerance as the sweep. Sizes are compared as logarithms, so long
     products of small pivots cannot underflow.
+
+    The stack is factored in one pass of m - 1 pivots. A matrix refused
+    before or part way is carried to the end under np.errstate: its zero or
+    negative pivots give infinities and NaNs, which fail every later test.
     """
-    m = a.shape[0]
-    ab = np.abs(a)
-    if np.any(a[~np.eye(m, dtype=bool)] > 0.0) or not np.all(ab.max(axis=1) > 0.0):
-        return None  # not a Z-matrix, or a zero row makes every minor through it 0
-    u = a.copy()
-    for k in range(m - 1):
-        if not u[k, k] > 0.0:
-            return None
-        u[k + 1 :, k + 1 :] -= np.outer(u[k + 1 :, k], u[k, k + 1 :]) / u[k, k]
-    pivots = np.diag(u)
+    n, m = stack.shape[:2]
+    ab = np.abs(stack)
+    # a Z-matrix with no zero row: a zero row makes every minor through it 0
+    z = ~(np.where(np.eye(m, dtype=bool), 0.0, stack) > 0.0).any(axis=(1, 2))
+    z &= (ab.max(axis=2) > 0.0).all(axis=1)
+    if not z.any():
+        return z, np.zeros(n, dtype=int)
     log_tol = np.log(tol)
-    with np.errstate(divide="ignore"):
-        log_lead = np.cumsum(np.log(np.abs(pivots)))
-        log_scales = np.log(np.maximum.accumulate(ab, axis=1))
-    # row i of leading block k spans columns 0..k-1, so its scale sums column k-1
-    rel = log_lead - np.diag(np.cumsum(log_scales, axis=0))
-    if not np.all(rel[:-1] > log_tol):
-        return None
-    s = pivots[-1]
-    if s > 0.0 and rel[-1] > log_tol:
-        return 1
-    if not rel[-1] <= log_tol:
-        return None  # determinant negative beyond the tolerance
+    with np.errstate(all="ignore"):
+        u = stack.copy()
+        for k in range(m - 1):
+            u[:, k + 1 :, k + 1 :] -= (
+                u[:, k + 1 :, k, None] * u[:, None, k, k + 1 :] / u[:, k, k, None, None]
+            )
+        pivots = u.diagonal(axis1=1, axis2=2)
+        log_lead = np.log(np.abs(pivots)).cumsum(axis=1)
+        log_scales = np.log(np.maximum.accumulate(ab, axis=2))
+        # row i of leading block k spans columns 0..k-1, so its scale sums column k-1
+        rel = log_lead - log_scales.cumsum(axis=1).diagonal(axis1=1, axis2=2)
+        # a pivot that is not positive refuses its row; the ones after it are void
+        ok = z & ((pivots[:, :-1] > 0.0) & (rel[:, :-1] > log_tol)).all(axis=1)
+        s = pivots[:, -1]
+        positive = ok & (s > 0.0) & (rel[:, -1] > log_tol)
+        # a determinant negative beyond the tolerance leaves the row undecided
+        zero = ok & (rel[:, -1] <= log_tol)
+        if m > 1 and zero.any():  # a 1x1 matrix has no proper minor to test
+            zero[zero] = _singular_k0prime(
+                stack[zero], ab[zero], s[zero], log_lead[zero, -2], log_tol
+            )
+    return positive | zero, positive.astype(int)
+
+
+def _singular_k0prime(
+    a: np.ndarray, ab: np.ndarray, s: np.ndarray, log_lead: np.ndarray, log_tol: float
+) -> np.ndarray:
+    """Whether each Z-matrix of a stack with positive proper leading minors
+    and a determinant zero at tol has all m principal (m-1)-minors positive
+    at tol, given |a|, the last pivots s and the log leading (m-1)-minors."""
+    k, m = a.shape[:2]
     t = _pivot_transform(a, m - 1)
-    x, y = -t[:-1, -1], t[-1, :-1]
-    d = x * y + s * np.diag(t)[:-1]
-    if not np.all(d > 0.0):
-        return None
+    x, y = -t[:, :-1, -1], t[:, -1, :-1]
+    d = x * y + s[:, None] * np.diagonal(t, axis1=1, axis2=2)[:, :-1]
     # the scale of the block without index i: each other row's largest entry
-    # outside column i
-    order = np.argsort(ab, axis=1)
-    rows = np.arange(m)
-    top, at = ab[rows, order[:, -1]], order[:, -1]
-    log_top = np.log(top)
-    with np.errstate(divide="ignore"):
-        gap = np.log(ab[rows, order[:, -2]]) - log_top
-    moved = np.zeros(m)
-    np.add.at(moved, at[at != rows], gap[at != rows])
-    log_scale_without = log_top.sum() - log_top + moved
-    if not np.all(np.isfinite(log_scale_without)):
-        return None
-    rel_without = log_lead[-2] + np.log(d) - log_scale_without[:-1]
-    return 0 if np.all(rel_without > log_tol) else None
+    # outside column i, which is its second largest where column i holds its
+    # largest (at a tie for the largest the two are equal, so either column will do)
+    at = ab.argmax(axis=2)
+    ordered = np.sort(ab, axis=2)
+    log_top = np.log(ordered[:, :, -1])
+    gap = np.log(ordered[:, :, -2]) - log_top
+    moved = np.zeros((k, m))
+    shifted = at != np.arange(m)
+    np.add.at(moved, (np.nonzero(shifted)[0], at[shifted]), gap[shifted])
+    log_scale_without = log_top.sum(axis=1)[:, None] - log_top + moved
+    rel_without = log_lead[:, None] + np.log(d) - log_scale_without[:, :-1]
+    return ((d > 0.0) & (rel_without > log_tol)).all(axis=1) & np.isfinite(
+        log_scale_without
+    ).all(axis=1)
 
 
 def _pivot_transform(a: np.ndarray, n: int) -> np.ndarray:
-    """Gauss-Jordan on the first n diagonal pivots of a, without pivoting:
-    [[A11, A12], [A21, A22]] becomes [[inv(A11), inv(A11) A12],
-    [-A21 inv(A11), A22 - A21 inv(A11) A12]].
+    """Gauss-Jordan on the first n diagonal pivots of each matrix of a
+    (..., m, m) stack, without pivoting: [[A11, A12], [A21, A22]] becomes
+    [[inv(A11), inv(A11) A12], [-A21 inv(A11), A22 - A21 inv(A11) A12]].
 
     Elementwise numpy only, so no threaded BLAS call: on a busy two-core
     machine a threaded inverse of a 199x199 block stalled for over 100 ms.
     """
     t = a.astype(float)
     for k in range(n):
-        p = t[k, k]
-        col = t[:, k] / p
-        row = t[k].copy()
-        t -= np.outer(col, row)
-        t[k] = row / p
-        t[:, k] = -col
-        t[k, k] = 1.0 / p
+        p = t[..., k, k, None].copy()
+        col = t[..., :, k] / p
+        row = t[..., k, :].copy()
+        t -= col[..., :, None] * row[..., None, :]
+        t[..., k, :] = row / p
+        t[..., :, k] = -col
+        t[..., k, k] = 1.0 / p[..., 0]
     return t
 
 

@@ -7,20 +7,23 @@ node averages the children's values with the branch probabilities.
 Validation returns violations as data so callers can report all problems
 at once instead of failing on the first; a non-terminal node with no
 matrix is one, and so is a matrix with a diagonal entry that is not above
-0, which no one-shot game accepts. Each call validates its tree once, at
-the caller's tolerance, and reads the matrix classes that require_valid
-returns; the diagonal rule alone takes no tolerance, as in GameSpec.
+0, which no one-shot game accepts. A tree is validated once per tree and
+tolerance, classifying its distinct matrices together; every call reads
+the matrix classes that require_valid returns. The diagonal rule alone
+takes no tolerance, as in GameSpec. The memo is sound because a tree
+cannot change: its nodes and matrices are frozen and their arrays read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError
-from .matrices import DEFAULT_TOL, MatrixClass, SquareMatrix, classify
+from .matrices import DEFAULT_TOL, MatrixClass, SquareMatrix, _classify_stack, _read_only
 
 __all__ = [
     "TreeNode",
@@ -32,6 +35,9 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
+
+# violations, and the class of each node's effective matrix by node id
+_Verdict = Tuple[Tuple[str, ...], Dict[str, MatrixClass]]
 
 
 class TerminalNode(DomainError):
@@ -54,7 +60,10 @@ class TreeNode:
         )
         object.__setattr__(self, "t", int(self.t))
         object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
+        object.__setattr__(self, "X", _read_only(self.X))
+
+    def __reduce__(self):  # copies and pickles rebuild a read-only X
+        return TreeNode, (self.id, self.t, self.parent, self.p, self.X, self.G)
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,7 @@ class ScenarioTree:
     A per-node matrix overrides the shared one. Lookup tables and the
     latest-date-first sweep order are built eagerly; semantic problems are
     reported by validate, not raised here, so a malformed tree can still be inspected.
+    The verdict at each tolerance is kept, and dataclasses.replace starts afresh.
     """
 
     T: int
@@ -86,6 +96,7 @@ class ScenarioTree:
     _by_id: Dict[str, TreeNode] = field(repr=False, default_factory=dict)
     _children: Dict[str, Tuple[TreeNode, ...]] = field(repr=False, default_factory=dict)
     _children_first: Tuple[TreeNode, ...] = field(repr=False, default=())
+    _verdicts: Dict[float, _Verdict] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
@@ -104,6 +115,7 @@ class ScenarioTree:
             self, "_children", {k: tuple(v) for k, v in kids.items()}
         )
         object.__setattr__(self, "_children_first", tuple(sorted(nodes, key=lambda n: -n.t)))
+        object.__setattr__(self, "_verdicts", {})
 
     def node(self, node_id: Union[str, TreeNode]) -> TreeNode:
         if isinstance(node_id, TreeNode):
@@ -130,22 +142,30 @@ class ScenarioTree:
     def nonterminal(self) -> List[TreeNode]:
         return [n for n in self.nodes if not self.is_leaf(n)]
 
-    def require_valid(self, tol: float = DEFAULT_TOL) -> Dict[str, MatrixClass]:
+    def require_valid(self, tol: float = DEFAULT_TOL) -> Mapping[str, MatrixClass]:
         """Validate at tol; the class of each node's effective matrix, by node id."""
         problems, classes = _checked(self, tol)
         if problems:
             raise ValueError("invalid tree: " + "; ".join(problems))
-        return classes
+        return MappingProxyType(classes)
 
 
 def validate(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> List[str]:
     """All invariant violations, empty when the tree is well formed."""
-    return _checked(tree, tol)[0]
+    return list(_checked(tree, tol)[0])
 
 
-def _checked(tree: ScenarioTree, tol: float) -> Tuple[List[str], Dict[str, MatrixClass]]:
+def _checked(tree: ScenarioTree, tol: float) -> _Verdict:
     """Violations, and the class of each node's well-sized effective matrix by
-    node id; each distinct matrix is classified once."""
+    node id; worked out at the first call for the tree and tol."""
+    verdict = tree._verdicts.get(tol)
+    if verdict is None:
+        verdict = tree._verdicts[tol] = _check(tree, tol)
+    return verdict
+
+
+def _check(tree: ScenarioTree, tol: float) -> _Verdict:
+    """_checked's verdict; the distinct matrices are classified as one stack."""
     out: List[str] = []
     seen: Dict[str, int] = {}
     for n in tree.nodes:
@@ -190,14 +210,17 @@ def _checked(tree: ScenarioTree, tol: float) -> Tuple[List[str], Dict[str, Matri
     if tree.G is not None:
         matrices.append(("<shared>", tree.G))
     matrices.extend((n.id, n.G) for n in tree.nodes if n.G is not None)
-    by_entries: Dict[bytes, MatrixClass] = {}
+    distinct = {M.entries.tobytes(): M.entries for _, M in matrices if M.m == tree.m}
+    by_entries: Dict[bytes, MatrixClass] = (
+        dict(zip(distinct, _classify_stack(np.stack(list(distinct.values())), tol)))
+        if distinct
+        else {}
+    )
     for label, M in matrices:
         if M.m != tree.m:
             out.append(f"matrix at {label!r} has size {M.m}, expected {tree.m}")
             continue
         key = M.entries.tobytes()
-        if key not in by_entries:
-            by_entries[key] = classify(M, tol=tol)
         if not by_entries[key].is_K0prime:
             out.append(
                 f"matrix at {label!r} is not a Z-matrix with the almost-P "
@@ -211,7 +234,7 @@ def _checked(tree: ScenarioTree, tol: float) -> Tuple[List[str], Dict[str, Matri
         for i, G in effective
         if G is not None and G.m == tree.m
     }
-    return out, classes
+    return tuple(out), classes
 
 
 def _process_values(proc: Union[AdaptedProcess, Mapping[str, Iterable[float]]]):

@@ -537,6 +537,23 @@ class TestGen:
         assert tree.T == 2 and tree.m == 2
         check_schema(report)
 
+    def test_wide_tree_has_distinct_ids_and_solves(self, capsys, tmp_path):
+        report, _ = run_json(
+            capsys, "gen", "--input", '{"kind": "k-tree", "m": 2, "T": 2, "branching": 11}'
+        )
+        doc = report["result"]["tree"]
+        ids = [n["id"] for n in doc["nodes"]]
+        assert len(ids) == len(set(ids)) == 1 + 11 + 121
+        assert {"r00", "r10", "r0010", "r1000"} <= set(ids)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        solved, _ = run_json(capsys, "tree-solve", "--input", str(path))
+        assert len(solved["result"]["U"]) == len(ids)
+
+    def test_narrow_tree_ids_are_unpadded(self):
+        ids = [n.id for n in gen_tree(0, 2, T=2, branching=10).nodes]
+        assert ids[:3] == ["r", "r0", "r1"] and ids[-1] == "r99"
+
     @pytest.mark.parametrize(
         "recipe",
         [

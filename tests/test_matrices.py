@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from affinegames.errors import DimensionTooLarge
 from affinegames.matrices import (
+    CLASSIFY_CAP,
     NotSingular,
+    _classify_stack,
     _classify_sweep,
     SquareMatrix,
     ZeroPivot,
@@ -165,6 +167,7 @@ class TestZMatrixPath:
             (np.array([[1.0, -1.0], [-1.0, 0.99999999]]), 1e-9, False),
             (np.array([[1.0, -1.0], [-1.0, 0.99999999]]), 1e-6, True),
             (np.zeros((1, 1)), 1e-9, True),
+            (np.ones((1, 1)), 2.0, True),  # at tol >= 1 a 1x1 determinant counts as zero
         ],
     )
     def test_tolerance_boundary(self, a, tol, k0prime):
@@ -179,6 +182,53 @@ class TestZMatrixPath:
         cls = classify(a)
         assert cls.is_K0prime and cls.is_K is not singular
         assert best < 0.1
+
+
+def stack_member(seed, m, kind):
+    """One matrix of a mixed stack: a K-matrix, a singular D-hat, a P-matrix
+    that is not a Z-matrix, a K-matrix with a zero row, or one with a
+    near-zero positive diagonal entry."""
+    if kind == "dhat":
+        return z_matrix(seed, m, "dhat")
+    if kind == "p":
+        return gen_p_matrix(seed, m).entries
+    a = gen_k_matrix(seed, m).entries.copy()
+    if kind == "zero-row":
+        a[seed % m] = 0.0
+    elif kind == "near-zero-diagonal":
+        a[seed % m, seed % m] = 1e-13
+    return a
+
+
+class TestClassifyStack:
+    """Each row of a stack is classified as it would be on its own."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        members=st.lists(
+            st.tuples(
+                st.integers(0, 10_000),
+                st.sampled_from(["k", "dhat", "p", "zero-row", "near-zero-diagonal"]),
+                st.sampled_from([1.0, 1e12, 1e-12]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        tol=st.sampled_from([1e-9, 1e-6]),
+    )
+    def test_rows_equal_classify_alone_and_the_sweep(self, m, members, tol):
+        stack = np.stack([scale * stack_member(seed, m, kind) for seed, kind, scale in members])
+        assert m <= CLASSIFY_CAP  # so the sweep can judge every row
+        for a, cls in zip(stack, _classify_stack(stack, tol)):
+            assert cls == classify(a, tol) == _classify_sweep(a, tol)
+
+    def test_mixed_stack_hand_values(self):
+        stack = np.stack([dhat([0.2, 0.3, 0.5]), -SINGULAR_K0, gen_k_matrix(0, 3).entries])
+        classes = _classify_stack(stack, 1e-9)
+        flags = [(c.is_K, c.is_K0prime) for c in classes]
+        assert flags == [(False, True), (False, False), (True, True)]
 
 
 @pytest.mark.parametrize("scale", [1e-30, 1e30])

@@ -578,13 +578,20 @@ class TestManyPlayers:
 
 
 @pytest.fixture
-def classify_calls(monkeypatch):
-    """Count classify calls through every module binding of the function."""
-    return _counted(monkeypatch, "affinegames.matrices", "classify")
+def classified(monkeypatch):
+    """The stacks passed to _classify_stack, which every classification goes
+    through (the public classify passes a one-row stack)."""
+    return _counted(monkeypatch, "affinegames.matrices", "_classify_stack")
+
+
+def _rows(stacks):
+    """The matrices of the recorded stacks, as bytes."""
+    return [a.tobytes() for stack in stacks for a in stack]
 
 
 def _counted(monkeypatch, module_name, attr):
-    """Count calls to module.attr through every module binding of it."""
+    """Record the first argument of each call to module.attr through every
+    module binding of it."""
     calls = []
     real = getattr(sys.modules[module_name], attr)
 
@@ -621,15 +628,24 @@ def _per_node_matrices(tree):
     return ScenarioTree(T=tree.T, m=tree.m, nodes=nodes)
 
 
+def _reflected_and_backward(tree):
+    """backward_induction, solve_reflected_bsde and verify_bsde_solution on tree."""
+    backward_induction(tree)
+    assert verify_bsde_solution(tree, solve_reflected_bsde(tree)) == []
+
+
 class TestClassifyOncePerCall:
+    """A tree is validated once per tolerance, its distinct matrices
+    classified together in one stack, whichever entry point comes first."""
+
     @pytest.mark.parametrize(
         "name", ["backward_induction", "solve_reflected_bsde", "verify_bsde_solution"]
     )
-    def test_shared_matrix_on_a_deep_tree(self, classify_calls, name):
-        call = _measured_call(name, gen_tree(0, 3, T=4, branching=2))
-        classify_calls.clear()
-        call()
-        assert len(classify_calls) == 1
+    def test_shared_matrix_on_a_deep_tree(self, classified, name):
+        tree = gen_tree(0, 3, T=4, branching=2)
+        _measured_call(name, tree)()
+        _reflected_and_backward(tree)
+        assert _rows(classified) == [tree.G.entries.tobytes()]
 
     @pytest.mark.parametrize("per_node", [False, True])
     @pytest.mark.parametrize(
@@ -643,19 +659,21 @@ class TestClassifyOncePerCall:
             "evaluate_profile",
         ],
     )
-    def test_each_distinct_matrix_once(self, classify_calls, name, per_node):
+    def test_each_distinct_matrix_once(self, classified, name, per_node):
         tree = gen_tree(0, 3, T=2, branching=2, require_nonneg_colsums=True)
         if per_node:
             tree = _per_node_matrices(tree)
-        call = _measured_call(name, tree)
-        classify_calls.clear()
-        call()
-        assert len(classify_calls) == (2 if per_node else 1)
+        _measured_call(name, tree)()
+        _reflected_and_backward(tree)
+        distinct = {tree.effective_G(n).entries.tobytes() for n in tree.nonterminal()}
+        assert len(classified) == 1
+        assert sorted(_rows(classified)) == sorted(distinct)
+        assert len(distinct) == (2 if per_node else 1)
 
-    def test_tree_verify_does_its_work_once(self, classify_calls, monkeypatch, tmp_path):
+    def test_tree_verify_does_its_work_once(self, classified, monkeypatch, tmp_path):
         values = _counted(monkeypatch, "affinegames.multi_period", "_value_process")
         path = tmp_path / "tree.json"
         path.write_text(dump_json(tree_json(gen_tree(0, 3, T=2))), encoding="utf-8")
         assert main(["tree-verify", "--input", str(path)]) == 0
-        assert len(classify_calls) == 1
+        assert len(_rows(classified)) == 1
         assert len(values) == 1

@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinegames import tree as tree_module
 from affinegames.matrices import SquareMatrix
 from affinegames.tree import (
     AdaptedProcess,
@@ -201,6 +206,68 @@ class TestValidate:
         with pytest.raises(ValueError, match="almost-P"):
             tree.require_valid()
         assert tree.require_valid(1e-6)["a"].is_K0prime
+
+
+class TestVerdictMemo:
+    """A tree keeps its verdict at each tolerance; nothing it holds can change
+    under that verdict, and a replaced tree works its own out."""
+
+    def test_node_payoffs_and_matrices_are_read_only(self):
+        X = np.array([1.0, 2.0])
+        G = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        tree = two_level_tree(m=2, G=SquareMatrix(G))
+        n = node("a", 0, None, 1.0, X, G=SquareMatrix(G))
+        X[0], G[0, 0] = 5.0, 5.0  # the caller's arrays were copied
+        assert n.X[0] == 1.0 and n.G.entries[0, 0] == 1.0
+        for a in (n.X, n.G.entries, tree.G.entries, tree.root.X):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_replaced_matrix_is_validated_afresh(self, monkeypatch):
+        stacks = []
+        real = tree_module._classify_stack
+
+        def counted(stack, tol):
+            stacks.append(stack)
+            return real(stack, tol)
+
+        monkeypatch.setattr(tree_module, "_classify_stack", counted)
+        tree = two_level_tree(m=2, G=K2)
+        assert validate(tree) == [] and tree.require_valid()["a"].is_K
+        small = dataclasses.replace(tree, G=SquareMatrix(1e-12 * K2.entries))
+        assert small.require_valid()["a"].is_K
+        assert [s[0].tolist() for s in stacks] == [
+            K2.entries.tolist(),
+            (1e-12 * K2.entries).tolist(),
+        ]
+        assert validate(dataclasses.replace(tree, G=NOT_Z)) != []
+        assert validate(tree) == []
+
+    @pytest.mark.parametrize("order", [(1e-9, 1e-6), (1e-6, 1e-9)])
+    def test_each_tolerance_has_its_own_verdict(self, order):
+        near = SquareMatrix(np.array([[1.0, -1.0], [-1.0, 0.99999999]]))
+        tree = two_level_tree(m=2, G=near)
+        seen = {tol: validate(tree, tol) for tol in order}
+        for tol in order:
+            assert seen[tol] == validate(tree, tol) == validate(two_level_tree(m=2, G=near), tol)
+        assert seen[1e-6] == [] and any("almost-P" in p for p in seen[1e-9])
+
+    def test_copies_stay_read_only(self):
+        tree = two_level_tree(m=2, G=K2)
+        tree.require_valid()
+        for twin in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            for a in (twin.G.entries, twin.root.X):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+            assert twin.require_valid()["a"].is_K
+
+    def test_verdict_cannot_be_edited_through_the_results(self):
+        tree = two_level_tree(m=2, G=NOT_Z)
+        validate(tree).clear()
+        assert validate(tree) != []
+        classes = two_level_tree(m=2, G=K2).require_valid()
+        with pytest.raises(TypeError):
+            classes["a"] = None
 
 
 class TestConditionalExpectation:
