@@ -35,7 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .matrices import DEFAULT_TOL, SquareMatrix, scaled_tol
+from .matrices import _STACK_ENTRIES, DEFAULT_TOL, SquareMatrix, scaled_tol
 from .tree import AdaptedProcess, ScenarioTree, TreeNode
 
 __all__ = [
@@ -44,11 +44,6 @@ __all__ = [
     "solve_reflected_bsde",
     "verify_bsde_solution",
 ]
-
-# Entries in one stacked (nodes, m, m) array: a date is solved in slices of
-# max(1, _STACK_ENTRIES // m^2) nodes, so the solver's memory does not grow
-# with the width of the tree.
-_STACK_ENTRIES = 1 << 16
 
 
 class NotKMatrix(DomainError):

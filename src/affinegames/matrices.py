@@ -37,7 +37,7 @@ when that one could be written to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -100,7 +100,7 @@ class SquareMatrix:
         object.__setattr__(self, "entries", a)
 
     def __reduce__(self):  # copies and pickles rebuild read-only entries
-        return SquareMatrix, (self.entries,)
+        return SquareMatrix, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def m(self) -> int:
@@ -140,6 +140,11 @@ def _as_array(M: Union[SquareMatrix, np.ndarray]) -> np.ndarray:
         return M.entries
     return SquareMatrix.from_rows(M).entries
 
+
+# Entries in one (n, m, m) stack of matrices worked on together: stacks are
+# cut into slices of max(1, _STACK_ENTRIES // m^2) matrices, so memory does
+# not grow with the number of matrices.
+_STACK_ENTRIES = 1 << 16
 
 # A 2^m walk stacks at most this many principal blocks at a time, which bounds
 # its memory: at k = 17 one slice of blocks is 2.4 MB.

@@ -16,14 +16,21 @@ cannot change: its nodes and matrices are frozen and their arrays read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError
-from .matrices import DEFAULT_TOL, MatrixClass, SquareMatrix, _classify_stack, _read_only
+from .matrices import (
+    _STACK_ENTRIES,
+    DEFAULT_TOL,
+    MatrixClass,
+    SquareMatrix,
+    _classify_stack,
+    _read_only,
+)
 
 __all__ = [
     "TreeNode",
@@ -63,7 +70,7 @@ class TreeNode:
         object.__setattr__(self, "X", _read_only(self.X))
 
     def __reduce__(self):  # copies and pickles rebuild a read-only X
-        return TreeNode, (self.id, self.t, self.parent, self.p, self.X, self.G)
+        return TreeNode, tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -165,7 +172,8 @@ def _checked(tree: ScenarioTree, tol: float) -> _Verdict:
 
 
 def _check(tree: ScenarioTree, tol: float) -> _Verdict:
-    """_checked's verdict; the distinct matrices are classified as one stack."""
+    """_checked's verdict; the distinct matrices are classified as one stack,
+    cut into slices of bounded size."""
     out: List[str] = []
     seen: Dict[str, int] = {}
     for n in tree.nodes:
@@ -211,11 +219,13 @@ def _check(tree: ScenarioTree, tol: float) -> _Verdict:
         matrices.append(("<shared>", tree.G))
     matrices.extend((n.id, n.G) for n in tree.nodes if n.G is not None)
     distinct = {M.entries.tobytes(): M.entries for _, M in matrices if M.m == tree.m}
-    by_entries: Dict[bytes, MatrixClass] = (
-        dict(zip(distinct, _classify_stack(np.stack(list(distinct.values())), tol)))
-        if distinct
-        else {}
-    )
+    keys = list(distinct)
+    width = max(1, _STACK_ENTRIES // max(1, tree.m * tree.m))
+    by_entries: Dict[bytes, MatrixClass] = {}
+    for start in range(0, len(keys), width):
+        part = keys[start : start + width]
+        stack = np.stack([distinct[k] for k in part])
+        by_entries.update(zip(part, _classify_stack(stack, tol)))
     for label, M in matrices:
         if M.m != tree.m:
             out.append(f"matrix at {label!r} has size {M.m}, expected {tree.m}")

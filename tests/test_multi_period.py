@@ -606,12 +606,15 @@ def _counted(monkeypatch, module_name, attr):
 
 
 def _measured_call(name, tree):
-    """The named call on tree, its other inputs computed beforehand."""
+    """The named call on tree, its other inputs computed beforehand on a
+    replaced copy, which starts with no verdict, so tree has not been
+    validated when the call is made."""
+    prep = dataclasses.replace(tree)
     if name == "verify_bsde_solution":
-        solution = solve_reflected_bsde(tree)
+        solution = solve_reflected_bsde(prep)
         return lambda: verify_bsde_solution(tree, solution)
     if name in ("verify_optimal_equilibrium", "evaluate_profile"):
-        tau_star = backward_induction(tree).tau_star
+        tau_star = backward_induction(prep).tau_star
         call = verify_optimal_equilibrium if name == "verify_optimal_equilibrium" else evaluate_profile
         return lambda: call(tree, tau_star)
     if name == "coalition_value_tree":
@@ -635,17 +638,21 @@ def _reflected_and_backward(tree):
 
 
 class TestClassifyOncePerCall:
-    """A tree is validated once per tolerance, its distinct matrices
-    classified together in one stack, whichever entry point comes first."""
+    """Each entry point validates its tree, classifying the distinct matrices
+    together in one stack; the tree keeps that verdict, so the other entry
+    points on it classify nothing more."""
 
     @pytest.mark.parametrize(
         "name", ["backward_induction", "solve_reflected_bsde", "verify_bsde_solution"]
     )
     def test_shared_matrix_on_a_deep_tree(self, classified, name):
         tree = gen_tree(0, 3, T=4, branching=2)
-        _measured_call(name, tree)()
-        _reflected_and_backward(tree)
+        call = _measured_call(name, tree)
+        classified.clear()
+        call()
         assert _rows(classified) == [tree.G.entries.tobytes()]
+        _reflected_and_backward(tree)
+        assert len(classified) == 1
 
     @pytest.mark.parametrize("per_node", [False, True])
     @pytest.mark.parametrize(
@@ -663,12 +670,15 @@ class TestClassifyOncePerCall:
         tree = gen_tree(0, 3, T=2, branching=2, require_nonneg_colsums=True)
         if per_node:
             tree = _per_node_matrices(tree)
-        _measured_call(name, tree)()
-        _reflected_and_backward(tree)
+        call = _measured_call(name, tree)
+        classified.clear()
+        call()
         distinct = {tree.effective_G(n).entries.tobytes() for n in tree.nonterminal()}
         assert len(classified) == 1
         assert sorted(_rows(classified)) == sorted(distinct)
         assert len(distinct) == (2 if per_node else 1)
+        _reflected_and_backward(tree)
+        assert len(classified) == 1
 
     def test_tree_verify_does_its_work_once(self, classified, monkeypatch, tmp_path):
         values = _counted(monkeypatch, "affinegames.multi_period", "_value_process")

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinegames import tree as tree_module
-from affinegames.matrices import SquareMatrix
+from affinegames.cli import gen_tree
+from affinegames.matrices import SquareMatrix, gen_k_matrix
 from affinegames.tree import (
     AdaptedProcess,
     ScenarioTree,
@@ -259,6 +261,7 @@ class TestVerdictMemo:
             for a in (twin.G.entries, twin.root.X):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
+            assert repr(twin.nodes) == repr(tree.nodes) and repr(twin.G) == repr(tree.G)
             assert twin.require_valid()["a"].is_K
 
     def test_verdict_cannot_be_edited_through_the_results(self):
@@ -268,6 +271,31 @@ class TestVerdictMemo:
         classes = two_level_tree(m=2, G=K2).require_valid()
         with pytest.raises(TypeError):
             classes["a"] = None
+
+
+class TestValidationMemory:
+    def test_memory_is_bounded_by_the_slice(self):
+        # 31 distinct matrices of 100 players: classified as one stack, the
+        # (n, m, m) temporaries take validation to about 15 MB
+        tree = gen_tree(0, 100, T=5, branching=2)
+        nodes = tuple(
+            n if tree.is_leaf(n) else dataclasses.replace(n, G=gen_k_matrix(i, 100))
+            for i, n in enumerate(tree.nodes)
+        )
+        tree = ScenarioTree(T=tree.T, m=tree.m, nodes=nodes)
+        tracemalloc.start()
+        try:
+            classes = tree.require_valid()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len({id(c) for c in classes.values()}) == 31
+        assert all(c.is_K for c in classes.values())
+        assert peak < 8e6
+
+    def test_tree_of_no_players_has_no_matrix_to_classify(self):
+        tree = ScenarioTree(T=0, m=0, nodes=(node("a", 0, None, 1.0, []),))
+        assert validate(tree) == [] and dict(tree.require_valid()) == {}
 
 
 class TestConditionalExpectation:
