@@ -13,18 +13,13 @@ nonsingular K-matrices are accepted: complementarity problems with
 singular matrices can fail to have solutions, and the equivalence with
 the game value process is stated for the nonsingular class.
 
-The problems of one date read only the next date's Z, so a date is solved
-at once: its problems are stacked and solved together by Howard's policy
-iteration (see _howard), in slices of bounded size. Backward induction
-reaches the same values through the one-shot games and Chandrasekaran's
-method, which starts from the empty support; Howard starts from the full
-support, solves bordered m x m systems instead of principal blocks, and
-accepts its answer by its own residual test, so U = Z remains a check
-between two separate computations.
-
-Solving and verifying are deliberately separate code paths; the verifier
-checks the defining conditions directly from the assembled processes, all
-nodes and edges at once.
+A date's problems read only the next date's Z, so they are stacked and
+solved together by Howard's policy iteration (see _howard), in slices of
+bounded size. Backward induction reaches the same values by a separate
+method, Chandrasekaran's from the empty support, so U = Z remains a check
+between two computations. The verifier, a third path, checks the defining
+conditions on all nodes and edges at once. Both read the tree's array
+layout and sum children by the tree module's one child-sum rule.
 """
 
 from __future__ import annotations
@@ -69,44 +64,30 @@ def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSo
     """Backward sweep, latest date first, solving each date's complementarity
     problems together; then a forward sweep accumulating K and J."""
     classes = tree.require_valid(tol)
-    inner = tree.nonterminal()
-    for n in inner:
-        if not classes[n.id].is_K:
-            raise NotKMatrix(f"matrix at node {n.id!r} is singular or not a K-matrix")
-    m, nodes = tree.m, tree.nodes
-    row = {n.id: i for i, n in enumerate(nodes)}
-    X = np.array([n.X for n in nodes]).reshape(len(nodes), m)
+    layout, nodes, m = tree._layout, tree.nodes, tree.m
+    for i in layout.inner:
+        if not classes[nodes[i].id].is_K:
+            raise NotKMatrix(f"matrix at node {nodes[i].id!r} is singular or not a K-matrix")
+    X, parent, child = layout.X, layout.parent, layout.child
     Z, dK, GdK = X.copy(), np.zeros_like(X), np.zeros_like(X)
-    dates: List[List[TreeNode]] = [[] for _ in range(tree.T + 1)]
-    for n in inner:
-        dates[n.t].append(n)
     width = max(1, _STACK_ENTRIES // (m * m))
-    for date in reversed(dates):
-        for start in range(0, len(date), width):
-            part = date[start : start + width]
-            kids = [tree.children(n) for n in part]
-            at = [row[c.id] for ks in kids for c in ks]
-            p = np.array([c.p for ks in kids for c in ks])
-            first = np.cumsum([0] + [len(ks) for ks in kids[:-1]])
-            expected = np.add.reduceat(p[:, None] * Z[at], first, axis=0)
-            rows = [row[n.id] for n in part]
+    for edges, rows in reversed(layout.dates):
+        expected = layout.child_sum(Z, edges)
+        for start in range(0, len(rows), width):
+            at = rows[start : start + width]
+            part = [nodes[i] for i in at]
             G = np.stack([tree.effective_G(n).entries for n in part])
-            z, w = _howard(expected - X[rows], G, tol, part)
-            dK[rows] = z
-            Z[rows] = X[rows] + w
-            GdK[rows] = (G @ z[..., None])[..., 0]
+            z, w = _howard(expected[at] - X[at], G, tol, part)
+            dK[at] = z
+            Z[at] = X[at] + w
+            GdK[at] = (G @ z[..., None])[..., 0]
     K, J = np.zeros_like(X), np.zeros_like(X)
-    for date in dates:
-        kids = [row[c.id] for n in date for c in tree.children(n)]
-        parents = [row[n.id] for n in date for c in tree.children(n)]
-        K[kids] = K[parents] + dK[parents]
-        J[kids] = J[parents] + GdK[parents]
-    return BsdeSolution(
-        Z=AdaptedProcess(values={n.id: Z[i] for i, n in enumerate(nodes)}),
-        K=AdaptedProcess(values={n.id: K[i] for i, n in enumerate(nodes)}),
-        J=AdaptedProcess(values={n.id: J[i] for i, n in enumerate(nodes)}),
-        delta_K={n.id: dK[row[n.id]] for n in inner},
-    )
+    for edges, _ in layout.dates:
+        up, down = parent[edges], child[edges]
+        K[down] = K[up] + dK[up]
+        J[down] = J[up] + GdK[up]
+    Z, K, J = (AdaptedProcess({n.id: a[i] for i, n in enumerate(nodes)}) for a in (Z, K, J))
+    return BsdeSolution(Z=Z, K=K, J=J, delta_K={nodes[i].id: dK[i] for i in layout.inner})
 
 
 def _howard(
@@ -186,21 +167,20 @@ def verify_bsde_solution(
                 out.append(f"{name} at node {n.id!r} is not length {tree.m}")
     if out:
         return out
-    nodes, m = tree.nodes, tree.m
+    layout, nodes, m = tree._layout, tree.nodes, tree.m
     Z, K, J = (
         np.array([proc[n.id] for n in nodes], dtype=float).reshape(len(nodes), m)
         for proc in (sol.Z, sol.K, sol.J)
     )
-    X = np.array([n.X for n in nodes]).reshape(len(nodes), m)
+    X, parent, child = layout.X, layout.parent, layout.child
     tau = scaled_tol(tol, Z, X, K)
-    row = {n.id: i for i, n in enumerate(nodes)}
-    root = tree.root
-    if float(np.max(np.abs(K[row[root.id]]))) > tau:
-        out.append(f"K at root {root.id!r} is not zero")
-    if float(np.max(np.abs(J[row[root.id]]))) > tau:
-        out.append(f"J at root {root.id!r} is not zero")
+    root = [n.parent for n in nodes].index(None)
+    for name, A in (("K", K), ("J", J)):
+        if float(np.max(np.abs(A[root]))) > tau:
+            out.append(f"{name} at root {nodes[root].id!r} is not zero")
     gap = Z - X
-    leaf = np.array([tree.is_leaf(n) for n in nodes])
+    leaf = np.ones(len(nodes), dtype=bool)
+    leaf[layout.inner] = False
     off_leaf = leaf & (np.abs(gap).max(axis=1) > tau)
     below = gap.min(axis=1) < -tau
     for i in np.flatnonzero(off_leaf | below):
@@ -211,29 +191,19 @@ def verify_bsde_solution(
 
     # Edges in node order, then child order; edges under one matrix share
     # one product with it.
-    parent: List[int] = []
-    child: List[int] = []
     under: Dict[int, Tuple[SquareMatrix, List[int]]] = {}
-    for i, n in enumerate(nodes):
-        kids = tree.children(n)
-        if kids:
-            G = tree.effective_G(n)
-            under.setdefault(id(G), (G, []))[1].extend(
-                range(len(child), len(child) + len(kids))
-            )
-            parent.extend([i] * len(kids))
-            child.extend(row[c.id] for c in kids)
-    p = np.array([nodes[c].p for c in child])
-    expected = np.zeros_like(Z)
-    np.add.at(expected, parent, p[:, None] * Z[child])
+    for e, i in enumerate(parent.tolist()):
+        G = tree.effective_G(nodes[i])
+        under.setdefault(id(G), (G, []))[1].append(e)
+    expected = layout.child_sum(Z)[parent]
     dK = K[child] - K[parent]
     dJ = J[child] - J[parent]
     GdK = np.empty_like(dK)
-    for G, edges in under.values():
-        GdK[edges] = dK[edges] @ G.entries.T
+    for G, at in under.values():
+        GdK[at] = dK[at] @ G.entries.T
     decreases = dK.min(axis=1) < -tau
     not_gdk = np.abs(dJ - GdK).max(axis=1) > tau
-    recursion = np.abs(Z[parent] - dJ - expected[parent]).max(axis=1) > tau
+    recursion = np.abs(Z[parent] - dJ - expected).max(axis=1) > tau
     binding = gap > tau
     misplaced = np.where(binding[parent], dK, 0.0).sum(axis=1) > tau
     for e in np.flatnonzero(decreases | not_gdk | recursion | misplaced):

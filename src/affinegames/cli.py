@@ -51,11 +51,15 @@ from .single_period import (
     solve_game,
     wuc_check,
 )
-from .tree import ScenarioTree, TreeNode, _checked
+from .tree import ScenarioTree, TreeNode, validate
 
 __all__ = ["main", "BUILTIN_INSTANCES", "gen_game", "gen_tree"]
 
 ENUM_SOLVER_CUTOFF = 12
+
+# Floats one gen recipe may allocate (its matrix entries and, for a tree, m
+# payoffs a node); a larger recipe is refused before anything is built.
+GEN_MAX_FLOATS = 1 << 20
 
 BUILTIN_INSTANCES: Dict[str, Any] = {
     # Three players on a deterministic three-date chain; the matrix is the
@@ -277,9 +281,10 @@ def _cmd_tree_solve(args: argparse.Namespace) -> Dict[str, Any]:
 
 def _cmd_tree_verify(args: argparse.Namespace) -> Dict[str, Any]:
     tree = parse_tree(_load_input(args))
-    violations, classes = _checked(tree, args.tolerance)
+    violations = validate(tree, args.tolerance)
     result = dict(valid=not violations, violations=violations, optimal_equilibrium=None)
     if not violations:
+        classes = tree.require_valid(args.tolerance)
         result["optimal_equilibrium"] = _verify_optimal(tree, classes, args.tolerance)
     return {"input": tree_json(tree), "result": result}
 
@@ -311,6 +316,21 @@ def _cmd_bsde(args: argparse.Namespace) -> Dict[str, Any]:
     return {"input": tree_json(tree), "result": result}
 
 
+def _recipe_floats(kind: str, m: int, T: int, branching: int) -> int:
+    """Floats a gen recipe allocates: its m x m matrix, plus X and P for a game
+    or m payoffs at each node of a tree. A tree's count stops once it passes
+    GEN_MAX_FLOATS, so a deep tree costs nothing to refuse."""
+    if kind != "k-tree":
+        return m * m + (2 * m if kind in ("p-game", "k-game") else 0)
+    floats, width = m * m, 1
+    for _ in range(T + 1):
+        floats += m * width
+        if floats > GEN_MAX_FLOATS:
+            break
+        width *= branching
+    return floats
+
+
 def _cmd_gen(args: argparse.Namespace) -> Dict[str, Any]:
     recipe = _load_input(args)
     if not isinstance(recipe, dict) or "kind" not in recipe:
@@ -320,6 +340,17 @@ def _cmd_gen(args: argparse.Namespace) -> Dict[str, Any]:
     m = recipe.get("m")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise InputFormatError("gen recipe needs a positive integer 'm'")
+    T, branching = recipe.get("T", 3), recipe.get("branching", 2)
+    if kind == "k-tree":
+        if not isinstance(T, int) or isinstance(T, bool) or T < 0:
+            raise InputFormatError("gen recipe 'T' must be a nonnegative integer")
+        if not isinstance(branching, int) or isinstance(branching, bool) or branching < 1:
+            raise InputFormatError("gen recipe 'branching' must be a positive integer")
+    floats = _recipe_floats(kind, m, T, branching)
+    if floats > GEN_MAX_FLOATS:
+        raise InputFormatError(
+            f"gen recipe would allocate at least {floats} floats; the cap is {GEN_MAX_FLOATS}"
+        )
     if kind == "k-matrix":
         M = gen_k_matrix(seed, m, bool(recipe.get("nonneg_colsums", False)))
         result: Dict[str, Any] = {"matrix": matrix_json(M)}
@@ -328,12 +359,6 @@ def _cmd_gen(args: argparse.Namespace) -> Dict[str, Any]:
     elif kind in ("p-game", "k-game"):
         result = {"game": game_json(gen_game(seed, m, kind=kind[0]))}
     elif kind == "k-tree":
-        T = recipe.get("T", 3)
-        branching = recipe.get("branching", 2)
-        if not isinstance(T, int) or isinstance(T, bool) or T < 0:
-            raise InputFormatError("gen recipe 'T' must be a nonnegative integer")
-        if not isinstance(branching, int) or isinstance(branching, bool) or branching < 1:
-            raise InputFormatError("gen recipe 'branching' must be a positive integer")
         tree = gen_tree(
             seed, m, T=T, branching=branching,
             require_nonneg_colsums=bool(recipe.get("nonneg_colsums", False)),

@@ -204,13 +204,11 @@ def _joint_table(
 
 
 def _terminal_anchor(tree: ScenarioTree) -> Dict[str, np.ndarray]:
-    out: Dict[str, np.ndarray] = {}
-    for n in tree._children_first:
-        if tree.is_leaf(n):
-            out[n.id] = n.X.copy()
-        else:
-            out[n.id] = conditional_expectation(tree, out, n)
-    return out
+    layout = tree._layout
+    out = layout.X.copy()
+    for edges, rows in reversed(layout.dates):
+        out[rows] = layout.child_sum(out, edges)[rows]
+    return {n.id: out[i] for i, n in enumerate(tree.nodes)}
 
 
 def _check_profile(tree: ScenarioTree, profile: StoppingProfile) -> None:

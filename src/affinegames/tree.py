@@ -3,7 +3,10 @@
 A tree has one root at time 0, edge-conditional branch probabilities,
 and all leaves at the horizon T. Vector-valued processes adapted to the
 tree assign one length-m vector per node; conditional expectation at a
-node averages the children's values with the branch probabilities.
+node averages the children's values with the branch probabilities by the
+one child-sum rule: from 0, add p times each child's value in child order.
+Every sum over children (the reflected equation, its verifier, the naive
+anchor) follows it, so they agree bit for bit; np.add.reduceat does not.
 Validation returns violations as data so callers can report all problems
 at once instead of failing on the first; a non-terminal node with no
 matrix is one, and so is a matrix with a diagonal entry that is not above
@@ -11,14 +14,16 @@ matrix is one, and so is a matrix with a diagonal entry that is not above
 tolerance, classifying its distinct matrices together; every call reads
 the matrix classes that require_valid returns. The diagonal rule alone
 takes no tolerance, as in GameSpec. The memo is sound because a tree
-cannot change: its nodes and matrices are frozen and their arrays read-only.
+cannot change: its nodes and matrices are frozen and their arrays read-only;
+so is a valid tree's array layout (_Layout), built at its first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +98,7 @@ class ScenarioTree:
     A per-node matrix overrides the shared one. Lookup tables and the
     latest-date-first sweep order are built eagerly; semantic problems are
     reported by validate, not raised here, so a malformed tree can still be inspected.
-    The verdict at each tolerance is kept, and dataclasses.replace starts afresh.
+    The verdicts and the array layout are kept; dataclasses.replace starts afresh.
     """
 
     T: int
@@ -123,6 +128,26 @@ class ScenarioTree:
         )
         object.__setattr__(self, "_children_first", tuple(sorted(nodes, key=lambda n: -n.t)))
         object.__setattr__(self, "_verdicts", {})
+
+    def __getstate__(self):  # a copy builds its own read-only layout
+        return {k: v for k, v in self.__dict__.items() if k != "_layout"}
+
+    @cached_property
+    def _layout(self) -> "_Layout":
+        """The array layout, built at the first read; call require_valid first."""
+        row = {n.id: i for i, n in enumerate(self.nodes)}
+        up = np.array([row.get(n.parent, -1) for n in self.nodes], dtype=np.intp)
+        below = np.flatnonzero(up >= 0)
+        child = below[np.argsort(up[below], kind="stable")]
+        parent = up[child]
+        t = np.array([n.t for n in self.nodes])
+        p = np.array([n.p for n in self.nodes])[child]
+        inner = np.flatnonzero(np.bincount(parent, minlength=len(self.nodes)))
+        X = np.array([n.X for n in self.nodes], dtype=float).reshape(len(self.nodes), self.m)
+        dates = tuple((np.flatnonzero(t[parent] == d), inner[t[inner] == d]) for d in range(self.T))
+        for a in (X, parent, child, p, inner, *(a for date in dates for a in date)):
+            a.flags.writeable = False
+        return _Layout(X, parent, child, p, inner, dates)
 
     def node(self, node_id: Union[str, TreeNode]) -> TreeNode:
         if isinstance(node_id, TreeNode):
@@ -155,6 +180,27 @@ class ScenarioTree:
         if problems:
             raise ValueError("invalid tree: " + "; ".join(problems))
         return MappingProxyType(classes)
+
+
+class _Layout(NamedTuple):
+    """A valid tree as read-only arrays: payoffs X, one row per node; edges as
+    parent row, child row and p, in node order, then child order; the rows
+    of the nodes with children, inner; and dates[t], the edges under the
+    nodes at date t with those nodes' rows."""
+
+    X: np.ndarray
+    parent: np.ndarray
+    child: np.ndarray
+    p: np.ndarray
+    inner: np.ndarray
+    dates: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+    def child_sum(self, values: np.ndarray, edges=slice(None)) -> np.ndarray:
+        """Each row's sum of p times values over its children along edges, by
+        the one child-sum rule; 0 at rows with no such child."""
+        out = np.zeros_like(values)
+        np.add.at(out, self.parent[edges], self.p[edges, None] * values[self.child[edges]])
+        return out
 
 
 def validate(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> List[str]:
@@ -247,12 +293,6 @@ def _check(tree: ScenarioTree, tol: float) -> _Verdict:
     return tuple(out), classes
 
 
-def _process_values(proc: Union[AdaptedProcess, Mapping[str, Iterable[float]]]):
-    if isinstance(proc, AdaptedProcess):
-        return proc.values
-    return proc
-
-
 def conditional_expectation(
     tree: ScenarioTree,
     proc: Union[AdaptedProcess, Mapping[str, Iterable[float]]],
@@ -263,7 +303,7 @@ def conditional_expectation(
     kids = tree.children(n)
     if not kids:
         raise TerminalNode(f"node {n.id!r} has no children")
-    values = _process_values(proc)
+    values = proc.values if isinstance(proc, AdaptedProcess) else proc
     out = np.zeros(tree.m)
     for c in kids:
         out = out + c.p * np.asarray(values[c.id], dtype=float)

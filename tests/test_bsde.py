@@ -232,6 +232,30 @@ class TestSolve:
             solve_reflected_bsde(chain([0.0, 1.0], G=None))
 
 
+class TestOneChildSumRule:
+    """Where no reflection acts, Z at a node is the sum over its children,
+    added as conditional_expectation adds them, to the last bit."""
+
+    def test_unreflected_z_is_the_conditional_expectation(self):
+        # three children a node, so a pairwise or reordered sum would differ
+        for seed in range(5):
+            base = gen_tree(seed, 8, T=2, branching=3)
+            rng = np.random.default_rng([seed, 3])
+            nodes = tuple(
+                dataclasses.replace(
+                    n, X=rng.uniform(1.0, 5.0, 8) if base.is_leaf(n) else np.zeros(8)
+                )
+                for n in base.nodes
+            )
+            tree = dataclasses.replace(base, nodes=nodes)
+            sol = solve_reflected_bsde(tree)
+            assert verify_bsde_solution(tree, sol) == []
+            for n in tree.nonterminal():
+                assert not sol.delta_K[n.id].any(), (seed, n.id)
+                expected = conditional_expectation(tree, sol.Z, n)
+                assert sol.Z[n.id].tobytes() == expected.tobytes(), (seed, n.id)
+
+
 class TestVerify:
     def make(self, seed=3, m=2):
         tree = gen_tree(seed, m)

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from affinegames import cli
 from affinegames.cli import _HANDLERS, gen_game, gen_tree, main
 from affinegames.jsonio import dump_json, game_json, matrix_json, tree_json
 from affinegames.matrices import gen_p_matrix
@@ -567,6 +568,47 @@ class TestGen:
     def test_bad_recipes(self, capsys, recipe):
         code, _, _ = run(capsys, "gen", "--input", recipe)
         assert code == 2
+
+
+class TestGenSizeGuard:
+    """gen refuses a recipe whose floats pass GEN_MAX_FLOATS before it builds
+    anything; the guard is tested, not a huge instance."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("an oversized recipe reached a generator")
+
+        for name in ("gen_k_matrix", "gen_p_matrix", "gen_game", "gen_tree"):
+            monkeypatch.setattr(cli, name, boom)
+
+    @pytest.mark.parametrize(
+        "recipe, floats",
+        [
+            # 2^61 - 1 nodes; counting stops at the first level past the cap
+            ('{"kind": "k-tree", "m": 2, "T": 60, "branching": 2}', 4 + 2 * (2**19 - 1)),
+            ('{"kind": "k-tree", "m": 1, "T": 1000000000000, "branching": 1}', 2**20 + 1),
+            ('{"kind": "k-matrix", "m": 100000}', 10**10),
+            ('{"kind": "p-matrix", "m": 1025}', 1025**2),
+            ('{"kind": "p-game", "m": 1024}', 1024**2 + 2048),
+        ],
+    )
+    def test_refused_before_allocation(self, capsys, nothing_built, recipe, floats):
+        code, out, err = run(capsys, "gen", "--input", recipe)
+        assert code == 2 and out == ""
+        assert f"at least {floats} floats; the cap is {cli.GEN_MAX_FLOATS}" in err
+
+    def test_count_at_the_cap(self, capsys, monkeypatch):
+        # m = 2, T = 2, branching 2: 4 matrix entries and 7 nodes of 2 payoffs
+        recipe = '{"kind": "k-tree", "m": 2, "T": 2, "branching": 2}'
+        assert cli._recipe_floats("k-tree", 2, 2, 2) == 18
+        assert cli._recipe_floats("k-matrix", 1024, 2, 2) == cli.GEN_MAX_FLOATS
+        assert cli._recipe_floats("k-game", 3, 0, 1) == 15
+        monkeypatch.setattr(cli, "GEN_MAX_FLOATS", 18)
+        assert run(capsys, "gen", "--input", recipe)[0] == 0
+        monkeypatch.setattr(cli, "GEN_MAX_FLOATS", 17)
+        code, _, err = run(capsys, "gen", "--input", recipe)
+        assert code == 2 and "at least 18 floats; the cap is 17" in err
 
 
 class TestFixedLimits:

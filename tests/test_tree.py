@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinegames import tree as tree_module
+from affinegames.bsde import solve_reflected_bsde, verify_bsde_solution
 from affinegames.cli import gen_tree
 from affinegames.matrices import SquareMatrix, gen_k_matrix
 from affinegames.tree import (
@@ -271,6 +272,65 @@ class TestVerdictMemo:
         classes = two_level_tree(m=2, G=K2).require_valid()
         with pytest.raises(TypeError):
             classes["a"] = None
+
+
+class TestLayoutMemo:
+    """A valid tree's array layout is built once and cannot be written to; a
+    replaced or copied tree builds its own."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        layouts = []
+
+        class Counted(tree_module._Layout):
+            def __new__(cls, *fields):
+                layouts.append(super().__new__(cls, *fields))
+                return layouts[-1]
+
+        monkeypatch.setattr(tree_module, "_Layout", Counted)
+        return layouts
+
+    def test_one_solve_and_one_verify_build_it_once(self, built):
+        tree = gen_tree(0, 3, T=3, branching=2)
+        sol = solve_reflected_bsde(tree)
+        assert verify_bsde_solution(tree, sol) == []
+        assert len(built) == 1 and tree._layout is built[0]
+        solve_reflected_bsde(dataclasses.replace(tree))
+        assert len(built) == 2 and tree._layout is built[0]
+
+    def test_rows_and_edges_follow_node_and_child_order(self):
+        tree = two_level_tree(m=2, G=K2)
+        tree.require_valid()
+        layout = tree._layout
+        assert layout.X.tolist() == [n.X.tolist() for n in tree.nodes]
+        assert layout.parent.tolist() == [0, 0, 1, 1, 2, 2]
+        assert layout.child.tolist() == [1, 2, 3, 4, 5, 6]
+        assert layout.p.tolist() == [0.25, 0.75, 0.2, 0.8, 0.5, 0.5]
+        assert layout.inner.tolist() == [0, 1, 2]
+        assert [(e.tolist(), r.tolist()) for e, r in layout.dates] == [
+            ([0, 1], [0]),
+            ([2, 3, 4, 5], [1, 2]),
+        ]
+
+    def test_arrays_are_read_only(self):
+        tree = two_level_tree(m=2, G=K2)
+        tree.require_valid()
+        layout = tree._layout
+        arrays = [layout.X, layout.parent, layout.child, layout.p, layout.inner]
+        arrays += [a for date in layout.dates for a in date]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_copies_build_their_own(self):
+        tree = two_level_tree(m=2, G=K2)
+        tree.require_valid()
+        layout = tree._layout
+        for twin in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert "_layout" not in vars(twin)
+            assert twin._layout is not layout
+            for a, b in zip(twin._layout[:5], layout[:5]):
+                assert a.tolist() == b.tolist() and not a.flags.writeable
 
 
 class TestValidationMemory:
