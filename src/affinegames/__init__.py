@@ -2,175 +2,21 @@
 
 Single-period games, their linear-complementarity solutions, the
 proportional-redistribution family, and multi-period stopping games on
-scenario trees with the equivalent reflected backward equation.
+scenario trees with the equivalent reflected backward equation. The
+package exports exactly the public names of these modules.
 """
 
-from .bsde import BsdeSolution, NotKMatrix, solve_reflected_bsde, verify_bsde_solution
-from .errors import DimensionTooLarge, DomainError
-from .lcp import (
-    CertificateUnavailable,
-    CycleLimit,
-    LcpProblem,
-    LcpSolution,
-    P0PrimeOutcome,
-    project_quadratic,
-    solvability_p0prime,
-    solve_chandrasekaran,
-    solve_enum,
-    solve_lemke,
-    verify_projection_characterization,
-)
-from .matrices import (
-    DEFAULT_TOL,
-    MatrixClass,
-    NotSingular,
-    NullCertificate,
-    SquareMatrix,
-    ZeroPivot,
-    classify,
-    gen_k_matrix,
-    gen_p_matrix,
-    positive_left_null,
-    principal_minor,
-    schur_reduce,
-)
-from .multi_period import (
-    EnumerationTooLarge,
-    HypothesisViolated,
-    NaiveSearchResult,
-    StoppingProfile,
-    ValueProcess,
-    backward_induction,
-    coalition_value_tree,
-    enumerate_stopping_times,
-    evaluate_profile,
-    naive_equilibrium_search,
-    naive_evaluate_profile,
-    stopping_time_count,
-    verify_optimal_equilibrium,
-)
-from .redistribution import (
-    InvalidAlpha,
-    WeightSingular,
-    d_inner_product,
-    d_matrix,
-    dhat_det,
-    dhat_matrix,
-    exercise_weight,
-    grg_game,
-    grg_payoff,
-)
-from .single_period import (
-    ColumnSumNegative,
-    EquilibriumReport,
-    GameSolution,
-    GameSpec,
-    NotCovered,
-    NotSymmetricPD,
-    PayoffOutcome,
-    SingularSubmatrix,
-    StrategyProfile,
-    canonical_equilibrium,
-    coalition_value,
-    dummy_extension,
-    enumerate_nash,
-    equilibrium_report,
-    is_optimal_equilibrium,
-    payoff,
-    projection_sol,
-    sol,
-    solve_game,
-    value,
-    wuc_check,
-)
-from .tree import (
-    AdaptedProcess,
-    ScenarioTree,
-    TerminalNode,
-    TreeNode,
-    conditional_expectation,
-    validate,
-)
+from . import bsde, errors, lcp, matrices, multi_period, redistribution, single_period, tree
+from .bsde import *
+from .errors import *
+from .lcp import *
+from .matrices import *
+from .multi_period import *
+from .redistribution import *
+from .single_period import *
+from .tree import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptedProcess",
-    "BsdeSolution",
-    "CertificateUnavailable",
-    "ColumnSumNegative",
-    "CycleLimit",
-    "DEFAULT_TOL",
-    "DimensionTooLarge",
-    "DomainError",
-    "EnumerationTooLarge",
-    "EquilibriumReport",
-    "GameSolution",
-    "GameSpec",
-    "HypothesisViolated",
-    "InvalidAlpha",
-    "LcpProblem",
-    "LcpSolution",
-    "MatrixClass",
-    "NaiveSearchResult",
-    "NotCovered",
-    "NotKMatrix",
-    "NotSingular",
-    "NotSymmetricPD",
-    "NullCertificate",
-    "P0PrimeOutcome",
-    "PayoffOutcome",
-    "ScenarioTree",
-    "SingularSubmatrix",
-    "SquareMatrix",
-    "StoppingProfile",
-    "StrategyProfile",
-    "TerminalNode",
-    "TreeNode",
-    "ValueProcess",
-    "WeightSingular",
-    "ZeroPivot",
-    "backward_induction",
-    "canonical_equilibrium",
-    "classify",
-    "coalition_value",
-    "coalition_value_tree",
-    "conditional_expectation",
-    "d_inner_product",
-    "d_matrix",
-    "dhat_det",
-    "dhat_matrix",
-    "dummy_extension",
-    "enumerate_nash",
-    "enumerate_stopping_times",
-    "equilibrium_report",
-    "evaluate_profile",
-    "exercise_weight",
-    "gen_k_matrix",
-    "gen_p_matrix",
-    "grg_game",
-    "grg_payoff",
-    "is_optimal_equilibrium",
-    "naive_equilibrium_search",
-    "naive_evaluate_profile",
-    "payoff",
-    "positive_left_null",
-    "principal_minor",
-    "project_quadratic",
-    "projection_sol",
-    "schur_reduce",
-    "sol",
-    "solvability_p0prime",
-    "solve_chandrasekaran",
-    "solve_enum",
-    "solve_game",
-    "solve_lemke",
-    "solve_reflected_bsde",
-    "stopping_time_count",
-    "validate",
-    "value",
-    "verify_bsde_solution",
-    "verify_optimal_equilibrium",
-    "verify_projection_characterization",
-    "wuc_check",
-]
+_MODULES = (bsde, errors, lcp, matrices, multi_period, redistribution, single_period, tree)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .matrices import _STACK_ENTRIES, DEFAULT_TOL, SquareMatrix, scaled_tol
+from .matrices import DEFAULT_TOL, SquareMatrix, _stack_width, scaled_tol
 from .tree import AdaptedProcess, ScenarioTree, TreeNode
 
 __all__ = [
@@ -64,13 +64,13 @@ def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSo
     """Backward sweep, latest date first, solving each date's complementarity
     problems together; then a forward sweep accumulating K and J."""
     classes = tree.require_valid(tol)
-    layout, nodes, m = tree._layout, tree.nodes, tree.m
+    layout, nodes = tree._layout, tree.nodes
     for i in layout.inner:
         if not classes[nodes[i].id].is_K:
             raise NotKMatrix(f"matrix at node {nodes[i].id!r} is singular or not a K-matrix")
     X, parent, child = layout.X, layout.parent, layout.child
     Z, dK, GdK = X.copy(), np.zeros_like(X), np.zeros_like(X)
-    width = max(1, _STACK_ENTRIES // (m * m))
+    width = _stack_width(tree.m)
     for edges, rows in reversed(layout.dates):
         expected = layout.child_sum(Z, edges)
         for start in range(0, len(rows), width):

@@ -370,33 +370,27 @@ def _cmd_gen(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 _HANDLERS = {
-    "classify": _cmd_classify,
-    "solve": _cmd_solve,
-    "equilibria": _cmd_equilibria,
-    "wuc": _cmd_wuc,
-    "coalition": _cmd_coalition,
-    "dummy": _cmd_dummy,
-    "grg": _cmd_grg,
-    "tree-solve": _cmd_tree_solve,
-    "tree-verify": _cmd_tree_verify,
-    "naive-counterexample": _cmd_naive_counterexample,
-    "bsde": _cmd_bsde,
-    "gen": _cmd_gen,
-}
-
-_HELP = {
-    "classify": "matrix class membership report",
-    "solve": "unique equilibrium payoff of a game, or a complementarity solution",
-    "equilibria": "brute-force Nash, optimality, value, and competitiveness report",
-    "wuc": "weak unilateral competitiveness check",
-    "coalition": "guaranteed total payoff of a coalition (needs --coalition)",
-    "dummy": "zero-sum extension with a balancing non-acting player",
-    "grg": "proportional-redistribution game report",
-    "tree-solve": "backward induction on a scenario tree",
-    "tree-verify": "tree validation plus equilibrium verification",
-    "naive-counterexample": "exhaustive search under the terminal-anchored payoff",
-    "bsde": "reflected backward equation on a scenario tree",
-    "gen": "seeded random instance from a recipe (kinds: k-matrix, p-matrix, p-game, k-game, k-tree)",
+    "classify": (_cmd_classify, "matrix class membership report"),
+    "solve": (_cmd_solve, "unique equilibrium payoff of a game, or a complementarity solution"),
+    "equilibria": (
+        _cmd_equilibria,
+        "brute-force Nash, optimality, value, and competitiveness report",
+    ),
+    "wuc": (_cmd_wuc, "weak unilateral competitiveness check"),
+    "coalition": (_cmd_coalition, "guaranteed total payoff of a coalition (needs --coalition)"),
+    "dummy": (_cmd_dummy, "zero-sum extension with a balancing non-acting player"),
+    "grg": (_cmd_grg, "proportional-redistribution game report"),
+    "tree-solve": (_cmd_tree_solve, "backward induction on a scenario tree"),
+    "tree-verify": (_cmd_tree_verify, "tree validation plus equilibrium verification"),
+    "naive-counterexample": (
+        _cmd_naive_counterexample,
+        "exhaustive search under the terminal-anchored payoff",
+    ),
+    "bsde": (_cmd_bsde, "reflected backward equation on a scenario tree"),
+    "gen": (
+        _cmd_gen,
+        "seeded random instance from a recipe (kinds: k-matrix, p-matrix, p-game, k-game, k-tree)",
+    ),
 }
 
 
@@ -406,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exercise games with affine payoff redistribution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (handler, summary) in _HANDLERS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--input",
             help="inline JSON, a file path, or a builtin name "

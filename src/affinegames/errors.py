@@ -7,6 +7,8 @@ them to a single exit code. Malformed input is a different animal and is
 raised as InputFormatError by the JSON layer.
 """
 
+__all__ = ["DomainError", "DimensionTooLarge"]
+
 
 class DomainError(Exception):
     """A valid request the library declines: caps, class preconditions, etc."""

@@ -31,6 +31,10 @@ CLASSIFY_CAP players. The is_Z flag allows positive off-diagonal entries
 up to tol times the largest entry magnitude; such a matrix takes the
 sweep.
 
+One numpy call takes at most _stack_width(k) matrices of size k, so at most
+_STACK_ENTRIES entries: principal blocks here, a tree's distinct matrices, a
+date's complementarity problems in bsde.
+
 A SquareMatrix's entries are a read-only array, copied from the caller's
 when that one could be written to.
 """
@@ -141,21 +145,21 @@ def _as_array(M: Union[SquareMatrix, np.ndarray]) -> np.ndarray:
     return SquareMatrix.from_rows(M).entries
 
 
-# Entries in one (n, m, m) stack of matrices worked on together: stacks are
-# cut into slices of max(1, _STACK_ENTRIES // m^2) matrices, so memory does
-# not grow with the number of matrices.
+# At most this many entries in one stack of matrices worked on together, so
+# memory does not grow with the number of matrices.
 _STACK_ENTRIES = 1 << 16
 
-# A 2^m walk stacks at most this many principal blocks at a time, which bounds
-# its memory: at k = 17 one slice of blocks is 2.4 MB.
-_BLOCK_ROWS = 1024
+
+def _stack_width(k: int) -> int:
+    """How many k-by-k matrices one stacked call may hold."""
+    return max(1, _STACK_ENTRIES // max(1, k * k))
 
 
 def _principal_blocks(a: np.ndarray, k: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The k-subsets S of range(m) in lexicographic order, with their blocks
-    a[S, S]: (n, k) and (n, k, k) arrays of at most _BLOCK_ROWS rows each."""
+    a[S, S]: (n, k) and (n, k, k) arrays of at most _stack_width(k) rows each."""
     subsets = combinations(range(a.shape[0]), k)
-    while chunk := list(islice(subsets, _BLOCK_ROWS)):
+    while chunk := list(islice(subsets, _stack_width(k))):
         S = np.array(chunk, dtype=np.intp)
         yield S, a[S[:, :, None], S[:, None, :]]
 

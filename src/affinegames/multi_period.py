@@ -310,6 +310,16 @@ def _check_budget(tree: ScenarioTree) -> None:
                 )
 
 
+def _tree_normal_form(
+    tree: ScenarioTree, anchor: Dict[str, np.ndarray], tol: float
+) -> Tuple[np.ndarray, float]:
+    """The joint table against anchor, refused over ENUMERATION_BUDGET, and
+    the tolerance every verdict on it uses, scaled_tol(tol, table)."""
+    _check_budget(tree)
+    table = _joint_table(tree, anchor, tol)
+    return table, scaled_tol(tol, table)
+
+
 def _first_stops(tree: ScenarioTree, stops: FrozenSet[str]) -> FrozenSet[str]:
     """The non-leaf nodes where a stop set fires; they alone decide payoffs."""
     walk, first = [tree.root], set()
@@ -347,14 +357,13 @@ def _verify_optimal(
 ) -> bool:
     """verify_optimal_equilibrium on a tree validated at tol, given its matrix
     classes; without a profile, of the canonical profile tau_star."""
-    _check_budget(tree)
     values = _value_process(tree, classes, tol)
     if profile is None:
         profile = values.tau_star
-    table = _joint_table(tree, values.U.values, tol)
+    table, tau = _tree_normal_form(tree, values.U.values, tol)
     position = {c: k for k, c in enumerate(enumerate_stopping_times(tree))}
     at = tuple(position[_first_stops(tree, s)] for s in profile.stops)
-    return bool(optimal_mask(table, scaled_tol(tol, table))[at])
+    return bool(optimal_mask(table, tau)[at])
 
 
 def coalition_value_tree(
@@ -376,10 +385,8 @@ def coalition_value_tree(
         if n.id in classes and not classes[n.id].column_sums_nonneg:
             label = n.id if n.G is not None else "<shared>"
             raise HypothesisViolated(f"matrix at {label!r} has a negative column sum")
-    _check_budget(tree)
     values = _value_process(tree, classes, tol)
-    table = _joint_table(tree, values.U.values, tol)
-    tau = scaled_tol(tol, table)
+    table, tau = _tree_normal_form(tree, values.U.values, tol)
     value = group_value(table, members, tau)
     if value is None:
         return None
@@ -411,10 +418,8 @@ def naive_equilibrium_search(
     with two distinct equilibrium payoffs and no surviving profile.
     """
     tree.require_valid(tol)
-    _check_budget(tree)
-    table = _joint_table(tree, _terminal_anchor(tree), tol)
+    table, tau = _tree_normal_form(tree, _terminal_anchor(tree), tol)
     choices = enumerate_stopping_times(tree)
-    tau = scaled_tol(tol, table)
     nash_at = nash_mask(table, tau)
     optimal_at = nash_at & floor_mask(table, tau)
 

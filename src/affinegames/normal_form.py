@@ -4,8 +4,11 @@ A payoff table has shape (|S_1|, ..., |S_m|, m): axis i indexes player
 i's strategies and the last axis holds the payoff vector of the profile.
 One-shot games index each player's exercise bit (size 1 for a player who
 cannot exercise); tree games index each player's first-stop antichains.
-Callers build the table once and pass tau = scaled_tol(tol, table) to the
-one value rule group_value and the one same-payoff rule distinct_payoffs.
+Each game kind builds its table in one helper, single_period._normal_form
+or multi_period._tree_normal_form, which refuses a table past its size
+bound and returns it with tau = scaled_tol(tol, table); every verdict,
+including the one value rule group_value and the one same-payoff rule
+distinct_payoffs, judges the table at that tau.
 Every test compares payoffs exactly as a loop over profiles would, so results
 do not depend on reduction order; nothing here solves the game.
 """

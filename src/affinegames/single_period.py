@@ -240,17 +240,20 @@ def _profiles_where(mask: np.ndarray) -> List[StrategyProfile]:
     return [StrategyProfile(tuple(np.where(stay, 1, idx))) for idx in np.argwhere(mask)]
 
 
-def _check_cap(spec: GameSpec, cap: int, what: str) -> None:
+def _normal_form(spec: GameSpec, cap: int, what: str, tol: float) -> Tuple[np.ndarray, float]:
+    """The payoff table and the tolerance every verdict on it uses,
+    scaled_tol(tol, table); what names the check refused above cap
+    exercisable players."""
     free = len(spec.exercisable)
     if free > cap:
         raise DimensionTooLarge(f"{what} enumerates 2^{free} profiles; cap is {cap}")
+    table = _payoff_table(spec, tol)
+    return table, scaled_tol(tol, table)
 
 
 def enumerate_nash(spec: GameSpec, tol: float = DEFAULT_TOL) -> List[StrategyProfile]:
     """All pure Nash profiles, in lexicographic order of the exercise vector."""
-    _check_cap(spec, ENUM_CAP, "Nash enumeration")
-    table = _payoff_table(spec, tol)
-    return _profiles_where(nash_mask(table, scaled_tol(tol, table)))
+    return _profiles_where(nash_mask(*_normal_form(spec, ENUM_CAP, "Nash enumeration", tol)))
 
 
 @dataclass(frozen=True)
@@ -322,9 +325,7 @@ def is_optimal_equilibrium(
     """Nash, and each player's payoff is a floor against arbitrary opponents."""
     profile = _checked_profile(spec, s)
     idx = tuple(0 if i in spec.non_exercising else b for i, b in enumerate(profile.s))
-    _check_cap(spec, ENUM_CAP, "optimality check")
-    table = _payoff_table(spec, tol)
-    return bool(optimal_mask(table, scaled_tol(tol, table))[idx])
+    return bool(optimal_mask(*_normal_form(spec, ENUM_CAP, "optimality check", tol))[idx])
 
 
 def wuc_check(spec: GameSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -334,9 +335,7 @@ def wuc_check(spec: GameSpec, tol: float = DEFAULT_TOL) -> bool:
     gain any other player, and unilateral indifference must leave every
     payoff unchanged.
     """
-    _check_cap(spec, BRUTE_FORCE_CAP, "competitiveness check")
-    table = _payoff_table(spec, tol)
-    return wuc_holds(table, scaled_tol(tol, table))
+    return wuc_holds(*_normal_form(spec, BRUTE_FORCE_CAP, "competitiveness check", tol))
 
 
 def _value(table: np.ndarray, tau: float) -> Optional[np.ndarray]:
@@ -346,9 +345,7 @@ def _value(table: np.ndarray, tau: float) -> Optional[np.ndarray]:
 
 def value(spec: GameSpec, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
     """Per-player sup-inf payoffs, when they agree with the inf-sup side."""
-    _check_cap(spec, BRUTE_FORCE_CAP, "value computation")
-    table = _payoff_table(spec, tol)
-    return _value(table, scaled_tol(tol, table))
+    return _value(*_normal_form(spec, BRUTE_FORCE_CAP, "value computation", tol))
 
 
 def _coalition(A: Iterable[int], m: int) -> List[int]:
@@ -368,9 +365,8 @@ def coalition_value(
 ) -> Optional[float]:
     """Value of the summed payoff of coalition A against everyone else."""
     group = _coalition(A, spec.m)
-    _check_cap(spec, BRUTE_FORCE_CAP, "coalition value")
-    table = _payoff_table(spec, tol)
-    return group_value(table, group, scaled_tol(tol, table))
+    table, tau = _normal_form(spec, BRUTE_FORCE_CAP, "coalition value", tol)
+    return group_value(table, group, tau)
 
 
 def dummy_extension(spec: GameSpec, tol: float = DEFAULT_TOL) -> GameSpec:
@@ -413,9 +409,7 @@ def projection_sol(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
 def equilibrium_report(spec: GameSpec, tol: float = DEFAULT_TOL) -> EquilibriumReport:
     """Bundle enumeration, optimality, value, and competitiveness results;
     value and wuc are None above BRUTE_FORCE_CAP exercisable players."""
-    _check_cap(spec, ENUM_CAP, "Nash enumeration")
-    table = _payoff_table(spec, tol)
-    tau = scaled_tol(tol, table)
+    table, tau = _normal_form(spec, ENUM_CAP, "Nash enumeration", tol)
     nash_at = nash_mask(table, tau)
     payoffs = list(islice(distinct_payoffs(table, nash_at, tau), 2))
     small = len(spec.exercisable) <= BRUTE_FORCE_CAP

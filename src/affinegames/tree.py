@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import DomainError
 from .matrices import (
-    _STACK_ENTRIES,
     DEFAULT_TOL,
     MatrixClass,
     SquareMatrix,
     _classify_stack,
     _read_only,
+    _stack_width,
 )
 
 __all__ = [
@@ -96,8 +96,9 @@ class ScenarioTree:
     """Horizon T, player count m, nodes, and an optional shared matrix G.
 
     A per-node matrix overrides the shared one. Lookup tables and the
-    latest-date-first sweep order are built eagerly; semantic problems are
-    reported by validate, not raised here, so a malformed tree can still be inspected.
+    latest-date-first sweep order are built eagerly from the nodes alone and
+    are not compared; semantic problems are reported by validate, not raised
+    here, so a malformed tree can still be inspected.
     The verdicts and the array layout are kept; dataclasses.replace starts afresh.
     """
 
@@ -105,9 +106,9 @@ class ScenarioTree:
     m: int
     nodes: Tuple[TreeNode, ...]
     G: Optional[SquareMatrix] = None
-    _by_id: Dict[str, TreeNode] = field(repr=False, default_factory=dict)
-    _children: Dict[str, Tuple[TreeNode, ...]] = field(repr=False, default_factory=dict)
-    _children_first: Tuple[TreeNode, ...] = field(repr=False, default=())
+    _by_id: Dict[str, TreeNode] = field(init=False, compare=False, repr=False)
+    _children: Dict[str, Tuple[TreeNode, ...]] = field(init=False, compare=False, repr=False)
+    _children_first: Tuple[TreeNode, ...] = field(init=False, compare=False, repr=False)
     _verdicts: Dict[float, _Verdict] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -266,7 +267,7 @@ def _check(tree: ScenarioTree, tol: float) -> _Verdict:
     matrices.extend((n.id, n.G) for n in tree.nodes if n.G is not None)
     distinct = {M.entries.tobytes(): M.entries for _, M in matrices if M.m == tree.m}
     keys = list(distinct)
-    width = max(1, _STACK_ENTRIES // max(1, tree.m * tree.m))
+    width = _stack_width(tree.m)
     by_entries: Dict[bytes, MatrixClass] = {}
     for start in range(0, len(keys), width):
         part = keys[start : start + width]

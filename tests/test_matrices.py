@@ -1,17 +1,26 @@
 import dataclasses
 import time
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinegames import bsde, matrices
+from affinegames import tree as tree_module
+from affinegames.bsde import solve_reflected_bsde
+from affinegames.cli import gen_tree
 from affinegames.errors import DimensionTooLarge
 from affinegames.matrices import (
+    _STACK_ENTRIES,
     CLASSIFY_CAP,
     NotSingular,
     _classify_stack,
     _classify_sweep,
+    _principal_blocks,
+    _stack_width,
     SquareMatrix,
     ZeroPivot,
     classify,
@@ -229,6 +238,62 @@ class TestClassifyStack:
         classes = _classify_stack(stack, 1e-9)
         flags = [(c.is_K, c.is_K0prime) for c in classes]
         assert flags == [(False, True), (False, False), (True, True)]
+
+
+class TestStackWidth:
+    """One rule, _stack_width, sizes every stack of matrices in one call."""
+
+    def test_principal_blocks_stay_within_the_stack_bound(self):
+        # 17 players: at k = 9 a 1,024-row slice would hold 82,944 entries
+        m = 17
+        a = gen_p_matrix(0, m).entries
+        for k in range(m + 1):
+            sets = []
+            for S, blocks in _principal_blocks(a, k):
+                assert blocks.shape == (len(S), k, k)
+                assert blocks.size <= _STACK_ENTRIES and len(S) <= _stack_width(k)
+                sets.append(S)
+            every = np.concatenate(sets)
+            assert len(every) == comb(m, k)
+            assert every.tolist() == [list(c) for c in combinations(range(m), k)]
+
+    def test_tree_and_bsde_slice_by_the_same_rule(self, monkeypatch):
+        # seven distinct matrices on a binary tree of depth 3, four problems
+        # at its last non-terminal date; a bound of 8 entries allows two 2x2
+        # matrices a call
+        base = gen_tree(0, 2, T=3, branching=2)
+        nodes = tuple(
+            n if base.is_leaf(n) else dataclasses.replace(n, G=gen_k_matrix(i, 2))
+            for i, n in enumerate(base.nodes)
+        )
+
+        def fresh():
+            return tree_module.ScenarioTree(T=base.T, m=base.m, nodes=nodes)
+
+        expected = solve_reflected_bsde(fresh())
+        classes = dict(fresh().require_valid())
+        sizes = []
+        real_stack, real_howard = tree_module._classify_stack, bsde._howard
+
+        def classify_stack(stack, tol):
+            sizes.append(("classify", len(stack)))
+            return real_stack(stack, tol)
+
+        def howard(q, G, tol, part):
+            sizes.append(("howard", len(G)))
+            return real_howard(q, G, tol, part)
+
+        monkeypatch.setattr(matrices, "_STACK_ENTRIES", 8)
+        monkeypatch.setattr(tree_module, "_classify_stack", classify_stack)
+        monkeypatch.setattr(bsde, "_howard", howard)
+        tree = fresh()
+        assert dict(tree.require_valid()) == classes
+        got = solve_reflected_bsde(tree)
+        assert sizes == (
+            [("classify", 2)] * 3 + [("classify", 1)] + [("howard", 2)] * 3 + [("howard", 1)]
+        )
+        for a, b in ((got.Z, expected.Z), (got.K, expected.K), (got.J, expected.J)):
+            assert all(a[n.id].tobytes() == b[n.id].tobytes() for n in nodes)
 
 
 @pytest.mark.parametrize("scale", [1e-30, 1e30])

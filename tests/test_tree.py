@@ -87,6 +87,24 @@ class TestNavigation:
         assert tree.effective_G("n0") is None
 
 
+class TestDerivedIndexes:
+    """The lookup tables and sweep order come from the nodes alone."""
+
+    @pytest.mark.parametrize("name", ["_by_id", "_children", "_children_first"])
+    def test_not_a_constructor_argument(self, name):
+        tree = two_level_tree()
+        with pytest.raises(TypeError, match=name):
+            ScenarioTree(T=tree.T, m=tree.m, nodes=tree.nodes, **{name: getattr(tree, name)})
+
+    def test_replace_rebuilds_them(self):
+        tree = two_level_tree()
+        shorter = dataclasses.replace(tree, T=1, nodes=tree.nodes[:3])
+        assert list(shorter._by_id) == ["a", "b", "c"]
+        assert [c.id for c in shorter.children("a")] == ["b", "c"]
+        assert shorter.is_leaf("b") and not tree.is_leaf("b")
+        assert [n.id for n in shorter._children_first] == ["b", "c", "a"]
+
+
 class TestValidate:
     def test_well_formed(self):
         assert validate(two_level_tree(m=2, G=K2)) == []
