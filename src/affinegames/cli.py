@@ -40,7 +40,7 @@ from .jsonio import (
 )
 from .lcp import LcpProblem, solve_enum, solve_lemke
 from .matrices import DEFAULT_TOL, classify, gen_k_matrix, gen_p_matrix
-from .multi_period import _verify_optimal, backward_induction, naive_equilibrium_search
+from .multi_period import backward_induction, naive_equilibrium_search, verify_optimal_equilibrium
 from .redistribution import dhat_det, grg_game
 from .single_period import (
     GameSolution,
@@ -284,8 +284,7 @@ def _cmd_tree_verify(args: argparse.Namespace) -> Dict[str, Any]:
     violations = validate(tree, args.tolerance)
     result = dict(valid=not violations, violations=violations, optimal_equilibrium=None)
     if not violations:
-        classes = tree.require_valid(args.tolerance)
-        result["optimal_equilibrium"] = _verify_optimal(tree, classes, args.tolerance)
+        result["optimal_equilibrium"] = verify_optimal_equilibrium(tree, tol=args.tolerance)
     return {"input": tree_json(tree), "result": result}
 
 

@@ -16,7 +16,8 @@ stopping times, represented as the antichain of first-stop nodes: one
 payoff table over every joint profile, checked by the normal-form engine.
 That table is built bottom-up from each node's one-shot game, whose
 single-period payoff table covers every exercising set at once; a single
-profile's walk instead evaluates one exercising set per stop node.
+profile's walk instead evaluates one exercising set per stop node. A
+profile is located in the table by its index, not by a listing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def backward_induction(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> ValuePro
 
 
 def _value_process(
-    tree: ScenarioTree, classes: Dict[str, MatrixClass], tol: float
+    tree: ScenarioTree, classes: Mapping[str, MatrixClass], tol: float
 ) -> ValueProcess:
     """backward_induction on a tree validated at tol, given its matrix classes."""
     U: Dict[str, np.ndarray] = {}
@@ -311,31 +312,38 @@ def _check_budget(tree: ScenarioTree) -> None:
 
 
 def _tree_normal_form(
-    tree: ScenarioTree, anchor: Dict[str, np.ndarray], tol: float
-) -> Tuple[np.ndarray, float]:
-    """The joint table against anchor, refused over ENUMERATION_BUDGET, and
-    the tolerance every verdict on it uses, scaled_tol(tol, table)."""
+    tree: ScenarioTree, classes: Optional[Mapping[str, MatrixClass]], tol: float
+) -> Tuple[np.ndarray, float, Optional[ValueProcess]]:
+    """The verifiers' one prologue: refuse a tree over ENUMERATION_BUDGET before
+    any other work; then the joint table against the value process (given the
+    matrix classes) or the naive rule's terminal anchor (given None), its
+    verdict tolerance scaled_tol(tol, table), and the value process or None."""
     _check_budget(tree)
+    values = None if classes is None else _value_process(tree, classes, tol)
+    anchor = _terminal_anchor(tree) if values is None else values.U.values
     table = _joint_table(tree, anchor, tol)
-    return table, scaled_tol(tol, table)
+    return table, scaled_tol(tol, table), values
 
 
-def _first_stops(tree: ScenarioTree, stops: FrozenSet[str]) -> FrozenSet[str]:
-    """The non-leaf nodes where a stop set fires; they alone decide payoffs."""
-    walk, first = [tree.root], set()
-    while walk:
-        n = walk.pop()
-        kids = tree.children(n)
-        if kids and n.id in stops:
-            first.add(n.id)
-        else:
-            walk.extend(kids)
-    return frozenset(first)
+def _profile_index(tree: ScenarioTree, profile: StoppingProfile) -> Tuple[int, ...]:
+    """A profile's cell in the joint table, in enumerate_stopping_times order.
+    Per player, children first: 0 at a non-leaf node the player stops at, else
+    1 plus the children's indices as one C-order index over their counts."""
+    done: Dict[str, Tuple[int, List[int]]] = {}
+    for n in tree._children_first:
+        count, index = 1, [0] * tree.m
+        for k, sub in _from_children(tree, n, done):
+            count, index = count * k, [i * k + j for i, j in zip(index, sub)]
+        if tree.children(n):
+            stops = (n.id in s for s in profile.stops)
+            count, index = 1 + count, [0 if s else 1 + i for s, i in zip(stops, index)]
+        done[n.id] = count, index
+    return tuple(done[tree.root.id][1])
 
 
 def verify_optimal_equilibrium(
     tree: ScenarioTree,
-    profile: StoppingProfile,
+    profile: Optional[StoppingProfile] = None,
     tol: float = DEFAULT_TOL,
 ) -> bool:
     """Exhaustive check that no player can gain and none can be pushed down.
@@ -343,26 +351,13 @@ def verify_optimal_equilibrium(
     Against the others' profile entries, each player's own deviations
     must not beat the profile payoff; against arbitrary joint adversary
     stopping times, keeping the profile entry must not fall below it.
+    Without a profile, the canonical profile tau_star is checked.
     """
     classes = tree.require_valid(tol)
-    _check_profile(tree, profile)
-    return _verify_optimal(tree, classes, tol, profile)
-
-
-def _verify_optimal(
-    tree: ScenarioTree,
-    classes: Dict[str, MatrixClass],
-    tol: float,
-    profile: Optional[StoppingProfile] = None,
-) -> bool:
-    """verify_optimal_equilibrium on a tree validated at tol, given its matrix
-    classes; without a profile, of the canonical profile tau_star."""
-    values = _value_process(tree, classes, tol)
-    if profile is None:
-        profile = values.tau_star
-    table, tau = _tree_normal_form(tree, values.U.values, tol)
-    position = {c: k for k, c in enumerate(enumerate_stopping_times(tree))}
-    at = tuple(position[_first_stops(tree, s)] for s in profile.stops)
+    if profile is not None:
+        _check_profile(tree, profile)
+    table, tau, values = _tree_normal_form(tree, classes, tol)
+    at = _profile_index(tree, values.tau_star if profile is None else profile)
     return bool(optimal_mask(table, tau)[at])
 
 
@@ -385,8 +380,7 @@ def coalition_value_tree(
         if n.id in classes and not classes[n.id].column_sums_nonneg:
             label = n.id if n.G is not None else "<shared>"
             raise HypothesisViolated(f"matrix at {label!r} has a negative column sum")
-    values = _value_process(tree, classes, tol)
-    table, tau = _tree_normal_form(tree, values.U.values, tol)
+    table, tau, values = _tree_normal_form(tree, classes, tol)
     value = group_value(table, members, tau)
     if value is None:
         return None
@@ -418,7 +412,7 @@ def naive_equilibrium_search(
     with two distinct equilibrium payoffs and no surviving profile.
     """
     tree.require_valid(tol)
-    table, tau = _tree_normal_form(tree, _terminal_anchor(tree), tol)
+    table, tau, _ = _tree_normal_form(tree, None, tol)
     choices = enumerate_stopping_times(tree)
     nash_at = nash_mask(table, tau)
     optimal_at = nash_at & floor_mask(table, tau)

@@ -26,7 +26,7 @@ under which the payoff map becomes an orthogonal projection.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
@@ -132,6 +132,17 @@ def exercise_weight(
     return float(a[k]) / rest
 
 
+def _payoff_vectors(
+    X: Iterable[float], P: Iterable[float], a: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """X and P as float vectors, refused unless they match the weights in length."""
+    Xv = np.asarray(list(X), dtype=float)
+    Pv = np.asarray(list(P), dtype=float)
+    if Xv.shape != a.shape or Pv.shape != a.shape:
+        raise ValueError("X and P must match alpha in length")
+    return Xv, Pv
+
+
 def grg_payoff(
     X: Iterable[float],
     P: Iterable[float],
@@ -145,21 +156,19 @@ def grg_payoff(
     the total exercised surplus sum_{i in E}(X_i - P_i) relative to P.
     """
     a = check_alpha(alpha, tol)
-    Xv = np.asarray(list(X), dtype=float)
-    Pv = np.asarray(list(P), dtype=float)
-    if Xv.shape != a.shape or Pv.shape != a.shape:
-        raise ValueError("X and P must match alpha in length")
+    Xv, Pv = _payoff_vectors(X, P, a)
     profile = s if isinstance(s, StrategyProfile) else StrategyProfile(tuple(s))
     if len(profile.s) != a.size:
         raise ValueError("profile length must match alpha")
     E = list(profile.exercising)
-    V = Pv.copy()
-    if not E:
-        return V
-    surplus = float(np.sum((Xv - Pv)[E]))
     others = [k for k in range(a.size) if k not in E]
-    for k in others:
-        V[k] = Pv[k] - exercise_weight(a, E, k, tol) * surplus
+    V = Pv.copy()
+    if E and others:
+        rest = 1.0 - float(np.sum(a[E]))
+        if rest <= tol:
+            raise WeightSingular(f"exercise set {E} absorbs the full weight mass")
+        surplus = float(np.sum((Xv - Pv)[E]))
+        V[others] = Pv[others] - a[others] / rest * surplus
     V[E] = Xv[E]
     return V
 
@@ -172,8 +181,5 @@ def grg_game(
 ) -> GameSpec:
     """The same game expressed through its matrix, for the generic solvers."""
     a = check_alpha(alpha, tol)
-    Xv = np.asarray(list(X), dtype=float)
-    Pv = np.asarray(list(P), dtype=float)
-    if Xv.shape != a.shape or Pv.shape != a.shape:
-        raise ValueError("X and P must match alpha in length")
+    Xv, Pv = _payoff_vectors(X, P, a)
     return GameSpec(X=Xv, P=Pv, G=dhat_matrix(a, tol))

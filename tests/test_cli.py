@@ -328,6 +328,12 @@ class TestGameReports:
         assert res["det_closed_form"] == pytest.approx(1.0 / 32.0)
         check_schema(report)
 
+    @pytest.mark.parametrize("instance", ["[0.25, 0.25]", '{"X": [1, 1], "P": [0, 0]}'])
+    def test_grg_needs_an_object_with_alpha(self, capsys, instance):
+        code, out, err = run(capsys, "grg", "--input", instance)
+        assert code == 2 and out == ""
+        assert err.startswith("malformed input: grg needs {'X', 'P', 'alpha'}")
+
     def test_grg_unsolvable(self, capsys):
         instance = '{"X": [1, 1], "P": [0, 0], "alpha": [0.5, 0.5]}'
         report, _ = run_json(capsys, "grg", "--input", instance)
@@ -516,6 +522,14 @@ class TestGen:
         assert report["result"]["matrix"]["m"] == 3
         check_schema(report)
 
+    def test_p_matrix_recipe(self, capsys):
+        report, _ = run_json(
+            capsys, "gen", "--input", '{"kind": "p-matrix", "m": 3}', "--seed", "7"
+        )
+        made = json.loads(dump_json(matrix_json(gen_p_matrix(7, 3))))
+        assert report["result"]["matrix"] == made
+        check_schema(report)
+
     def test_game_recipe(self, capsys):
         report, _ = run_json(
             capsys, "gen", "--input", '{"kind": "p-game", "m": 4}', "--seed", "3"
@@ -562,6 +576,7 @@ class TestGen:
             '{"kind": "k-matrix"}',
             '{"kind": "k-matrix", "m": 0}',
             '{"kind": "k-tree", "m": 2, "T": -1}',
+            '{"kind": "k-tree", "m": 2, "branching": 0}',
             '{"m": 2}',
         ],
     )

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from affinegames.multi_period import (
     EnumerationTooLarge,
     _check_budget,
     _joint_table,
+    _profile_index,
     _terminal_anchor,
     HypothesisViolated,
     StoppingProfile,
@@ -315,12 +317,72 @@ class TestStoppingTimeEnumeration:
             verify_optimal_equilibrium(wide_tree(), never(3))
 
 
+def first_stops(tree, stops):
+    """The non-leaf nodes where a stop set fires, as enumerate_stopping_times
+    lists the stopping time: no leaf, nothing below a first hit."""
+    walk, first = [tree.root], set()
+    while walk:
+        n = walk.pop()
+        if tree.children(n) and n.id in stops:
+            first.add(n.id)
+        else:
+            walk.extend(tree.children(n))
+    return frozenset(first)
+
+
+class TestProfileIndex:
+    def test_matches_the_enumeration_order(self):
+        rng = np.random.default_rng(19)
+        checked = 0
+        for m, T, b in itertools.product((1, 2, 3), range(5), (1, 2, 3)):
+            tree = gen_tree(100 * m + 10 * T + b, m, T=T, branching=b)
+            if stopping_time_count(tree) > 1000:
+                continue
+            position = {c: k for k, c in enumerate(enumerate_stopping_times(tree))}
+            ids = [n.id for n in tree.nodes]
+            for _ in range(20):
+                # any subset of the nodes: leaves and nodes below a first hit
+                # included, which never fire
+                stops = tuple(
+                    frozenset(i for i in ids if rng.random() < rng.random())
+                    for _ in range(m)
+                )
+                want = tuple(position[first_stops(tree, s)] for s in stops)
+                assert _profile_index(tree, StoppingProfile(stops)) == want, (m, T, b)
+            for choice in position:
+                assert _profile_index(tree, StoppingProfile((choice,) * m)) == (
+                    position[choice],
+                ) * m
+            checked += 1
+        assert checked >= 30
+
+    def test_one_player_tree_verifies_in_bounded_memory(self):
+        # 458,330 stopping times: the profile is located without listing them
+        tree = gen_tree(0, 1, T=5)
+        assert stopping_time_count(tree) == 458330
+        tau_star = backward_induction(tree).tau_star
+        tracemalloc.start()
+        try:
+            assert verify_optimal_equilibrium(tree, tau_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+
 class TestVerifyOptimalEquilibrium:
     def test_canonical_profile_passes(self):
         for seed in range(4):
             tree = gen_tree(seed, 2, T=2)
             vp = backward_induction(tree)
             assert verify_optimal_equilibrium(tree, vp.tau_star)
+            assert verify_optimal_equilibrium(tree)
+
+    def test_default_profile_is_tau_star(self):
+        tree = chain([1.0, 3.0, 2.0], K1)
+        early = StoppingProfile((frozenset({"n0"}),))
+        assert backward_induction(tree).tau_star != early
+        assert verify_optimal_equilibrium(tree) and not verify_optimal_equilibrium(tree, early)
 
     def test_premature_stop_fails(self):
         tree = chain([1.0, 3.0, 2.0], K1)
@@ -538,6 +600,14 @@ def long_chain(m, length):
     return chain(xs, G)
 
 
+def _solving(monkeypatch):
+    """The calls that solve or tabulate a tree: each records its tree."""
+    return [
+        _counted(monkeypatch, "affinegames.multi_period", attr)
+        for attr in ("_value_process", "_joint_table", "_terminal_anchor")
+    ]
+
+
 class TestDeepTrees:
     def test_two_player_chain_exceeds_budget_cleanly(self, capsys, tmp_path, monkeypatch):
         solved = []
@@ -545,12 +615,41 @@ class TestDeepTrees:
             monkeypatch.setattr(
                 f"{module}.backward_induction", lambda tree, tol: solved.append(tree)
             )
+        work = _solving(monkeypatch)
         path = tmp_path / "chain.json"
         path.write_text(dump_json(tree_json(long_chain(2, 1201))), encoding="utf-8")
         assert main(["tree-verify", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "exceed budget" in err
         assert solved == []
+        assert [len(calls) for calls in work] == [0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "tree-verify",
+            "verify_optimal_equilibrium",
+            "coalition_value_tree",
+            "naive_equilibrium_search",
+        ],
+    )
+    def test_refusal_comes_before_any_solve(self, capsys, tmp_path, monkeypatch, name):
+        tree = wide_tree()
+        work = _solving(monkeypatch)
+        if name == "tree-verify":
+            path = tmp_path / "wide.json"
+            path.write_text(dump_json(tree_json(tree)), encoding="utf-8")
+            assert main(["tree-verify", "--input", str(path)]) == 1
+            assert "exceed budget" in capsys.readouterr().err
+        else:
+            call = {
+                "verify_optimal_equilibrium": lambda: verify_optimal_equilibrium(tree, never(3)),
+                "coalition_value_tree": lambda: coalition_value_tree(tree, [0]),
+                "naive_equilibrium_search": lambda: naive_equilibrium_search(tree),
+            }[name]
+            with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
+                call()
+        assert [len(calls) for calls in work] == [0, 0, 0]
 
     def test_one_player_chain_verifies(self):
         tree = long_chain(1, 1201)

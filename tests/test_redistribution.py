@@ -143,6 +143,39 @@ class TestGrgPayoff:
                 generic = payoff(spec, s).V
                 assert closed == pytest.approx(generic, abs=1e-10), (seed, s)
 
+    def test_matches_per_player_weights_bit_for_bit(self):
+        # each staying player's share, w_k(E) times the surplus, one at a time
+        rng = np.random.default_rng(31)
+        for seed in range(40):
+            m = 1 + seed % 6
+            alpha = random_alpha(seed, m, (0.3, 0.9, 1.0)[seed % 3])
+            X = rng.uniform(-5.0, 5.0, m)
+            P = rng.uniform(-5.0, 5.0, m)
+            for s in itertools.product((0, 1), repeat=m):
+                E = [i for i in range(m) if s[i] == 0]
+                want = P.copy()
+                surplus = float(np.sum((X - P)[E]))
+                for k in range(m):
+                    if s[k] == 0:
+                        want[k] = X[k]
+                    elif E:
+                        want[k] = P[k] - exercise_weight(alpha, E, k) * surplus
+                got = grg_payoff(X, P, alpha, s)
+                assert got.tobytes() == want.tobytes(), (seed, s)
+
+    def test_full_weight_mass_refused_only_when_someone_stays(self):
+        alpha = [1.0 - 5e-10, 1.2e-9]
+        with pytest.raises(WeightSingular, match=r"exercise set \[0\] absorbs the full"):
+            grg_payoff([1.0, 2.0], [0.0, 0.0], alpha, (0, 1))
+        assert grg_payoff([1.0, 2.0], [0.0, 0.0], alpha, (0, 0)).tolist() == [1.0, 2.0]
+
+    def test_payoff_lengths_must_match_alpha(self):
+        for X, P in (([1.0], [0.0, 0.0]), ([1.0, 0.0], [0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="X and P must match alpha in length"):
+                grg_payoff(X, P, ALPHA_HAND, (0, 1))
+            with pytest.raises(ValueError, match="X and P must match alpha in length"):
+                grg_game(X, P, ALPHA_HAND)
+
     def test_full_mass_alpha_still_evaluates(self):
         # sum(alpha) = 1 keeps every proper exercise set well defined
         got = grg_payoff([1.0, 1.0], [0.0, 0.0], [0.5, 0.5], (0, 1))

@@ -125,6 +125,13 @@ class TestValidate:
         assert any("exactly one root" in p for p in validate(no_root))
         late_root = ScenarioTree(T=1, m=1, nodes=(node("n0", 1, None, 1.0, [0.0]),))
         assert any("has time 1" in p for p in validate(late_root))
+        two_roots = ScenarioTree(
+            T=0, m=1, nodes=(node("a", 0, None, 1.0, [0.0]), node("b", 0, None, 1.0, [0.0]))
+        )
+        assert any("found 2" in p for p in validate(two_roots))
+        for tree, count in ((no_root, 0), (two_roots, 2)):
+            with pytest.raises(ValueError, match=f"^tree has {count} roots$"):
+                tree.root
 
     def test_unknown_parent_and_bad_step(self):
         nodes = (
@@ -161,6 +168,9 @@ class TestValidate:
         )
         problems = validate(ScenarioTree(T=2, m=1, nodes=nodes))
         assert any("expected horizon 2" in p for p in problems)
+        past = nodes + (node("n2", 2, "n1", 1.0, [0.0]),)
+        problems = validate(ScenarioTree(T=1, m=1, nodes=past))
+        assert "node 'n2' time 2 outside [0, 1]" in problems
 
     def test_single_node_tree_is_valid(self):
         assert validate(chain_tree([0.0])) == []
