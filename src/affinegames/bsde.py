@@ -86,7 +86,7 @@ def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSo
         up, down = parent[edges], child[edges]
         K[down] = K[up] + dK[up]
         J[down] = J[up] + GdK[up]
-    Z, K, J = (AdaptedProcess({n.id: a[i] for i, n in enumerate(nodes)}) for a in (Z, K, J))
+    Z, K, J = (layout.process(a) for a in (Z, K, J))
     return BsdeSolution(Z=Z, K=K, J=J, delta_K={nodes[i].id: dK[i] for i in layout.inner})
 
 
@@ -167,11 +167,8 @@ def verify_bsde_solution(
                 out.append(f"{name} at node {n.id!r} is not length {tree.m}")
     if out:
         return out
-    layout, nodes, m = tree._layout, tree.nodes, tree.m
-    Z, K, J = (
-        np.array([proc[n.id] for n in nodes], dtype=float).reshape(len(nodes), m)
-        for proc in (sol.Z, sol.K, sol.J)
-    )
+    layout, nodes = tree._layout, tree.nodes
+    Z, K, J = (layout.rows(proc) for proc in (sol.Z, sol.K, sol.J))
     X, parent, child = layout.X, layout.parent, layout.child
     tau = scaled_tol(tol, Z, X, K)
     root = [n.parent for n in nodes].index(None)

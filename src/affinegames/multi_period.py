@@ -17,7 +17,8 @@ payoff table over every joint profile, checked by the normal-form engine.
 That table is built bottom-up from each node's one-shot game, whose
 single-period payoff table covers every exercising set at once; a single
 profile's walk instead evaluates one exercising set per stop node. A
-profile is located in the table by its index, not by a listing.
+profile is located in the table by its index, and the naive search reads
+its Nash cells' indices back into stopping times, neither by a listing.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .single_period import (
     _solve_classified,
     payoff,
 )
-from .tree import AdaptedProcess, ScenarioTree, TreeNode, conditional_expectation
+from .tree import AdaptedProcess, ScenarioTree, TreeNode
 
 __all__ = [
     "StoppingProfile",
@@ -112,66 +113,56 @@ def backward_induction(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> ValuePro
 def _value_process(
     tree: ScenarioTree, classes: Mapping[str, MatrixClass], tol: float
 ) -> ValueProcess:
-    """backward_induction on a tree validated at tol, given its matrix classes."""
-    U: Dict[str, np.ndarray] = {}
+    """backward_induction on a tree validated at tol, given its matrix classes;
+    a date at a time, its stay-in payoffs one child sum."""
+    layout, U = tree._layout, tree._layout.X.copy()
     exercising: Dict[str, Tuple[int, ...]] = {}
-    for n in tree._children_first:
-        if tree.is_leaf(n):
-            U[n.id] = n.X.copy()
-            continue
-        solved = _solve_classified(_node_game(tree, U, n), classes[n.id], tol)
-        U[n.id], exercising[n.id] = solved.V_star, solved.equilibrium.exercising
+    for edges, rows in reversed(layout.dates):
+        stay = layout.child_sum(U, edges)
+        for i in rows.tolist():
+            n = tree.nodes[i]
+            game = GameSpec(X=n.X, P=stay[i], G=tree.effective_G(n))
+            solved = _solve_classified(game, classes[n.id], tol)
+            U[i], exercising[n.id] = solved.V_star, solved.equilibrium.exercising
     stops = (frozenset(k for k, e in exercising.items() if i in e) for i in range(tree.m))
-    return ValueProcess(U=AdaptedProcess(values=U), tau_star=StoppingProfile(tuple(stops)))
-
-
-def _node_game(
-    tree: ScenarioTree, anchor: Dict[str, np.ndarray], n: TreeNode
-) -> GameSpec:
-    """The one-shot game at a non-terminal node: its stay-in payoff is the
-    conditional expectation of the anchor process over the node's children."""
-    stay = conditional_expectation(tree, anchor, n)
-    return GameSpec(X=n.X, P=stay, G=tree.effective_G(n))
+    return ValueProcess(U=layout.process(U), tau_star=StoppingProfile(tuple(stops)))
 
 
 def _profile_value(
     tree: ScenarioTree,
-    anchor: Dict[str, np.ndarray],
+    anchor: np.ndarray,
     profile: StoppingProfile,
-    start: TreeNode,
+    node: Union[str, TreeNode, None],
     tol: float,
 ) -> np.ndarray:
-    """Pathwise payoff of one profile seen from start, against an anchor process.
+    """Pathwise payoff of one profile from node, the root if None, against an anchor.
 
-    anchor maps each node to the process whose conditional expectation plays
-    the stay-in payoff role when the game ends below the horizon: the
+    anchor holds, a row per node, the process whose child sum plays the
+    stay-in payoff role when the game ends below the horizon: the
     continuation values for the standard payoff, the terminal payoffs for the
-    naive variant. Each reached stop node costs one payoff() call; a full
-    table there would be exponential in the number of players.
+    naive variant. Only the nodes reached from node are evaluated, a date at
+    a time; each reached stop node costs one payoff() call, as a full table
+    there would be exponential in the number of players.
     """
-    walk, reached = [start], []
-    while walk:
-        n = walk.pop()
-        s = tuple(0 if n.id in stops else 1 for stops in profile.stops)
-        reached.append((n, s))
-        if 0 not in s:
-            walk.extend(tree.children(n))
-    vals: Dict[str, np.ndarray] = {}
-    for n, s in reversed(reached):
-        kids = tree.children(n)
-        if not kids:
-            vals[n.id] = n.X
-        elif 0 in s:
-            game = _node_game(tree, anchor, n)
-            vals[n.id] = payoff(game, StrategyProfile(s), tol=tol).V
-        else:
-            vals[n.id] = conditional_expectation(tree, vals, n)
-    return vals[start.id]
+    start = tree.root if node is None else tree.node(node)
+    layout, level, levels = tree._layout, [start], []
+    while level and level[0].t < tree.T:  # the leaves' rows hold X already
+        levels.append([(n, tuple(0 if n.id in s else 1 for s in profile.stops)) for n in level])
+        level = [c for n, s in levels[-1] if 0 not in s for c in tree.children(n)]
+    stay, vals = layout.child_sum(anchor), layout.X.copy()
+    for level in reversed(levels):
+        go_on = layout.child_sum(vals, layout.dates[level[0][0].t][0])
+        for n, s in level:
+            i = layout.row[n.id]
+            if 0 in s:
+                game = GameSpec(X=n.X, P=stay[i], G=tree.effective_G(n))
+                vals[i] = payoff(game, StrategyProfile(s), tol=tol).V
+            else:
+                vals[i] = go_on[i]
+    return vals[layout.row[start.id]].copy()
 
 
-def _joint_table(
-    tree: ScenarioTree, anchor: Dict[str, np.ndarray], tol: float
-) -> np.ndarray:
+def _joint_table(tree: ScenarioTree, anchor: np.ndarray, tol: float) -> np.ndarray:
     """Root payoffs of every joint profile of first-stop antichains.
 
     Axis i runs over player i's antichains in enumerate_stopping_times
@@ -180,10 +171,11 @@ def _joint_table(
     children's antichains. The node's one-shot payoff table, widened so
     that every index past 0 stays in, gives every block where someone
     stops; the no-stop block is the probability mix of the children's
-    tables, summed in the same order as conditional_expectation, which
-    _profile_value and _node_game use.
+    tables, summed by the one child-sum rule, which also gives every node's
+    stay-in payoff from the anchor rows.
     """
-    m = tree.m
+    m, layout = tree.m, tree._layout
+    stay = layout.child_sum(anchor)
     tables: Dict[str, np.ndarray] = {}
     for n in tree._children_first:
         kids = tree.children(n)
@@ -198,18 +190,19 @@ def _joint_table(
             mix = mix + c.p * sub.reshape(tuple(axes) * m + (m,))
         rest = math.prod(sub.shape[0] for sub in subs)
         pick = np.minimum(np.arange(1 + rest), 1)  # 0 exercises, the rest stay
-        table = _payoff_table(_node_game(tree, anchor, n), tol)[np.ix_(*[pick] * m)]
+        game = GameSpec(X=n.X, P=stay[layout.row[n.id]], G=tree.effective_G(n))
+        table = _payoff_table(game, tol)[np.ix_(*[pick] * m)]
         table[(slice(1, None),) * m] = mix.reshape((rest,) * m + (m,))
         tables[n.id] = table
     return tables[tree.root.id]
 
 
-def _terminal_anchor(tree: ScenarioTree) -> Dict[str, np.ndarray]:
+def _terminal_anchor(tree: ScenarioTree) -> np.ndarray:
     layout = tree._layout
     out = layout.X.copy()
     for edges, rows in reversed(layout.dates):
         out[rows] = layout.child_sum(out, edges)[rows]
-    return {n.id: out[i] for i, n in enumerate(tree.nodes)}
+    return out
 
 
 def _check_profile(tree: ScenarioTree, profile: StoppingProfile) -> None:
@@ -238,8 +231,7 @@ def evaluate_profile(
     _check_profile(tree, profile)
     if values is None:
         values = _value_process(tree, classes, tol)
-    start = tree.root if node is None else tree.node(node)
-    return _profile_value(tree, values.U.values, profile, start, tol)
+    return _profile_value(tree, tree._layout.rows(values.U), profile, node, tol)
 
 
 def naive_evaluate_profile(
@@ -251,8 +243,7 @@ def naive_evaluate_profile(
     """Profile payoff with non-exercisers anchored to expected terminal payoffs."""
     tree.require_valid(tol)
     _check_profile(tree, profile)
-    start = tree.root if node is None else tree.node(node)
-    return _profile_value(tree, _terminal_anchor(tree), profile, start, tol)
+    return _profile_value(tree, _terminal_anchor(tree), profile, node, tol)
 
 
 def _from_children(tree: ScenarioTree, n: TreeNode, done: Dict[str, Any]) -> List[Any]:
@@ -320,7 +311,7 @@ def _tree_normal_form(
     verdict tolerance scaled_tol(tol, table), and the value process or None."""
     _check_budget(tree)
     values = None if classes is None else _value_process(tree, classes, tol)
-    anchor = _terminal_anchor(tree) if values is None else values.U.values
+    anchor = _terminal_anchor(tree) if values is None else tree._layout.rows(values.U)
     table = _joint_table(tree, anchor, tol)
     return table, scaled_tol(tol, table), values
 
@@ -339,6 +330,20 @@ def _profile_index(tree: ScenarioTree, profile: StoppingProfile) -> Tuple[int, .
             count, index = 1 + count, [0 if s else 1 + i for s, i in zip(stops, index)]
         done[n.id] = count, index
     return tuple(done[tree.root.id][1])
+
+
+def _stopping_time(tree: ScenarioTree, counts: Mapping[str, int], k: int) -> FrozenSet[str]:
+    """The stopping time at index k in enumerate_stopping_times order, read back
+    from the root as _profile_index builds it, given the count under each node."""
+    first, walk = [], [(tree.root, k)]
+    while walk:
+        n, k = walk.pop()
+        kids = tree.children(n)
+        if kids and k == 0:
+            first.append(n.id)
+        elif kids:
+            walk.extend(zip(kids, np.unravel_index(k - 1, [counts[c.id] for c in kids])))
+    return frozenset(first)
 
 
 def verify_optimal_equilibrium(
@@ -413,13 +418,14 @@ def naive_equilibrium_search(
     """
     tree.require_valid(tol)
     table, tau, _ = _tree_normal_form(tree, None, tol)
-    choices = enumerate_stopping_times(tree)
+    counts = {n.id: count for n, count in _subtree_counts(tree)}
     nash_at = nash_mask(table, tau)
     optimal_at = nash_at & floor_mask(table, tau)
 
     def profiles(mask: np.ndarray) -> List[StoppingProfile]:
         return [
-            StoppingProfile(tuple(choices[k] for k in idx)) for idx in np.argwhere(mask)
+            StoppingProfile(tuple(_stopping_time(tree, counts, k) for k in idx.tolist()))
+            for idx in np.argwhere(mask)
         ]
 
     return NaiveSearchResult(

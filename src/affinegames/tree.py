@@ -5,8 +5,12 @@ and all leaves at the horizon T. Vector-valued processes adapted to the
 tree assign one length-m vector per node; conditional expectation at a
 node averages the children's values with the branch probabilities by the
 one child-sum rule: from 0, add p times each child's value in child order.
-Every sum over children (the reflected equation, its verifier, the naive
-anchor) follows it, so they agree bit for bit; np.add.reduceat does not.
+Inside the package a process is an array, a row per node. Every sum over
+children of one is a _Layout.child_sum call (backward induction, profile
+evaluation, the naive anchor, the reflected equation and its verifier,
+the joint table's stay-in payoffs; its mix of children's tables adds in
+the same order), so they agree bit for bit; np.add.reduceat does not.
+conditional_expectation is the rule's public per-node form.
 Validation returns violations as data so callers can report all problems
 at once instead of failing on the first; a non-terminal node with no
 matrix is one, and so is a matrix with a diagonal entry that is not above
@@ -148,7 +152,7 @@ class ScenarioTree:
         dates = tuple((np.flatnonzero(t[parent] == d), inner[t[inner] == d]) for d in range(self.T))
         for a in (X, parent, child, p, inner, *(a for date in dates for a in date)):
             a.flags.writeable = False
-        return _Layout(X, parent, child, p, inner, dates)
+        return _Layout(X, parent, child, p, inner, dates, MappingProxyType(row))
 
     def node(self, node_id: Union[str, TreeNode]) -> TreeNode:
         if isinstance(node_id, TreeNode):
@@ -186,8 +190,9 @@ class ScenarioTree:
 class _Layout(NamedTuple):
     """A valid tree as read-only arrays: payoffs X, one row per node; edges as
     parent row, child row and p, in node order, then child order; the rows
-    of the nodes with children, inner; and dates[t], the edges under the
-    nodes at date t with those nodes' rows."""
+    of the nodes with children, inner; dates[t], the edges under the nodes
+    at date t with those nodes' rows; and the row of each node id, by which
+    process and rows turn an (n, m) array into an AdaptedProcess and back."""
 
     X: np.ndarray
     parent: np.ndarray
@@ -195,6 +200,7 @@ class _Layout(NamedTuple):
     p: np.ndarray
     inner: np.ndarray
     dates: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    row: Mapping[str, int]
 
     def child_sum(self, values: np.ndarray, edges=slice(None)) -> np.ndarray:
         """Each row's sum of p times values over its children along edges, by
@@ -202,6 +208,12 @@ class _Layout(NamedTuple):
         out = np.zeros_like(values)
         np.add.at(out, self.parent[edges], self.p[edges, None] * values[self.child[edges]])
         return out
+
+    def process(self, values: np.ndarray) -> AdaptedProcess:
+        return AdaptedProcess({k: values[i] for k, i in self.row.items()})
+
+    def rows(self, proc: AdaptedProcess) -> np.ndarray:
+        return np.array([proc[k] for k in self.row], dtype=float)
 
 
 def validate(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> List[str]:

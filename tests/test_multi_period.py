@@ -12,6 +12,7 @@ from affinegames.bsde import solve_reflected_bsde, verify_bsde_solution
 from affinegames.cli import BUILTIN_INSTANCES, gen_tree, main
 from affinegames.jsonio import dump_json, parse_tree, tree_json
 from affinegames.matrices import SquareMatrix, gen_k_matrix
+from affinegames.normal_form import floor_mask, nash_mask
 from affinegames import multi_period
 from affinegames.multi_period import (
     EnumerationTooLarge,
@@ -252,6 +253,20 @@ class TestEvaluateProfile:
         prof = StoppingProfile((frozenset({"n0"}), frozenset(), frozenset()))
         assert naive_evaluate_profile(tree, prof) == pytest.approx([-1.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_one_payoff_call_per_reached_stop_node(self, monkeypatch, naive):
+        # From r0, player 0 first stops at r00 and player 1 at r01. The
+        # entries at r000 and r010 lie below those first hits, and r1 lies
+        # outside r0's subtree: none of them is reached.
+        tree = gen_tree(0, 2, T=4)
+        stops = (frozenset({"r00", "r000", "r1"}), frozenset({"r01", "r010", "r1"}))
+        evaluate = naive_evaluate_profile if naive else evaluate_profile
+        games = _counted(monkeypatch, "affinegames.single_period", "payoff")
+        evaluate(tree, StoppingProfile(stops), node="r0")
+        assert sorted(game.X.tobytes() for game in games) == sorted(
+            tree.node(i).X.tobytes() for i in ("r00", "r01")
+        )
+
 
 class TestStoppingTimeEnumeration:
     def test_chain_choices(self):
@@ -349,10 +364,12 @@ class TestProfileIndex:
                 )
                 want = tuple(position[first_stops(tree, s)] for s in stops)
                 assert _profile_index(tree, StoppingProfile(stops)) == want, (m, T, b)
+            counts = {n.id: count for n, count in multi_period._subtree_counts(tree)}
             for choice in position:
                 assert _profile_index(tree, StoppingProfile((choice,) * m)) == (
                     position[choice],
                 ) * m
+                assert multi_period._stopping_time(tree, counts, position[choice]) == choice
             checked += 1
         assert checked >= 30
 
@@ -478,6 +495,37 @@ class TestNaiveEquilibriumSearch:
         with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
             naive_equilibrium_search(wide_tree())
 
+    def test_profiles_follow_the_listing(self):
+        found = 0
+        for seed, (m, T, b) in enumerate(((2, 2, 2), (3, 2, 2), (2, 2, 3), (3, 2, 3), (2, 3, 2))):
+            tree = gen_tree(seed, m, T=T, branching=b)
+            table, tau, _ = multi_period._tree_normal_form(tree, None, 1e-9)
+            choices = enumerate_stopping_times(tree)
+
+            def listed(mask):
+                cells = np.argwhere(mask)
+                return [StoppingProfile(tuple(choices[k] for k in idx)) for idx in cells]
+
+            res = naive_equilibrium_search(tree)
+            nash = nash_mask(table, tau)
+            assert res.nash_profiles == listed(nash), (m, T, b)
+            assert res.optimal_profiles == listed(nash & floor_mask(table, tau)), (m, T, b)
+            found += len(res.nash_profiles)
+        assert found >= 20
+
+    def test_one_player_search_in_bounded_memory(self):
+        # 458,330 stopping times: the Nash cells are read back without listing them
+        tree = gen_tree(0, 1, T=5)
+        tracemalloc.start()
+        try:
+            res = naive_equilibrium_search(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert len(res.distinct_nash_payoffs) == 1
+        assert res.distinct_nash_payoffs[0] == pytest.approx(backward_induction(tree).U["r"])
+
 
 class TestProfileBasics:
     def test_replace_is_functional(self):
@@ -538,7 +586,7 @@ class TestJointTable:
         m, T, b = shape
         tree = gen_tree(sum(shape), m, T=T, branching=b)
         evaluate = naive_evaluate_profile if naive else evaluate_profile
-        anchor = _terminal_anchor(tree) if naive else backward_induction(tree).U.values
+        anchor = _terminal_anchor(tree) if naive else tree._layout.rows(backward_induction(tree).U)
         table = _joint_table(tree, anchor, 1e-9)
         choices = enumerate_stopping_times(tree)
         assert table.shape == (len(choices),) * m + (m,)
@@ -560,9 +608,9 @@ class TestJointTable:
                 _check_budget(tree)
             except EnumerationTooLarge:
                 continue
-            for anchor in (backward_induction(tree).U.values, _terminal_anchor(tree)):
+            for anchor in (tree._layout.rows(backward_induction(tree).U), _terminal_anchor(tree)):
                 table = _joint_table(tree, anchor, 1e-9)
-                ref = loop_joint_table(tree, anchor)
+                ref = loop_joint_table(tree, tree._layout.process(anchor))
                 assert table.shape == ref.shape, (T, b)
                 assert table.tobytes() == ref.tobytes(), (T, b)
             checked += 1
@@ -592,6 +640,38 @@ class TestJointTable:
         call()
         assert len(payoffs) == 0
         assert len(tables) == len(tree.nonterminal())
+
+
+class TestOneChildSumRule:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "backward_induction",
+            "evaluate_profile",
+            "naive_evaluate_profile",
+            "verify_optimal_equilibrium",
+            "coalition_value_tree",
+            "naive_equilibrium_search",
+            "solve_reflected_bsde",
+        ],
+    )
+    def test_no_per_node_conditional_expectation(self, monkeypatch, name):
+        """Every sum over children inside the package is a child sum of the tree's
+        layout; conditional_expectation is only the public per-node form."""
+        tree = gen_tree(0, 3, T=2, require_nonneg_colsums=True)
+        prof = StoppingProfile((frozenset({"r0"}), frozenset(), frozenset({"r1"})))
+        call = {
+            "backward_induction": lambda: backward_induction(tree),
+            "evaluate_profile": lambda: evaluate_profile(tree, prof),
+            "naive_evaluate_profile": lambda: naive_evaluate_profile(tree, prof),
+            "verify_optimal_equilibrium": lambda: verify_optimal_equilibrium(tree),
+            "coalition_value_tree": lambda: coalition_value_tree(tree, [0, 1]),
+            "naive_equilibrium_search": lambda: naive_equilibrium_search(tree),
+            "solve_reflected_bsde": lambda: solve_reflected_bsde(tree),
+        }[name]
+        per_node = _counted(monkeypatch, "affinegames.tree", "conditional_expectation")
+        call()
+        assert per_node == []
 
 
 def long_chain(m, length):
