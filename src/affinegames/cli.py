@@ -6,7 +6,8 @@ JSON report to stdout (or --output). Reports carry the normalized input
 echo, the tolerance, and the seed, and are byte-identical across runs
 for identical arguments; wall-clock timing goes to stderr so it cannot
 perturb the output. Exit codes: 0 on success (absence of a solution is
-data, not failure), 1 on domain and arithmetic errors, 2 on malformed input.
+data, not failure), 1 on domain and arithmetic errors and on running out of
+memory, 2 on malformed input.
 
 Player numbering in all CLI-facing JSON is 1-based.
 """
@@ -439,6 +440,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         code = 0
     except (DomainError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
+        code = 1
+    except MemoryError as e:
+        print(f"error: out of memory {e}".rstrip(), file=sys.stderr)
         code = 1
     except (InputFormatError, ValueError, KeyError, TypeError, OSError) as e:
         print(f"malformed input: {e}", file=sys.stderr)

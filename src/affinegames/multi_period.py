@@ -19,6 +19,9 @@ single-period payoff table covers every exercising set at once; a single
 profile's walk instead evaluates one exercising set per stop node. A
 profile is located in the table by its index, and the naive search reads
 its Nash cells' indices back into stopping times, neither by a listing.
+A tree keeps, per tolerance, its value process (_value_rows) and each
+anchor's joint table (_tree_normal_form), so every verdict and profile
+evaluation on one tree after the first builds neither again.
 """
 
 from __future__ import annotations
@@ -106,15 +109,30 @@ class ValueProcess:
 
 
 def backward_induction(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> ValueProcess:
-    """Value process U and the canonical stop-when-binding profile."""
+    """Value process U and the canonical stop-when-binding profile.
+
+    U's rows are read-only views of the tree's kept solution; each call
+    returns a new mapping of them."""
     return _value_process(tree, tree.require_valid(tol), tol)
 
 
 def _value_process(
     tree: ScenarioTree, classes: Mapping[str, MatrixClass], tol: float
 ) -> ValueProcess:
-    """backward_induction on a tree validated at tol, given its matrix classes;
+    """backward_induction on a tree validated at tol, given its matrix classes."""
+    U, tau_star = _value_rows(tree, classes, tol)
+    return ValueProcess(U=tree._layout.process(U), tau_star=tau_star)
+
+
+def _value_rows(
+    tree: ScenarioTree, classes: Mapping[str, MatrixClass], tol: float
+) -> Tuple[np.ndarray, StoppingProfile]:
+    """U as read-only rows, a row per node, and tau_star, on a tree validated at
+    tol given its matrix classes; solved at the first call for the tree and tol,
     a date at a time, its stay-in payoffs one child sum."""
+    solved = tree._values.get(tol)
+    if solved is not None:
+        return solved
     layout, U = tree._layout, tree._layout.X.copy()
     exercising: Dict[str, Tuple[int, ...]] = {}
     for edges, rows in reversed(layout.dates):
@@ -122,10 +140,12 @@ def _value_process(
         for i in rows.tolist():
             n = tree.nodes[i]
             game = GameSpec(X=n.X, P=stay[i], G=tree.effective_G(n))
-            solved = _solve_classified(game, classes[n.id], tol)
-            U[i], exercising[n.id] = solved.V_star, solved.equilibrium.exercising
+            node = _solve_classified(game, classes[n.id], tol)
+            U[i], exercising[n.id] = node.V_star, node.equilibrium.exercising
+    U.flags.writeable = False
     stops = (frozenset(k for k, e in exercising.items() if i in e) for i in range(tree.m))
-    return ValueProcess(U=layout.process(U), tau_star=StoppingProfile(tuple(stops)))
+    solved = tree._values[tol] = U, StoppingProfile(tuple(stops))
+    return solved
 
 
 def _profile_value(
@@ -140,18 +160,19 @@ def _profile_value(
     anchor holds, a row per node, the process whose child sum plays the
     stay-in payoff role when the game ends below the horizon: the
     continuation values for the standard payoff, the terminal payoffs for the
-    naive variant. Only the nodes reached from node are evaluated, a date at
-    a time; each reached stop node costs one payoff() call, as a full table
-    there would be exponential in the number of players.
+    naive variant. Only the dates reached from node are evaluated, one child
+    sum of each process a date; each reached stop node costs one payoff()
+    call, as a full table there would be exponential in the number of players.
     """
     start = tree.root if node is None else tree.node(node)
     layout, level, levels = tree._layout, [start], []
     while level and level[0].t < tree.T:  # the leaves' rows hold X already
         levels.append([(n, tuple(0 if n.id in s else 1 for s in profile.stops)) for n in level])
         level = [c for n, s in levels[-1] if 0 not in s for c in tree.children(n)]
-    stay, vals = layout.child_sum(anchor), layout.X.copy()
+    vals = layout.X.copy()
     for level in reversed(levels):
-        go_on = layout.child_sum(vals, layout.dates[level[0][0].t][0])
+        edges = layout.dates[level[0][0].t][0]
+        stay, go_on = layout.child_sum(anchor, edges), layout.child_sum(vals, edges)
         for n, s in level:
             i = layout.row[n.id]
             if 0 in s:
@@ -220,18 +241,15 @@ def evaluate_profile(
     profile: StoppingProfile,
     node: Union[str, TreeNode, None] = None,
     tol: float = DEFAULT_TOL,
-    values: Optional[ValueProcess] = None,
 ) -> np.ndarray:
     """Expected payoff vector of a stopping profile, seen from a node.
 
-    Pass the result of backward_induction as values to reuse it across
-    many profile evaluations.
+    The value process is solved once per tree and tolerance, so evaluating
+    many profiles on one tree repeats none of it.
     """
     classes = tree.require_valid(tol)
     _check_profile(tree, profile)
-    if values is None:
-        values = _value_process(tree, classes, tol)
-    return _profile_value(tree, tree._layout.rows(values.U), profile, node, tol)
+    return _profile_value(tree, _value_rows(tree, classes, tol)[0], profile, node, tol)
 
 
 def naive_evaluate_profile(
@@ -306,14 +324,20 @@ def _tree_normal_form(
     tree: ScenarioTree, classes: Optional[Mapping[str, MatrixClass]], tol: float
 ) -> Tuple[np.ndarray, float, Optional[ValueProcess]]:
     """The verifiers' one prologue: refuse a tree over ENUMERATION_BUDGET before
-    any other work; then the joint table against the value process (given the
-    matrix classes) or the naive rule's terminal anchor (given None), its
-    verdict tolerance scaled_tol(tol, table), and the value process or None."""
+    any other work; then the joint table, read-only, against the value process
+    (given the matrix classes) or the naive rule's terminal anchor (given None),
+    its verdict tolerance scaled_tol(tol, table), and the value process or None.
+    The table is built at the first call for the tree, tol and anchor."""
     _check_budget(tree)
-    values = None if classes is None else _value_process(tree, classes, tol)
-    anchor = _terminal_anchor(tree) if values is None else tree._layout.rows(values.U)
-    table = _joint_table(tree, anchor, tol)
-    return table, scaled_tol(tol, table), values
+    naive = classes is None
+    values = None if naive else _value_process(tree, classes, tol)
+    form = tree._tables.get((tol, naive))
+    if form is None:
+        anchor = _terminal_anchor(tree) if naive else _value_rows(tree, classes, tol)[0]
+        table = _joint_table(tree, anchor, tol)
+        table.flags.writeable = False
+        form = tree._tables[tol, naive] = table, scaled_tol(tol, table)
+    return (*form, values)
 
 
 def _profile_index(tree: ScenarioTree, profile: StoppingProfile) -> Tuple[int, ...]:

@@ -8,7 +8,9 @@ Each game kind builds its table in one helper, single_period._normal_form
 or multi_period._tree_normal_form, which refuses a table past its size
 bound and returns it with tau = scaled_tol(tol, table); every verdict,
 including the one value rule group_value and the one same-payoff rule
-distinct_payoffs, judges the table at that tau.
+distinct_payoffs, judges the table at that tau. Both helpers keep the
+table, read-only, on the game or tree, once per tolerance, so the
+functions here only read it.
 Every test compares payoffs exactly as a loop over profiles would, so results
 do not depend on reduction order; nothing here solves the game.
 """

@@ -14,13 +14,19 @@ computed here through the LCP with data (P - X, G). K-matrices (P and Z)
 additionally make the game weakly unilaterally competitive, so Nash
 equilibria are optimal and per-player values exist. The brute-force
 verifiers in this module check all of that by exhaustive enumeration.
+
+Every verifier reads the game's payoff table through _normal_form, which
+builds it once per game and tolerance and keeps it, read-only, on the
+GameSpec; a game cannot change, since its fields are frozen and its arrays
+read-only. The solvers (solve_game, sol) keep no table and share none, so
+the enumerated Nash payoff stays an independent check of sol().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .matrices import (
     SquareMatrix,
     _minor_signs,
     _principal_blocks,
+    _read_only,
     classify,
     scaled_tol,
 )
@@ -98,16 +105,21 @@ class GameSpec:
     from the positivity requirement because no exercised set contains them.
     The others must be positive, with no tolerance: a GameSpec does not know
     its caller's, and the minor tests judge near-singularity at that one.
+    X and P are read-only; the payoff table and its verdict tolerance are kept
+    per tolerance, and dataclasses.replace starts afresh.
     """
 
     X: np.ndarray
     P: np.ndarray
     G: SquareMatrix
     non_exercising: FrozenSet[int] = frozenset()
+    _tables: Dict[float, Tuple[np.ndarray, float]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        X = np.asarray(self.X, dtype=float)
-        P = np.asarray(self.P, dtype=float)
+        X = _read_only(self.X)
+        P = _read_only(self.P)
         m = self.G.m
         if X.shape != (m,) or P.shape != (m,):
             raise ValueError(f"X and P must have shape ({m},)")
@@ -123,6 +135,10 @@ class GameSpec:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "non_exercising", frozen)
+        object.__setattr__(self, "_tables", {})
+
+    def __reduce__(self):  # copies and pickles rebuild read-only arrays, no table
+        return GameSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @property
     def m(self) -> int:
@@ -241,14 +257,18 @@ def _profiles_where(mask: np.ndarray) -> List[StrategyProfile]:
 
 
 def _normal_form(spec: GameSpec, cap: int, what: str, tol: float) -> Tuple[np.ndarray, float]:
-    """The payoff table and the tolerance every verdict on it uses,
-    scaled_tol(tol, table); what names the check refused above cap
-    exercisable players."""
+    """The payoff table, read-only, and the tolerance every verdict on it uses,
+    scaled_tol(tol, table); built at the first call for the game and tol that
+    passes the cap. what names the check refused above cap exercisable players."""
     free = len(spec.exercisable)
     if free > cap:
         raise DimensionTooLarge(f"{what} enumerates 2^{free} profiles; cap is {cap}")
-    table = _payoff_table(spec, tol)
-    return table, scaled_tol(tol, table)
+    form = spec._tables.get(tol)
+    if form is None:
+        table = _payoff_table(spec, tol)
+        table.flags.writeable = False
+        form = spec._tables[tol] = table, scaled_tol(tol, table)
+    return form
 
 
 def enumerate_nash(spec: GameSpec, tol: float = DEFAULT_TOL) -> List[StrategyProfile]:

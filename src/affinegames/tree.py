@@ -17,9 +17,13 @@ matrix is one, and so is a matrix with a diagonal entry that is not above
 0, which no one-shot game accepts. A tree is validated once per tree and
 tolerance, classifying its distinct matrices together; every call reads
 the matrix classes that require_valid returns. The diagonal rule alone
-takes no tolerance, as in GameSpec. The memo is sound because a tree
-cannot change: its nodes and matrices are frozen and their arrays read-only;
-so is a valid tree's array layout (_Layout), built at its first use.
+takes no tolerance, as in GameSpec. A tree also keeps, per tolerance, what
+multi_period solves on it: the value process's rows and tau_star, and per
+anchor the joint payoff table of every stopping profile with its verdict
+tolerance, all read-only. These memos are sound because a tree cannot
+change: its nodes and matrices are frozen and their arrays read-only; so is
+a valid tree's array layout (_Layout), built at its first use. Copies and
+pickles keep the verdicts and build the rest again.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -103,7 +107,8 @@ class ScenarioTree:
     latest-date-first sweep order are built eagerly from the nodes alone and
     are not compared; semantic problems are reported by validate, not raised
     here, so a malformed tree can still be inspected.
-    The verdicts and the array layout are kept; dataclasses.replace starts afresh.
+    The verdicts, the array layout and the solved value process and joint
+    tables are kept; dataclasses.replace starts afresh.
     """
 
     T: int
@@ -111,9 +116,17 @@ class ScenarioTree:
     nodes: Tuple[TreeNode, ...]
     G: Optional[SquareMatrix] = None
     _by_id: Dict[str, TreeNode] = field(init=False, compare=False, repr=False)
+    _roots: Tuple[TreeNode, ...] = field(init=False, compare=False, repr=False)
     _children: Dict[str, Tuple[TreeNode, ...]] = field(init=False, compare=False, repr=False)
     _children_first: Tuple[TreeNode, ...] = field(init=False, compare=False, repr=False)
     _verdicts: Dict[float, _Verdict] = field(init=False, compare=False, repr=False)
+    # by tol: U's rows and tau_star, kept by multi_period._value_rows
+    _values: Dict[float, Tuple[np.ndarray, Any]] = field(init=False, compare=False, repr=False)
+    # by (tol, naive anchor): the joint table and its tau, kept by
+    # multi_period._tree_normal_form
+    _tables: Dict[Tuple[float, bool], Tuple[np.ndarray, float]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
@@ -128,14 +141,18 @@ class ScenarioTree:
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_roots", tuple(n for n in nodes if n.parent is None))
         object.__setattr__(
             self, "_children", {k: tuple(v) for k, v in kids.items()}
         )
         object.__setattr__(self, "_children_first", tuple(sorted(nodes, key=lambda n: -n.t)))
         object.__setattr__(self, "_verdicts", {})
+        object.__setattr__(self, "_values", {})
+        object.__setattr__(self, "_tables", {})
 
-    def __getstate__(self):  # a copy builds its own read-only layout
-        return {k: v for k, v in self.__dict__.items() if k != "_layout"}
+    def __getstate__(self):  # a copy builds its own read-only layout and solves afresh
+        state = {k: v for k, v in self.__dict__.items() if k != "_layout"}
+        return {**state, "_values": {}, "_tables": {}}
 
     @cached_property
     def _layout(self) -> "_Layout":
@@ -167,10 +184,9 @@ class ScenarioTree:
 
     @property
     def root(self) -> TreeNode:
-        roots = [n for n in self.nodes if n.parent is None]
-        if len(roots) != 1:
-            raise ValueError(f"tree has {len(roots)} roots")
-        return roots[0]
+        if len(self._roots) != 1:
+            raise ValueError(f"tree has {len(self._roots)} roots")
+        return self._roots[0]
 
     def effective_G(self, node_id: Union[str, TreeNode]) -> Optional[SquareMatrix]:
         n = self.node(node_id)
@@ -240,9 +256,8 @@ def _check(tree: ScenarioTree, tol: float) -> _Verdict:
     for nid, count in seen.items():
         if count > 1:
             out.append(f"node id {nid!r} appears {count} times")
-    roots = [n for n in tree.nodes if n.parent is None]
-    if len(roots) != 1:
-        out.append(f"expected exactly one root, found {len(roots)}")
+    if len(tree._roots) != 1:
+        out.append(f"expected exactly one root, found {len(tree._roots)}")
     for n in tree.nodes:
         if n.parent is None:
             if n.t != 0:

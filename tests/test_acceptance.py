@@ -257,7 +257,7 @@ def test_c08_canonical_stopping_profile_is_an_optimal_equilibrium(capsys):
         T = 2 + seed % 2
         tree = gen_tree(seed, m, T=T)
         vp = backward_induction(tree)
-        got = evaluate_profile(tree, vp.tau_star, values=vp)
+        got = evaluate_profile(tree, vp.tau_star)
         worst = max(worst, float(np.max(np.abs(got - vp.U[tree.root.id]))))
         assert verify_optimal_equilibrium(tree, vp.tau_star), f"tree {seed}"
     elapsed = time.perf_counter() - started

@@ -113,6 +113,18 @@ class TestExitCodes:
         assert out == "" and err.startswith("error:")
         assert "elapsed_ms=" in err
 
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB"])
+    def test_memory_error_is_one(self, capsys, monkeypatch, message):
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._HANDLERS, "equilibria", (exhausted, "out of memory"))
+        code, out, err = run(capsys, "equilibria", "--input", "{}")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("elapsed_ms=")
+        assert lines[0] == f"error: out of memory {message}".rstrip()
+
     def test_malformed_json_is_two(self, capsys):
         code, _, err = run(capsys, "classify", "--input", '{"m": 2')
         assert code == 2

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import gc
 import itertools
 import math
+import pickle
 import sys
 import time
 import tracemalloc
@@ -14,6 +17,7 @@ from affinegames.jsonio import dump_json, parse_tree, tree_json
 from affinegames.matrices import SquareMatrix, gen_k_matrix
 from affinegames.normal_form import floor_mask, nash_mask
 from affinegames import multi_period
+from affinegames import tree as tree_module
 from affinegames.multi_period import (
     EnumerationTooLarge,
     _check_budget,
@@ -196,7 +200,7 @@ class TestEvaluateProfile:
             tree = gen_tree(seed, 2, T=2)
             vp = backward_induction(tree)
             for n in tree.nodes:
-                got = evaluate_profile(tree, vp.tau_star, node=n.id, values=vp)
+                got = evaluate_profile(tree, vp.tau_star, node=n.id)
                 assert got == pytest.approx(vp.U[n.id], abs=1e-9), (seed, n.id)
 
     def test_everyone_stops_at_root(self):
@@ -866,3 +870,147 @@ class TestClassifyOncePerCall:
         assert main(["tree-verify", "--input", str(path)]) == 0
         assert len(_rows(classified)) == 1
         assert len(values) == 1
+
+
+def _tree_verdicts(tree, tol=1e-9):
+    """Every verdict read from the value process or a joint table, as
+    comparable values."""
+    vp = backward_induction(tree, tol=tol)
+    naive = naive_equilibrium_search(tree, tol=tol)
+    return (
+        sorted((k, v.tobytes()) for k, v in vp.U.values.items()),
+        vp.tau_star,
+        evaluate_profile(tree, vp.tau_star, tol=tol).tobytes(),
+        evaluate_profile(tree, never(tree.m), node=tree.root.id, tol=tol).tobytes(),
+        verify_optimal_equilibrium(tree, tol=tol),
+        verify_optimal_equilibrium(tree, never(tree.m), tol=tol),
+        coalition_value_tree(tree, range(max(1, tree.m // 2)), tol=tol),
+        naive.nash_profiles,
+        [v.tobytes() for v in naive.nash_payoffs],
+        [v.tobytes() for v in naive.distinct_nash_payoffs],
+        naive.optimal_profiles,
+    )
+
+
+class TestSolveOncePerTolerance:
+    """A tree solves its value process once per tolerance and builds one joint
+    table per tolerance and anchor, and keeps them read-only; a replaced or
+    copied tree solves its own."""
+
+    def test_one_value_process_and_one_table_per_anchor(self, monkeypatch):
+        tree = gen_tree(0, 3, T=2, require_nonneg_colsums=True)
+        solves = _counted(monkeypatch, "affinegames.single_period", "_solve_classified")
+        tables = _counted(monkeypatch, "affinegames.multi_period", "_joint_table")
+        inner = len(tree.nonterminal())
+        _tree_verdicts(tree)
+        naive_evaluate_profile(tree, never(3))
+        assert (len(solves), len(tables)) == (inner, 2)
+        _tree_verdicts(tree)
+        assert (len(solves), len(tables)) == (inner, 2)
+        _tree_verdicts(tree, tol=1e-8)
+        assert (len(solves), len(tables)) == (2 * inner, 4)
+        twin = dataclasses.replace(tree)
+        _tree_verdicts(twin)
+        assert (len(solves), len(tables)) == (3 * inner, 6)
+        assert tables[-1] is twin
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_tree(0, 3, T=2, require_nonneg_colsums=True),
+            lambda: _per_node_dhat(gen_tree(1, 3, T=2), 1),
+            builtin_tree,
+            lambda: chain([1.0, 3.0, 2.0], K1),
+        ],
+    )
+    def test_warm_verdicts_equal_cold_ones(self, make):
+        tree = make()
+        cold = _tree_verdicts(make())
+        assert _tree_verdicts(tree) == cold
+        assert _tree_verdicts(tree) == cold
+
+    def test_arrays_are_read_only(self):
+        tree = gen_tree(0, 2, T=2, require_nonneg_colsums=True)
+        vp = backward_induction(tree)
+        root = tree.root.id
+        classes = tree.require_valid()
+        tables = [multi_period._tree_normal_form(tree, c, 1e-9)[0] for c in (classes, None)]
+        for a in (vp.U[root], tree._values[1e-9][0], *tables):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+        kept = vp.U[root].copy()
+        vp.U.values[root] = kept + 1.0  # the caller's mapping is its own
+        assert np.array_equal(backward_induction(tree).U[root], kept)
+        assert evaluate_profile(tree, never(2)).flags.writeable
+
+    def test_copies_stay_read_only(self):
+        tree = gen_tree(0, 2, T=2, require_nonneg_colsums=True)
+        verdicts = _tree_verdicts(tree)
+        for twin in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert twin._values == {} and twin._tables == {}
+            assert _tree_verdicts(twin) == verdicts
+            for a in (twin._values[1e-9][0], *(t for t, _ in twin._tables.values())):
+                assert not a.flags.writeable
+            assert not backward_induction(twin).U[twin.root.id].flags.writeable
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: verify_optimal_equilibrium(t, never(3)),
+            lambda t: coalition_value_tree(t, [0]),
+            naive_equilibrium_search,
+        ],
+    )
+    def test_budget_refusal_stores_nothing(self, call):
+        tree = wide_tree()
+        with pytest.raises(EnumerationTooLarge, match=OVER_BUDGET):
+            call(tree)
+        assert tree._values == {} and tree._tables == {}
+
+    def test_dropping_the_tree_frees_its_table(self):
+        tree = gen_tree(0, 3, T=3, require_nonneg_colsums=True)
+        table_bytes = 26**3 * 3 * 8  # 26 stopping times a player at the root
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = _array_bytes()
+            verify_optimal_equilibrium(tree)
+            held = _array_bytes() - before
+            del tree
+            gc.collect()
+            left = _array_bytes() - before
+        finally:
+            tracemalloc.stop()
+        assert held >= table_bytes
+        assert left < table_bytes // 10
+
+    @pytest.mark.parametrize(
+        "stops, dates",
+        [
+            ((frozenset({"r"}), frozenset({"r"})), [0]),
+            ((frozenset({"r0", "r1"}), frozenset()), [0, 1]),
+        ],
+    )
+    def test_profile_sums_over_reached_dates_only(self, monkeypatch, stops, dates):
+        """One child sum of the anchor and one of the profile's values per
+        reached date, over that date's edges alone."""
+        tree = gen_tree(0, 2, T=4)
+        backward_induction(tree)
+        layout = tree._layout
+        summed = []
+        real = tree_module._Layout.child_sum
+
+        def counted(self, values, edges=slice(None)):
+            summed.append(len(self.parent[edges]))
+            return real(self, values, edges)
+
+        monkeypatch.setattr(tree_module._Layout, "child_sum", counted)
+        evaluate_profile(tree, StoppingProfile(stops))
+        per_date = [len(layout.dates[t][0]) for t in dates]
+        assert sorted(summed) == sorted(2 * per_date)
+
+
+def _array_bytes():
+    """The bytes of numpy array data that tracemalloc sees allocated."""
+    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([arrays]).traces)

@@ -1,4 +1,10 @@
+import copy
+import dataclasses
+import gc
 import itertools
+import pickle
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +13,7 @@ from affinegames import lcp, single_period
 from affinegames.errors import DimensionTooLarge
 from affinegames.lcp import LcpProblem, solve_enum
 from affinegames.cli import gen_game
-from affinegames.matrices import SquareMatrix, gen_k_matrix, gen_p_matrix
+from affinegames.matrices import ENUM_CAP, SquareMatrix, gen_k_matrix, gen_p_matrix
 from affinegames.normal_form import distinct_payoffs, group_value, wuc_holds
 from affinegames.single_period import (
     ColumnSumNegative,
@@ -568,3 +574,123 @@ class TestBatchedPayoffs:
             payoff(spec, (0, 0, 1))
         with pytest.raises(SingularSubmatrix, match=r"set \[0, 1\] is singular"):
             enumerate_nash(spec)
+
+
+def _tables_built(monkeypatch):
+    """The games whose payoff table _payoff_table builds, one entry a build."""
+    built = []
+    real = single_period._payoff_table
+
+    def counted(spec, tol):
+        built.append((spec, tol))
+        return real(spec, tol)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "_payoff_table", None) is real:
+            monkeypatch.setattr(module, "_payoff_table", counted)
+    return built
+
+
+def _all_verdicts(spec, tol=1e-9):
+    """Every verdict read from the payoff table, as comparable values."""
+    rep = equilibrium_report(spec, tol=tol)
+    canonical = StrategyProfile(tuple(1 for _ in range(spec.m)))
+    return (
+        [p.s for p in rep.nash_profiles],
+        None if rep.nash_payoff is None else rep.nash_payoff.tobytes(),
+        [p.s for p in rep.optimal_profiles],
+        None if rep.value is None else rep.value.tobytes(),
+        rep.wuc,
+        coalition_value(spec, range(max(1, spec.m // 2)), tol=tol),
+        None if (v := value(spec, tol=tol)) is None else v.tobytes(),
+        wuc_check(spec, tol=tol),
+        [p.s for p in enumerate_nash(spec, tol=tol)],
+        is_optimal_equilibrium(spec, canonical, tol=tol),
+    )
+
+
+class TestNormalFormMemo:
+    """A game builds its payoff table once per tolerance and keeps it,
+    read-only; a replaced or copied game builds its own."""
+
+    def test_one_table_across_every_verdict(self, monkeypatch):
+        built = _tables_built(monkeypatch)
+        spec = gen_game(0, 5)
+        _all_verdicts(spec)
+        assert built == [(spec, 1e-9)]
+        _all_verdicts(spec, tol=1e-6)
+        assert [tol for _, tol in built] == [1e-9, 1e-6]
+        twin = dataclasses.replace(spec)
+        coalition_value(twin, [0, 1])
+        assert len(built) == 3 and built[-1][0] is twin
+        _all_verdicts(spec)
+        _all_verdicts(twin)
+        assert len(built) == 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        [gen_game(3, 4), gen_game(4, 6, kind="k"), dummy_extension(hand_game()), singular_game()],
+    )
+    def test_warm_verdicts_equal_cold_ones(self, spec):
+        cold = _all_verdicts(dataclasses.replace(spec))
+        assert _all_verdicts(spec) == cold
+        assert _all_verdicts(spec) == cold
+        if not spec.non_exercising:
+            assert sol(spec).tobytes() == sol(dataclasses.replace(spec)).tobytes()
+
+    def test_arrays_are_read_only(self):
+        X, P = np.array([2.0, 0.0]), np.array([0.0, 3.0])
+        spec = GameSpec(X=X, P=P, G=hand_game().G)
+        X[0], P[0] = 9.0, 9.0  # the caller's arrays were copied
+        assert spec.X.tolist() == [2.0, 0.0] and spec.P.tolist() == [0.0, 3.0]
+        table, _ = single_period._normal_form(spec, ENUM_CAP, "test", 1e-9)
+        for a in (spec.X, spec.P, table):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert equilibrium_report(spec).nash_payoff.flags.writeable
+
+    def test_copies_stay_read_only(self):
+        spec = gen_game(1, 4)
+        verdicts = _all_verdicts(spec)
+        for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin._tables == {}
+            for a in (twin.X, twin.P, twin.G.entries):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+            assert _all_verdicts(twin) == verdicts
+            table, _ = twin._tables[1e-9]
+            assert not table.flags.writeable
+
+    def test_refusals_store_nothing(self):
+        spec = over_cap_game(13)
+        for check in (value, wuc_check, lambda s: coalition_value(s, [0])):
+            with pytest.raises(DimensionTooLarge, match="cap is 12"):
+                check(spec)
+        assert spec._tables == {}
+        bad = game([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        with pytest.raises(SingularSubmatrix):
+            enumerate_nash(bad)
+        assert bad._tables == {}
+
+    def test_dropping_the_game_frees_its_table(self):
+        spec = gen_game(2, 12)
+        table_bytes = 2**12 * 12 * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = _array_bytes()
+            coalition_value(spec, [0, 1])
+            held = _array_bytes() - before
+            del spec
+            gc.collect()
+            left = _array_bytes() - before
+        finally:
+            tracemalloc.stop()
+        assert held >= table_bytes
+        assert left < table_bytes // 10
+
+
+def _array_bytes():
+    """The bytes of numpy array data that tracemalloc sees allocated."""
+    arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([arrays]).traces)

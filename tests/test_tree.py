@@ -239,6 +239,13 @@ class TestValidate:
         assert tree.require_valid(1e-6)["a"].is_K0prime
 
 
+class TestRootIndex:
+    def test_root_is_found_with_the_lookup_tables(self):
+        tree = two_level_tree()
+        object.__setattr__(tree, "nodes", ())  # a read of root scans no nodes
+        assert tree.root.id == "a" and tree.root is tree._by_id["a"]
+
+
 class TestVerdictMemo:
     """A tree keeps its verdict at each tolerance; nothing it holds can change
     under that verdict, and a replaced tree works its own out."""
