@@ -12,12 +12,14 @@ times and accepts its answer by solve_enum's test. The singular-but-almost-P
 case (P0' matrices) gets a solvability test with a positive left-null
 certificate: the problem has a solution exactly when v^T q >= 0; it solves
 with solve_chandrasekaran when the matrix is Z and with solve_enum otherwise.
+project_quadratic, an active-set minimizer, is the route to the Nash payoff
+that bypasses complementarity (single_period.projection_sol).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,14 +47,8 @@ __all__ = [
     "solve_chandrasekaran",
     "solve_lemke",
     "solvability_p0prime",
-    "verify_projection_characterization",
     "project_quadratic",
 ]
-
-# verify_projection_characterization's variational check: how many points it
-# samples in the orthant, and from which seed.
-PROJECTION_SAMPLES = 32
-PROJECTION_SEED = 0
 
 
 class CycleLimit(DomainError):
@@ -348,42 +344,4 @@ def _is_spd(Ma: np.ndarray, tol: float) -> bool:
         np.linalg.cholesky(0.5 * (Ma + Ma.T))
     except np.linalg.LinAlgError:
         return False
-    return True
-
-
-def verify_projection_characterization(
-    problem: LcpProblem,
-    sol: LcpSolution,
-    tol: float = 1e-7,
-) -> bool:
-    """Check a solution against the projection identities.
-
-    (b) z is the Euclidean projection of z - w onto the nonnegative orthant;
-    (c) w^T (y - z) >= 0 for y = 0 and PROJECTION_SAMPLES seeded y >= 0; and
-    for symmetric positive definite M, z and w are the Q-norm projections of
-    -M^{-1} q and q onto the orthant (Q = M and Q = M^{-1} respectively),
-    recomputed here with the active-set minimizer as an independent oracle.
-    """
-    q, Ma = problem.q, problem.M.entries
-    z, w = sol.z, sol.w
-    tau = scaled_tol(tol, z, w)
-
-    if float(np.max(np.abs(z - np.maximum(z - w, 0.0)))) > tau:
-        return False
-
-    rng = np.random.default_rng(PROJECTION_SEED)
-    high = 1.0 + 2.0 * float(np.max(np.abs(z)))
-    ys = rng.uniform(0.0, high, size=(PROJECTION_SAMPLES, len(z)))
-    ys = np.vstack([ys, np.zeros(len(z))])
-    vi_tau = tol * max(1.0, float(np.max(np.abs(w))) * max(1.0, float(np.max(ys))))
-    if float(np.min(ys @ w - float(w @ z))) < -vi_tau:
-        return False
-
-    if _is_spd(Ma, tol):
-        z_hat = project_quadratic(Ma, -np.linalg.solve(Ma, q), np.zeros(len(z)), tol=tol)
-        if float(np.max(np.abs(z_hat - z))) > tau:
-            return False
-        w_hat = project_quadratic(np.linalg.inv(Ma), q, np.zeros(len(z)), tol=tol)
-        if float(np.max(np.abs(w_hat - w))) > tau:
-            return False
     return True

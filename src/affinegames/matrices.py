@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import combinations, islice
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "NullCertificate",
     "ZeroPivot",
     "NotSingular",
-    "principal_minor",
     "classify",
     "schur_reduce",
     "positive_left_null",
@@ -110,10 +109,6 @@ class SquareMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def from_rows(cls, rows: Union[Sequence[Sequence[float]], np.ndarray]) -> "SquareMatrix":
-        return cls(np.asarray(rows, dtype=float))
-
     def __repr__(self) -> str:  # keeps test failure output readable
         return f"SquareMatrix({self.entries.tolist()!r})"
 
@@ -142,7 +137,7 @@ class NullCertificate:
 def _as_array(M: Union[SquareMatrix, np.ndarray]) -> np.ndarray:
     if isinstance(M, SquareMatrix):
         return M.entries
-    return SquareMatrix.from_rows(M).entries
+    return SquareMatrix(M).entries
 
 
 # At most this many entries in one stack of matrices worked on together, so
@@ -177,17 +172,6 @@ def scaled_tol(tol: float, *arrays: np.ndarray) -> float:
     """Absolute tolerance for comparing values of the given arrays' size:
     tol times the largest magnitude among them, floored at 1."""
     return tol * max([1.0] + [float(np.max(np.abs(a))) for a in arrays])
-
-
-def principal_minor(M: Union[SquareMatrix, np.ndarray], S: Iterable[int]) -> float:
-    """det(M_SS) for a nonempty index set S (0-based)."""
-    a = _as_array(M)
-    idx = sorted(set(int(i) for i in S))
-    if not idx:
-        raise ValueError("index set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= a.shape[0]:
-        raise ValueError(f"index set {idx} out of range for m={a.shape[0]}")
-    return float(np.linalg.det(a[np.ix_(idx, idx)]))
 
 
 def classify(M: Union[SquareMatrix, np.ndarray], tol: float = DEFAULT_TOL) -> MatrixClass:

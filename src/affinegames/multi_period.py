@@ -13,7 +13,8 @@ naive variant anchors them to the expected terminal payoff instead,
 which breaks the equilibrium structure (see the builtin counterexample
 in the CLI). Verification is by brute-force enumeration of adapted
 stopping times, represented as the antichain of first-stop nodes: one
-payoff table over every joint profile, checked by the normal-form engine.
+payoff table over every joint profile, checked by the normal-form engine;
+the naive search's table takes the naive anchor.
 That table is built bottom-up from each node's one-shot game, whose
 single-period payoff table covers every exercising set at once; a single
 profile's walk instead evaluates one exercising set per stop node. A
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -54,10 +54,8 @@ __all__ = [
     "HypothesisViolated",
     "backward_induction",
     "evaluate_profile",
-    "naive_evaluate_profile",
     "verify_optimal_equilibrium",
     "coalition_value_tree",
-    "enumerate_stopping_times",
     "stopping_time_count",
     "NaiveSearchResult",
     "naive_equilibrium_search",
@@ -95,11 +93,6 @@ class StoppingProfile:
     @property
     def m(self) -> int:
         return len(self.stops)
-
-    def replace(self, player: int, stop_set: FrozenSet[str]) -> "StoppingProfile":
-        stops = list(self.stops)
-        stops[player] = frozenset(str(i) for i in stop_set)
-        return StoppingProfile(tuple(stops))
 
 
 @dataclass(frozen=True)
@@ -186,10 +179,12 @@ def _profile_value(
 def _joint_table(tree: ScenarioTree, anchor: np.ndarray, tol: float) -> np.ndarray:
     """Root payoffs of every joint profile of first-stop antichains.
 
-    Axis i runs over player i's antichains in enumerate_stopping_times
-    order; the last axis is the payoff vector. Built bottom-up: at a
-    node, antichain 0 stops there and the rest are the product of the
-    children's antichains. The node's one-shot payoff table, widened so
+    Axis i runs over player i's antichains, the last axis is the payoff
+    vector. Built bottom-up: a leaf has one antichain, the empty one; at a
+    non-leaf node, antichain 0 stops there and antichain 1 + k is the k-th
+    combination of the children's antichains, in C order over the children
+    in tree order (the order _profile_index reads). The node's one-shot
+    payoff table, widened so
     that every index past 0 stays in, gives every block where someone
     stops; the no-stop block is the probability mix of the children's
     tables, summed by the one child-sum rule, which also gives every node's
@@ -252,39 +247,11 @@ def evaluate_profile(
     return _profile_value(tree, _value_rows(tree, classes, tol)[0], profile, node, tol)
 
 
-def naive_evaluate_profile(
-    tree: ScenarioTree,
-    profile: StoppingProfile,
-    node: Union[str, TreeNode, None] = None,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Profile payoff with non-exercisers anchored to expected terminal payoffs."""
-    tree.require_valid(tol)
-    _check_profile(tree, profile)
-    return _profile_value(tree, _terminal_anchor(tree), profile, node, tol)
-
-
 def _from_children(tree: ScenarioTree, n: TreeNode, done: Dict[str, Any]) -> List[Any]:
     """Pop the results of n's children; a child dated no later than n has none yet."""
     if any(c.id not in done for c in tree.children(n)):
         raise ValueError(f"invalid tree: a child of {n.id!r} is not dated after it")
     return [done.pop(c.id) for c in tree.children(n)]
-
-
-def enumerate_stopping_times(tree: ScenarioTree) -> List[FrozenSet[str]]:
-    """Every adapted single-player stopping time, as its first-stop antichain.
-
-    The empty set is the never-stop-early time (exercise at the horizon).
-    """
-    choices: Dict[str, List[FrozenSet[str]]] = {}
-    for n in tree._children_first:
-        per_child = _from_children(tree, n, choices)
-        if not per_child:
-            choices[n.id] = [frozenset()]
-            continue
-        combos = product(*per_child)
-        choices[n.id] = [frozenset({n.id})] + [frozenset().union(*c) for c in combos]
-    return choices[tree.root.id]
 
 
 def stopping_time_count(tree: ScenarioTree) -> int:
@@ -341,9 +308,9 @@ def _tree_normal_form(
 
 
 def _profile_index(tree: ScenarioTree, profile: StoppingProfile) -> Tuple[int, ...]:
-    """A profile's cell in the joint table, in enumerate_stopping_times order.
-    Per player, children first: 0 at a non-leaf node the player stops at, else
-    1 plus the children's indices as one C-order index over their counts."""
+    """A profile's cell in the joint table. Per player, children first: 0 at a
+    non-leaf node the player stops at, else 1 plus the children's indices as
+    one C-order index over their counts."""
     done: Dict[str, Tuple[int, List[int]]] = {}
     for n in tree._children_first:
         count, index = 1, [0] * tree.m
@@ -357,8 +324,8 @@ def _profile_index(tree: ScenarioTree, profile: StoppingProfile) -> Tuple[int, .
 
 
 def _stopping_time(tree: ScenarioTree, counts: Mapping[str, int], k: int) -> FrozenSet[str]:
-    """The stopping time at index k in enumerate_stopping_times order, read back
-    from the root as _profile_index builds it, given the count under each node."""
+    """The stopping time at index k of the joint table's axis, read back from
+    the root as _profile_index builds it, given the count under each node."""
     first, walk = [], [(tree.root, k)]
     while walk:
         n, k = walk.pop()

@@ -12,16 +12,17 @@ exercises, each remaining player k loses the share
 
     w_k(E) = alpha_k / (1 - sum_{i in E} alpha_i)
 
-of the total exercised surplus. That closed form is implemented here
+of the total exercised surplus. grg_payoff implements that closed form
 directly from the weights, independent of the generic linear-solve payoff
 path, so the two can be checked against each other.
 
-For sum(alpha) < 1 the inverse D = Dhat^{-1} = diag(1/alpha) + J/(1-s)
-(J all ones, s = sum(alpha)) induces the inner product
+For sum(alpha) < 1, Dhat is symmetric positive definite and the Nash payoff
+is the projection of P onto the orthant above X in the norm of
 
-    <x, y> = sum_i x_i y_i / alpha_i + (sum x)(sum y) / (1 - s),
+    D = Dhat^{-1} = diag(1/alpha) + J / (1 - sum(alpha))    (J all ones);
 
-under which the payoff map becomes an orthogonal projection.
+single_period.projection_sol computes it that way, apart from the
+complementarity route.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ __all__ = [
     "check_alpha",
     "dhat_matrix",
     "dhat_det",
-    "d_matrix",
-    "d_inner_product",
-    "exercise_weight",
     "grg_payoff",
     "grg_game",
 ]
@@ -79,57 +77,6 @@ def dhat_det(alpha: Iterable[float], tol: float = DEFAULT_TOL) -> float:
     """Closed-form determinant (1 - sum(alpha)) * prod(alpha)."""
     a = check_alpha(alpha, tol)
     return float((1.0 - np.sum(a)) * np.prod(a))
-
-
-def d_matrix(alpha: Iterable[float], tol: float = DEFAULT_TOL) -> SquareMatrix:
-    """The inverse of dhat_matrix, defined only for sum(alpha) < 1."""
-    a = check_alpha(alpha, tol)
-    rest = 1.0 - float(np.sum(a))
-    if rest <= tol:
-        raise WeightSingular("Dhat is singular at sum(alpha) = 1")
-    return SquareMatrix(np.diag(1.0 / a) + np.ones((a.size, a.size)) / rest)
-
-
-def d_inner_product(
-    x: Iterable[float],
-    y: Iterable[float],
-    alpha: Iterable[float],
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """x^T D y evaluated from the weights without forming D."""
-    a = check_alpha(alpha, tol)
-    xv = np.asarray(list(x), dtype=float)
-    yv = np.asarray(list(y), dtype=float)
-    if xv.shape != a.shape or yv.shape != a.shape:
-        raise ValueError("x and y must match alpha in length")
-    rest = 1.0 - float(np.sum(a))
-    if rest <= tol:
-        raise WeightSingular("the inner product needs sum(alpha) < 1")
-    return float(np.sum(xv * yv / a) + np.sum(xv) * np.sum(yv) / rest)
-
-
-def exercise_weight(
-    alpha: Iterable[float],
-    E: Iterable[int],
-    k: int,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Share w_k(E) of the exercised surplus charged to player k.
-
-    Defined for k outside E; the charge divides by 1 - sum(alpha_E).
-    """
-    a = check_alpha(alpha, tol)
-    idx = sorted(set(int(i) for i in E))
-    if any(i < 0 or i >= a.size for i in idx):
-        raise ValueError("exercise set indices out of range")
-    if not 0 <= k < a.size:
-        raise ValueError("player index out of range")
-    if k in idx:
-        raise ValueError("weights apply to players outside the exercise set")
-    rest = 1.0 - float(np.sum(a[idx])) if idx else 1.0
-    if rest <= tol:
-        raise WeightSingular(f"exercise set {idx} absorbs the full weight mass")
-    return float(a[k]) / rest
 
 
 def _payoff_vectors(

@@ -67,7 +67,6 @@ __all__ = [
     "enumerate_nash",
     "solve_game",
     "sol",
-    "canonical_equilibrium",
     "is_optimal_equilibrium",
     "wuc_check",
     "value",
@@ -330,13 +329,6 @@ def sol(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     return solve_game(spec, tol=tol).V_star
 
 
-def canonical_equilibrium(
-    spec: GameSpec, tol: float = DEFAULT_TOL
-) -> StrategyProfile:
-    """The Nash profile that exercises exactly the players with V*_i = X_i."""
-    return solve_game(spec, tol=tol).equilibrium
-
-
 def is_optimal_equilibrium(
     spec: GameSpec,
     s: Union[StrategyProfile, Iterable[int]],
@@ -358,13 +350,17 @@ def wuc_check(spec: GameSpec, tol: float = DEFAULT_TOL) -> bool:
     return wuc_holds(*_normal_form(spec, BRUTE_FORCE_CAP, "competitiveness check", tol))
 
 
-def _value(table: np.ndarray, tau: float) -> Optional[np.ndarray]:
-    values = [group_value(table, [k], tau) for k in range(table.shape[-1])]
-    return None if None in values else np.array(values)
+def _value(table: np.ndarray, tau: float) -> np.ndarray:
+    return np.array([group_value(table, [k], tau) for k in range(table.shape[-1])])
 
 
-def value(spec: GameSpec, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
-    """Per-player sup-inf payoffs, when they agree with the inf-sup side."""
+def value(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per-player sup-inf payoffs, which always equal the inf-sup side.
+
+    An exercising player's slice of the table is exactly X_i, so player i's
+    sup-inf and inf-sup are both max(X_i, min stay payoff), with no rounding
+    (a player who cannot exercise has one strategy, and both are its min).
+    """
     return _value(*_normal_form(spec, BRUTE_FORCE_CAP, "value computation", tol))
 
 

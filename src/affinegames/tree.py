@@ -192,9 +192,6 @@ class ScenarioTree:
         n = self.node(node_id)
         return n.G if n.G is not None else self.G
 
-    def nonterminal(self) -> List[TreeNode]:
-        return [n for n in self.nodes if not self.is_leaf(n)]
-
     def require_valid(self, tol: float = DEFAULT_TOL) -> Mapping[str, MatrixClass]:
         """Validate at tol; the class of each node's effective matrix, by node id."""
         problems, classes = _checked(self, tol)

@@ -40,6 +40,11 @@ def chain(xs, G):
     return ScenarioTree(T=len(xs) - 1, m=m, nodes=tuple(nodes), G=G)
 
 
+def inner_nodes(tree):
+    """The nodes with children, in node order."""
+    return [n for n in tree.nodes if not tree.is_leaf(n)]
+
+
 def edited(sol, Z=None, K=None, J=None):
     """Copy of a solution with some process values replaced."""
 
@@ -83,7 +88,7 @@ def own_matrices(tree, seed, which):
     """The tree with its own K or D-hat matrix at the non-terminal nodes that
     which(node index among them) selects; the rest keep the shared matrix."""
     rng = np.random.default_rng([seed, 31])
-    inner = {n.id for n in tree.nonterminal()}
+    inner = {n.id for n in inner_nodes(tree)}
     nodes, k = [], 0
     for n in tree.nodes:
         if n.id in inner:
@@ -147,7 +152,7 @@ class TestSolve:
     def test_nodewise_complementarity(self):
         tree = gen_tree(5, 3)
         sol = solve_reflected_bsde(tree)
-        for n in tree.nonterminal():
+        for n in inner_nodes(tree):
             dK = sol.delta_K[n.id]
             gap = sol.Z[n.id] - n.X
             cont = sum(c.p * sol.Z[c.id] for c in tree.children(n))
@@ -164,7 +169,7 @@ class TestSolve:
             if layout == "mixed" and T >= 2 and b >= 2:
                 dates = {n.t for n in tree.nodes if n.G is not None}
                 assert any(
-                    {n.G is None for n in tree.nonterminal() if n.t == t} == {True, False}
+                    {n.G is None for n in inner_nodes(tree) if n.t == t} == {True, False}
                     for t in dates
                 )
             sol = solve_reflected_bsde(tree)
@@ -185,7 +190,7 @@ class TestSolve:
         assert np.linalg.cond(G.entries) > 1e6
         tree = dataclasses.replace(gen_tree(0, m, T=2, branching=2), G=G)
         sol = solve_reflected_bsde(tree)
-        for n in tree.nonterminal():
+        for n in inner_nodes(tree):
             q = conditional_expectation(tree, sol.Z, n) - n.X
             z = sol.delta_K[n.id]
             residual = np.max(np.abs(np.minimum(z, q + G.entries @ z)))
@@ -250,7 +255,7 @@ class TestOneChildSumRule:
             tree = dataclasses.replace(base, nodes=nodes)
             sol = solve_reflected_bsde(tree)
             assert verify_bsde_solution(tree, sol) == []
-            for n in tree.nonterminal():
+            for n in inner_nodes(tree):
                 assert not sol.delta_K[n.id].any(), (seed, n.id)
                 expected = conditional_expectation(tree, sol.Z, n)
                 assert sol.Z[n.id].tobytes() == expected.tobytes(), (seed, n.id)
@@ -354,7 +359,7 @@ def verify_per_edge(tree, sol, tol=DEFAULT_TOL):
                 out.append(f"Z at leaf {n.id!r} differs from the terminal payoff")
         if float(np.min(sol.Z[n.id] - n.X)) < -tau:
             out.append(f"Z at node {n.id!r} falls below the payoff floor")
-    for n in tree.nonterminal():
+    for n in inner_nodes(tree):
         G = tree.effective_G(n)
         expected = conditional_expectation(tree, sol.Z, n)
         binding = sol.Z[n.id] - n.X > tau
@@ -401,13 +406,13 @@ def _shift_j(tree, sol, rng):
 
 
 def _raise_inner_z(tree, sol, rng):
-    n = rng.choice(tree.nonterminal())
+    n = rng.choice(inner_nodes(tree))
     return {"Z": {n.id: sol.Z[n.id] + 1e-3}}
 
 
 def _reflect_off_floor(tree, sol, rng):
     # reflect every player on one edge, keeping J consistent with G dK
-    n = rng.choice(tree.nonterminal())
+    n = rng.choice(inner_nodes(tree))
     c = rng.choice(tree.children(n))
     step = np.full(tree.m, 1e-3)
     G = tree.effective_G(n).entries

@@ -12,19 +12,19 @@ from affinegames.lcp import (
     CycleLimit,
     LcpProblem,
     LcpSolution,
+    _is_spd,
     project_quadratic,
     solvability_p0prime,
     solve_chandrasekaran,
     solve_enum,
     solve_lemke,
-    verify_projection_characterization,
 )
 from affinegames.matrices import SquareMatrix, gen_k_matrix, gen_p_matrix, scaled_tol
 from affinegames.redistribution import dhat_matrix
 
 
 def lcp(q, rows):
-    return LcpProblem(q=np.asarray(q, dtype=float), M=SquareMatrix.from_rows(rows))
+    return LcpProblem(q=np.asarray(q, dtype=float), M=SquareMatrix(rows))
 
 
 HAND = lcp([-2.0, 3.0], [[1.0, -0.5], [-0.5, 1.0]])
@@ -346,6 +346,50 @@ class TestProjectQuadratic:
                 assert abs(grad[i]) < 1e-6, (i, grad)
             else:
                 assert grad[i] > -1e-6, (i, grad)
+
+
+# verify_projection_characterization's variational check: how many points it
+# samples in the orthant, and from which seed.
+PROJECTION_SAMPLES = 32
+PROJECTION_SEED = 0
+
+
+def verify_projection_characterization(
+    problem: LcpProblem,
+    sol: LcpSolution,
+    tol: float = 1e-7,
+) -> bool:
+    """Check a solution against the projection identities.
+
+    (b) z is the Euclidean projection of z - w onto the nonnegative orthant;
+    (c) w^T (y - z) >= 0 for y = 0 and PROJECTION_SAMPLES seeded y >= 0; and
+    for symmetric positive definite M, z and w are the Q-norm projections of
+    -M^{-1} q and q onto the orthant (Q = M and Q = M^{-1} respectively),
+    recomputed here with the active-set minimizer as an independent oracle.
+    """
+    q, Ma = problem.q, problem.M.entries
+    z, w = sol.z, sol.w
+    tau = scaled_tol(tol, z, w)
+
+    if float(np.max(np.abs(z - np.maximum(z - w, 0.0)))) > tau:
+        return False
+
+    rng = np.random.default_rng(PROJECTION_SEED)
+    high = 1.0 + 2.0 * float(np.max(np.abs(z)))
+    ys = rng.uniform(0.0, high, size=(PROJECTION_SAMPLES, len(z)))
+    ys = np.vstack([ys, np.zeros(len(z))])
+    vi_tau = tol * max(1.0, float(np.max(np.abs(w))) * max(1.0, float(np.max(ys))))
+    if float(np.min(ys @ w - float(w @ z))) < -vi_tau:
+        return False
+
+    if _is_spd(Ma, tol):
+        z_hat = project_quadratic(Ma, -np.linalg.solve(Ma, q), np.zeros(len(z)), tol=tol)
+        if float(np.max(np.abs(z_hat - z))) > tau:
+            return False
+        w_hat = project_quadratic(np.linalg.inv(Ma), q, np.zeros(len(z)), tol=tol)
+        if float(np.max(np.abs(w_hat - w))) > tau:
+            return False
+    return True
 
 
 class TestVerifyProjection:

@@ -27,7 +27,6 @@ from affinegames.matrices import (
     gen_k_matrix,
     gen_p_matrix,
     positive_left_null,
-    principal_minor,
     scaled_tol,
     schur_reduce,
 )
@@ -63,7 +62,7 @@ class TestSquareMatrix:
             SquareMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_from_rows(self):
-        M = SquareMatrix.from_rows([[1, 2], [3, 4]])
+        M = SquareMatrix([[1, 2], [3, 4]])
         assert M.m == 2
         assert M.entries.dtype == np.float64
 
@@ -307,17 +306,6 @@ def test_minor_flags_are_scale_invariant(scale):
     assert plain.is_P and plain.has_nonzero_proper_minors
     assert not plain.is_Z and plain.has_positive_diagonal
     assert dataclasses.asdict(scaled) == dataclasses.asdict(plain)
-
-
-def test_principal_minor_hand_values():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert principal_minor(M, [0]) == pytest.approx(1.0)
-    assert principal_minor(M, [1]) == pytest.approx(4.0)
-    assert principal_minor(M, [0, 1]) == pytest.approx(-2.0)
-    with pytest.raises(ValueError):
-        principal_minor(M, [])
-    with pytest.raises(ValueError):
-        principal_minor(M, [2])
 
 
 class TestSchurReduce:

@@ -14,25 +14,26 @@ import pytest
 from affinegames.bsde import solve_reflected_bsde, verify_bsde_solution
 from affinegames.cli import BUILTIN_INSTANCES, gen_tree, main
 from affinegames.jsonio import dump_json, parse_tree, tree_json
-from affinegames.matrices import SquareMatrix, gen_k_matrix
+from affinegames.matrices import DEFAULT_TOL, SquareMatrix, gen_k_matrix
 from affinegames.normal_form import floor_mask, nash_mask
 from affinegames import multi_period
 from affinegames import tree as tree_module
 from affinegames.multi_period import (
     EnumerationTooLarge,
     _check_budget,
+    _check_profile,
+    _from_children,
     _joint_table,
     _profile_index,
+    _profile_value,
     _terminal_anchor,
     HypothesisViolated,
     StoppingProfile,
     ValueProcess,
     backward_induction,
     coalition_value_tree,
-    enumerate_stopping_times,
     evaluate_profile,
     naive_equilibrium_search,
-    naive_evaluate_profile,
     stopping_time_count,
     verify_optimal_equilibrium,
 )
@@ -62,6 +63,34 @@ def chain(xs, G):
     for t, x in enumerate(xs[1:], start=1):
         nodes.append(node(f"n{t}", t, f"n{t - 1}", 1.0, np.atleast_1d(x)))
     return ScenarioTree(T=len(xs) - 1, m=m, nodes=tuple(nodes), G=G)
+
+
+def inner_nodes(tree):
+    """The nodes with children, in node order."""
+    return [n for n in tree.nodes if not tree.is_leaf(n)]
+
+
+def enumerate_stopping_times(tree):
+    """Every adapted single-player stopping time, as its first-stop antichain,
+    in the joint table's axis order. The empty set is the never-stop-early
+    time (exercise at the horizon)."""
+    choices = {}
+    for n in tree._children_first:
+        per_child = _from_children(tree, n, choices)
+        if not per_child:
+            choices[n.id] = [frozenset()]
+            continue
+        combos = itertools.product(*per_child)
+        choices[n.id] = [frozenset({n.id})] + [frozenset().union(*c) for c in combos]
+    return choices[tree.root.id]
+
+
+def naive_evaluate_profile(tree, profile, node=None, tol=DEFAULT_TOL):
+    """Pathwise profile payoff with non-exercisers anchored to expected terminal
+    payoffs: the oracle for the naive rule's joint table."""
+    tree.require_valid(tol)
+    _check_profile(tree, profile)
+    return _profile_value(tree, _terminal_anchor(tree), profile, node, tol)
 
 
 def never(m):
@@ -182,7 +211,7 @@ class TestTauStar:
                 tree = _per_node_dhat(tree, seed)
             values = backward_induction(tree, tol=tol)
             exercised = {}
-            for n in tree.nonterminal():
+            for n in inner_nodes(tree):
                 stay = conditional_expectation(tree, values.U, n)
                 game = GameSpec(X=n.X, P=stay, G=tree.effective_G(n))
                 solution = solve_game(game, tol=tol)
@@ -532,13 +561,6 @@ class TestNaiveEquilibriumSearch:
 
 
 class TestProfileBasics:
-    def test_replace_is_functional(self):
-        prof = never(3)
-        changed = prof.replace(1, frozenset({"r"}))
-        assert prof.stops[1] == frozenset()
-        assert changed.stops[1] == frozenset({"r"})
-        assert changed.stops[0] == frozenset() and changed.stops[2] == frozenset()
-
     def test_normalizes_ids_to_strings(self):
         prof = StoppingProfile((frozenset({1, "a"}),))
         assert prof.stops[0] == frozenset({"1", "a"})
@@ -643,7 +665,7 @@ class TestJointTable:
         tables = _counted(monkeypatch, "affinegames.single_period", "_payoff_table")
         call()
         assert len(payoffs) == 0
-        assert len(tables) == len(tree.nonterminal())
+        assert len(tables) == len(inner_nodes(tree))
 
 
 class TestOneChildSumRule:
@@ -856,7 +878,7 @@ class TestClassifyOncePerCall:
         call = _measured_call(name, tree)
         classified.clear()
         call()
-        distinct = {tree.effective_G(n).entries.tobytes() for n in tree.nonterminal()}
+        distinct = {tree.effective_G(n).entries.tobytes() for n in inner_nodes(tree)}
         assert len(classified) == 1
         assert sorted(_rows(classified)) == sorted(distinct)
         assert len(distinct) == (2 if per_node else 1)
@@ -901,7 +923,7 @@ class TestSolveOncePerTolerance:
         tree = gen_tree(0, 3, T=2, require_nonneg_colsums=True)
         solves = _counted(monkeypatch, "affinegames.single_period", "_solve_classified")
         tables = _counted(monkeypatch, "affinegames.multi_period", "_joint_table")
-        inner = len(tree.nonterminal())
+        inner = len(inner_nodes(tree))
         _tree_verdicts(tree)
         naive_evaluate_profile(tree, never(3))
         assert (len(solves), len(tables)) == (inner, 2)

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinegames.matrices import classify
+from affinegames.matrices import DEFAULT_TOL, classify
 from affinegames.redistribution import (
     InvalidAlpha,
     WeightSingular,
     check_alpha,
-    d_inner_product,
-    d_matrix,
     dhat_det,
     dhat_matrix,
-    exercise_weight,
     grg_game,
     grg_payoff,
 )
@@ -27,6 +24,26 @@ def random_alpha(seed, m, total):
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.1, 1.0, m)
     return a * (total / a.sum())
+
+
+def exercise_weight(alpha, E, k, tol=DEFAULT_TOL):
+    """Share w_k(E) of the exercised surplus charged to player k: the
+    per-player oracle for grg_payoff.
+
+    Defined for k outside E; the charge divides by 1 - sum(alpha_E).
+    """
+    a = check_alpha(alpha, tol)
+    idx = sorted(set(int(i) for i in E))
+    if any(i < 0 or i >= a.size for i in idx):
+        raise ValueError("exercise set indices out of range")
+    if not 0 <= k < a.size:
+        raise ValueError("player index out of range")
+    if k in idx:
+        raise ValueError("weights apply to players outside the exercise set")
+    rest = 1.0 - float(np.sum(a[idx])) if idx else 1.0
+    if rest <= tol:
+        raise WeightSingular(f"exercise set {idx} absorbs the full weight mass")
+    return float(a[k]) / rest
 
 
 class TestAlphaValidation:
@@ -76,33 +93,13 @@ class TestDhat:
 
 class TestDMatrix:
     def test_inverts_dhat(self):
+        # the closed form of D = Dhat^{-1} that the module docstring states
         for seed in range(10):
             m = 1 + seed % 4
             alpha = random_alpha(seed, m, 0.7)
-            prod = d_matrix(alpha).entries @ dhat_matrix(alpha).entries
+            D = np.diag(1.0 / alpha) + np.ones((m, m)) / (1.0 - alpha.sum())
+            prod = D @ dhat_matrix(alpha).entries
             assert prod == pytest.approx(np.eye(m), abs=1e-10)
-
-    def test_singular_total_rejected(self):
-        with pytest.raises(WeightSingular):
-            d_matrix([0.5, 0.5])
-
-    def test_inner_product_hand_value(self):
-        # e1^T D e1 = 1/alpha_1 + 1/(1 - sum) = 4 + 2
-        assert d_inner_product([1, 0], [1, 0], ALPHA_HAND) == pytest.approx(6.0)
-
-    def test_inner_product_matches_matrix(self):
-        rng = np.random.default_rng(11)
-        for seed in range(10):
-            m = 1 + seed % 4
-            alpha = random_alpha(seed, m, 0.6)
-            x = rng.uniform(-2.0, 2.0, m)
-            y = rng.uniform(-2.0, 2.0, m)
-            direct = float(x @ d_matrix(alpha).entries @ y)
-            assert d_inner_product(x, y, alpha) == pytest.approx(direct, abs=1e-9)
-
-    def test_inner_product_singular_total(self):
-        with pytest.raises(WeightSingular):
-            d_inner_product([1.0, 0.0], [1.0, 0.0], [0.5, 0.5])
 
 
 class TestExerciseWeight:

@@ -15,6 +15,7 @@ from affinegames.lcp import LcpProblem, solve_enum
 from affinegames.cli import gen_game
 from affinegames.matrices import ENUM_CAP, SquareMatrix, gen_k_matrix, gen_p_matrix
 from affinegames.normal_form import distinct_payoffs, group_value, wuc_holds
+from affinegames.redistribution import dhat_matrix
 from affinegames.single_period import (
     ColumnSumNegative,
     GameSpec,
@@ -22,7 +23,6 @@ from affinegames.single_period import (
     NotSymmetricPD,
     SingularSubmatrix,
     StrategyProfile,
-    canonical_equilibrium,
     coalition_value,
     dummy_extension,
     enumerate_nash,
@@ -31,6 +31,7 @@ from affinegames.single_period import (
     payoff,
     projection_sol,
     sol,
+    solve_game,
     value,
     wuc_check,
 )
@@ -40,7 +41,7 @@ def game(X, P, rows, frozen=()):
     return GameSpec(
         X=np.asarray(X, dtype=float),
         P=np.asarray(P, dtype=float),
-        G=SquareMatrix.from_rows(rows),
+        G=SquareMatrix(rows),
         non_exercising=frozenset(frozen),
     )
 
@@ -149,12 +150,12 @@ class TestNashAndSol:
         nash = enumerate_nash(spec)
         assert [p.s for p in nash] == [(0, 1)]
         assert sol(spec) == pytest.approx([2.0, 2.0])
-        assert canonical_equilibrium(spec).s == (0, 1)
+        assert solve_game(spec).equilibrium.s == (0, 1)
 
     def test_singular_unsolvable_game(self):
         spec = singular_game()
         assert sol(spec) == pytest.approx([1.0, 1.0])
-        assert canonical_equilibrium(spec).s == (0, 0)
+        assert solve_game(spec).equilibrium.s == (0, 0)
         assert any(p.s == (0, 0) for p in enumerate_nash(spec))
 
     def test_not_covered(self):
@@ -277,23 +278,23 @@ class TestValueAndCoalitions:
 
     def test_every_one_shot_game_has_player_values(self):
         # an exerciser's row of the table is the constant X_i, so each player's
-        # sup-inf equals its inf-sup whatever the matrix class; none of these
-        # seeds draws a singular principal submatrix
+        # sup-inf and inf-sup are both max(X_i, min stay payoff) whatever the
+        # matrix class; none of these seeds draws a singular principal submatrix
         for seed in range(20):
             m = 2 + seed % 3
             rng = np.random.default_rng([seed, 5])
             rows = rng.uniform(-1.0, 1.0, (m, m))
             np.fill_diagonal(rows, rng.uniform(0.5, 1.5, m))
             spec = game(rng.uniform(-5.0, 5.0, m), rng.uniform(-5.0, 5.0, m), rows)
-            assert value(spec) is not None, seed
-
-    def test_value_none_without_a_saddle(self, monkeypatch):
-        # matching pennies between two players who both have two real choices:
-        # no payoff table of a one-shot exercise game looks like this
-        pennies = np.array([[[1.0, -1.0], [-1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]])
-        monkeypatch.setattr(single_period, "_payoff_table", lambda spec, tol: pennies)
-        assert value(hand_game()) is None
-        assert equilibrium_report(hand_game()).value is None
+            v = value(spec)
+            assert v.dtype == float, seed
+            for i in range(m):
+                stays = [
+                    payoff(spec, s).V[i]
+                    for s in itertools.product((0, 1), repeat=m)
+                    if s[i] == 1
+                ]
+                assert v[i] == pytest.approx(max(spec.X[i], min(stays)), abs=1e-12), (seed, i)
 
 
 class TestDummyExtension:
@@ -343,15 +344,17 @@ class TestProjectionSol:
             projection_sol(game([1.0, 1.0], [0.0, 0.0], [[1.0, -2.0], [-2.0, 1.0]]))
 
     def test_matches_sol_on_random_spd_games(self):
+        # generated P-matrices, and D-hat with sum(alpha) < 1, whose payoff map
+        # is a projection in the norm of D = D-hat^{-1}
         for seed in range(15):
             m = 2 + seed % 4
             rng = np.random.default_rng([seed, 9])
-            spec = GameSpec(
-                X=rng.uniform(-5.0, 5.0, m),
-                P=rng.uniform(-5.0, 5.0, m),
-                G=gen_p_matrix(seed, m),
-            )
-            assert projection_sol(spec) == pytest.approx(sol(spec), abs=1e-7), seed
+            X, P = rng.uniform(-5.0, 5.0, m), rng.uniform(-5.0, 5.0, m)
+            alpha = rng.uniform(0.5, 1.5, m)
+            alpha *= rng.uniform(0.3, 0.95) / alpha.sum()
+            for G in (gen_p_matrix(seed, m), dhat_matrix(alpha)):
+                spec = GameSpec(X=X, P=P, G=G)
+                assert projection_sol(spec) == pytest.approx(sol(spec), abs=1e-7), seed
 
 
 def test_equilibrium_report_hand_game():

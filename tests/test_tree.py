@@ -69,7 +69,7 @@ class TestNavigation:
         tree = two_level_tree()
         assert tree.is_leaf("b0")
         assert not tree.is_leaf("a")
-        assert sorted(n.id for n in tree.nonterminal()) == ["a", "b", "c"]
+        assert sorted(n.id for n in tree.nodes if not tree.is_leaf(n)) == ["a", "b", "c"]
 
     def test_effective_matrix_prefers_node_override(self):
         override = SquareMatrix(np.array([[2.0]]))
