@@ -16,8 +16,10 @@ the game value process is stated for the nonsingular class.
 A date's problems read only the next date's Z, so they are stacked and
 solved together by Howard's policy iteration (see _howard), in slices of
 bounded size. Backward induction reaches the same values by a separate
-method, Chandrasekaran's from the empty support, so U = Z remains a check
-between two computations. The verifier, a third path, checks the defining
+method: Chandrasekaran's grows the support from empty and solves on
+principal blocks, while policy iteration here starts from the full support
+and solves on bordered rows (G's rows on the policy, identity rows off it),
+so U = Z remains a check between two computations. The verifier, a third path, checks the defining
 conditions on all nodes and edges at once. Both read the tree's array
 layout and sum children by the tree module's one child-sum rule.
 """

@@ -21,11 +21,17 @@ overriding float formatting. The contract of `dump_json`:
 - Scalar-only lists print on one line; other containers print one item
   a line, indented by INDENT spaces a level. Identical data therefore
   gives identical bytes across runs.
+
+A float-only list (a numpy array's, say) is formatted by one %-format call,
+with one "%.17g, ..." string kept per length; only the tokens that come out
+with neither '.' nor 'e' (integers below 1e17, zeros, nan and infinities)
+go through _float_fixup. A lone float uses the same "%.17g".
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import Any, Iterable, List, Mapping, Optional, Sequence
 
@@ -233,8 +239,8 @@ def tree_json(tree: ScenarioTree) -> dict:
     return out
 
 
-# Bound once: every float, alone or in a list, is formatted through it.
-_FORMAT_FLOAT = "{:.17g}".format
+# The one float format: 17 significant digits round-trip every double.
+_FLOAT_FORMAT = "%.17g"
 
 
 def _float_fixup(s: str) -> str:
@@ -251,11 +257,29 @@ def _float_fixup(s: str) -> str:
 
 
 def _float_repr(x: float) -> str:
-    s = _FORMAT_FLOAT(x)
+    s = _FLOAT_FORMAT % x
     return s if "." in s or "e" in s else _float_fixup(s)
 
 
+@lru_cache(maxsize=256)
+def _list_format(n: int) -> str:
+    """The format string of a float-only list of length n, built once per length."""
+    return "[" + ", ".join([_FLOAT_FORMAT] * n) + "]"
+
+
+def _float_list(items: Sequence[float]) -> str:
+    """A float-only list in one format call. A token holds at most one '.', so
+    when the '.' count equals the length, every token is finished; otherwise
+    only the tokens with neither '.' nor 'e' go through _float_fixup."""
+    s = _list_format(len(items)) % tuple(items)
+    if s.count(".") == len(items):
+        return s
+    tokens = s[1:-1].split(", ")
+    return "[" + ", ".join([t if "." in t or "e" in t else _float_fixup(t) for t in tokens]) + "]"
+
+
 _FLOAT_ONLY = frozenset({float})
+_FLOAT64 = np.dtype(np.float64)
 _SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
 
 
@@ -268,7 +292,7 @@ def _serialize_list(items: Sequence[Any], level: int) -> str:
         return "[]"
     types = set(map(type, items))
     if types == _FLOAT_ONLY:
-        return "[" + ", ".join(map(_float_repr, items)) + "]"
+        return _float_list(items)
     if types <= _SCALAR_TYPES or all(map(_is_scalar, items)):
         return "[" + ", ".join([_serialize(x, 0) for x in items]) + "]"
     inner = " " * (INDENT * (level + 1))
@@ -300,6 +324,8 @@ def _serialize(obj: Any, level: int) -> str:
     if t is str:
         return encode_basestring(obj)
     if t is np.ndarray and obj.ndim:
+        if obj.ndim == 1 and obj.dtype is _FLOAT64:
+            return _float_list(obj.tolist())
         return _serialize_list(obj.tolist(), level)
     if t is int:
         return str(obj)

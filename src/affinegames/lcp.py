@@ -7,8 +7,14 @@ a covering vector of ones and lexicographic degeneracy resolution. For
 P-matrices both must agree. Lemke's one caller in the package is the CLI's
 raw {q, M} input above its enumeration cutoff; the reflected equation
 solves its K-matrix problems by policy iteration (bsde). Z-matrices have a
-third, polynomial solver: solve_chandrasekaran grows the support at most m
-times and accepts its answer by solve_enum's test. The singular-but-almost-P
+third, polynomial solver: Chandrasekaran's method grows the support from
+empty at most m times, re-solving on principal blocks M[S, S], and accepts
+its answer by solve_enum's test and by the complementarity conditions. Its
+kernel, _chandrasekaran_stack, solves a stack of problems at once (backward
+induction sends it each date's nonsingular nodes); solve_chandrasekaran is
+its one-row case. Policy iteration instead starts from the full support on
+bordered rows, so the game value U and the reflected equation's Z stay two
+computations, and U = Z a check between them. The singular-but-almost-P
 case (P0' matrices) gets a solvability test with a positive left-null
 certificate: the problem has a solution exactly when v^T q >= 0; it solves
 with solve_chandrasekaran when the matrix is Z and with solve_enum otherwise.
@@ -19,7 +25,7 @@ that bypasses complementarity (single_period.projection_sol).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from .matrices import (
     SquareMatrix,
     _minor_signs,
     _principal_blocks,
+    _row_tols,
     classify,
     positive_left_null,
     scaled_tol,
@@ -134,35 +141,70 @@ def solve_enum(problem: LcpProblem, tol: float = DEFAULT_TOL) -> Optional[LcpSol
 def solve_chandrasekaran(
     problem: LcpProblem, tol: float = DEFAULT_TOL
 ) -> Optional[LcpSolution]:
-    """Chandrasekaran's method for Z-matrices, in at most m re-solves.
+    """Chandrasekaran's method for Z-matrices, in at most m re-solves: the
+    one-row case of _chandrasekaran_stack. Returns None when the problem is
+    left unsolved there."""
+    z, w, solved = _chandrasekaran_stack(problem.q[None], problem.M.entries[None], tol)
+    if not solved[0]:
+        return None
+    return LcpSolution(z=z[0], w=w[0], support=tuple(np.flatnonzero(z[0] > 0.0).tolist()))
 
-    Starts from the empty support; while some off-support w_i is below the
-    scaled tolerance, adds every such index and re-solves M_SS z_S = -q_S.
-    On a K-matrix the iterates increase to the unique solution. The final
-    support passes solve_enum's acceptance test and z, w are computed the
-    same way, so the two solvers agree bit for bit when their supports do.
-    Returns None when z_S falls below the tolerance or M_SS is singular at
-    it (on a singular P0' matrix, only the full support can be).
+
+def _chandrasekaran_stack(
+    q: np.ndarray, M: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chandrasekaran's method on each row of an (n, m) stack q and an
+    (n, m, m) stack M of Z-matrices, all rows at once.
+
+    Each row starts from the empty support; while some off-support w_i is
+    below the row's tau = scaled_tol(tol, q, M), it adds every such index
+    and re-solves M_SS z_S = -q_S. On a K-matrix the iterates increase to the
+    unique solution. The re-solves of one pass are grouped by support size
+    and run on the exact blocks M[S, S], singularity test included, and w
+    is q + Mz, as in solve_enum, so the two solvers agree bit for bit where
+    their supports do. A row fails when M_SS is singular at the tolerance (on
+    a singular P0' matrix, only the full support can be) or z_S falls below
+    -tau; an answer is accepted only when z >= -tau, w >= -tau and
+    |z^T w| <= tau * sum|z|: complementarity per unit of z, since z scales
+    inversely with M (on 1e-12 times a K-matrix, z is about 1e13 and the
+    rounding left in w_S makes z^T w about 1e-2, with tau about 5e-9).
+    Returns z and w with accepted near-zero negatives clamped to 0, and
+    whether each row was solved.
     """
-    q, Ma, m = problem.q, problem.M.entries, problem.m
-    tau = scaled_tol(tol, q, Ma)
-    z, w = np.zeros(m), q.copy()
-    support = np.zeros(m, dtype=bool)
+    n, m = q.shape
+    tau = _row_tols(tol, q, M)
+    floor = -tau[:, None]
+    z, w = np.zeros((n, m)), q.copy()
+    support = np.zeros((n, m), dtype=bool)
+    solved = np.ones(n, dtype=bool)
     while True:
-        grow = ~support & (w < -tau)
-        if not grow.any():
-            return _finish(z, w)
+        grow = (w < floor) & ~support & solved[:, None]
+        live = np.flatnonzero(grow.any(axis=1))
+        if not live.size:
+            break
         support |= grow
-        idx = np.flatnonzero(support)
-        sub = Ma[np.ix_(idx, idx)]
-        if _minor_signs(sub, tol) == 0:
-            return None
-        z_s = np.linalg.solve(sub, -q[idx])
-        if float(np.min(z_s)) < -tau:
-            return None
-        z = np.zeros(m)
-        z[idx] = z_s
-        w = q + Ma @ z
+        on = support[live]
+        sizes = on.sum(axis=1)
+        distinct = set(sizes.tolist())
+        for k in distinct:
+            rows, S = live, on
+            if len(distinct) > 1:
+                rows, S = live[sizes == k], on[sizes == k]
+            S = np.nonzero(S)[1].reshape(len(rows), k)
+            blocks = M[rows[:, None, None], S[:, :, None], S[:, None, :]]
+            regular = _minor_signs(blocks, tol) != 0
+            if not regular.all():
+                solved[rows[~regular]] = False
+                rows, S, blocks = rows[regular], S[regular], blocks[regular]
+            z_s = np.linalg.solve(blocks, -q[rows[:, None], S][..., None])[..., 0]
+            z[rows[:, None], S] = z_s  # supports only grow, so z is 0 off S
+            solved[rows[z_s.min(axis=1) < floor[rows, 0]]] = False
+        # only the rows solved again get a new w; the rest keep theirs (w = q
+        # while the support is empty, as in solve_enum)
+        w[live] = q[live] + (M[live] @ z[live][..., None])[..., 0]
+    solved &= (np.minimum(z, w) >= floor).all(axis=1)
+    solved &= np.abs((z * w).sum(axis=1)) <= tau * np.abs(z).sum(axis=1)
+    return np.where(z < 0.0, 0.0, z), np.where(w < 0.0, 0.0, w), solved
 
 
 def _pivot_budget(m: int) -> int:

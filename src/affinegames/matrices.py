@@ -174,6 +174,15 @@ def scaled_tol(tol: float, *arrays: np.ndarray) -> float:
     return tol * max([1.0] + [float(np.max(np.abs(a))) for a in arrays])
 
 
+def _row_tols(tol: float, *stacks: np.ndarray) -> np.ndarray:
+    """scaled_tol for each row of the given (n, ...) stacks at once: tol times
+    the largest magnitude in that row among them, floored at 1."""
+    top = np.ones(len(stacks[0]))
+    for a in stacks:
+        top = np.maximum(top, np.abs(a).max(axis=tuple(range(1, a.ndim))))
+    return tol * top
+
+
 def classify(M: Union[SquareMatrix, np.ndarray], tol: float = DEFAULT_TOL) -> MatrixClass:
     """Classify M by the signs of its principal minors.
 

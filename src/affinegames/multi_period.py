@@ -4,7 +4,14 @@ Backward induction composes the single-period solver: terminal values
 are the exercise payoffs, and each earlier node solves the one-shot game
 whose stay-in payoff is the conditional expectation of the next-period
 values. The canonical profile stops a player wherever the value process
-touches that player's exercise payoff.
+touches that player's exercise payoff. A date's nodes read only the next
+date's values, so its nonsingular (K-matrix) games go through the stacked
+Chandrasekaran kernel together, each answer checked against the
+complementarity conditions; singular P0' games take the one-shot solver's
+certificate path. Chandrasekaran's method grows each support from empty on
+principal blocks, while the reflected equation (bsde) runs policy iteration
+from the full support on bordered rows, so U = Z stays a check between two
+computations.
 
 Arbitrary stopping profiles are evaluated pathwise: at the first node
 where anyone stops, the one-shot payoff rule applies with the exercising
@@ -29,17 +36,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError
-from .matrices import DEFAULT_TOL, MatrixClass, scaled_tol
+from .lcp import _chandrasekaran_stack
+from .matrices import DEFAULT_TOL, MatrixClass, _stack_width, scaled_tol
 from .normal_form import distinct_payoffs, floor_mask, group_margin, group_value
 from .normal_form import nash_mask, optimal_mask
 from .single_period import (
     GameSpec,
     StrategyProfile,
+    _binding,
     _coalition,
     _payoff_table,
     _solve_classified,
@@ -122,21 +132,45 @@ def _value_rows(
 ) -> Tuple[np.ndarray, StoppingProfile]:
     """U as read-only rows, a row per node, and tau_star, on a tree validated at
     tol given its matrix classes; solved at the first call for the tree and tol,
-    a date at a time, its stay-in payoffs one child sum."""
+    a date at a time, its stay-in payoffs one child sum.
+
+    A date's nodes with a nonsingular matrix (a K-matrix, as the tree is
+    valid) go through the stacked Chandrasekaran kernel together, in slices of
+    _stack_width(m) rows; a node the kernel leaves unsolved is an
+    ArithmeticError naming it. Singular P0' nodes take the one-shot solver's
+    certificate path one at a time. Both mark the players who exercise by one
+    binding test."""
     solved = tree._values.get(tol)
     if solved is not None:
         return solved
-    layout, U = tree._layout, tree._layout.X.copy()
-    exercising: Dict[str, Tuple[int, ...]] = {}
+    layout, nodes, U = tree._layout, tree.nodes, tree._layout.X.copy()
+    X = layout.X
+    exercise = np.zeros(U.shape, dtype=bool)
+    width = _stack_width(tree.m)
     for edges, rows in reversed(layout.dates):
         stay = layout.child_sum(U, edges)
-        for i in rows.tolist():
-            n = tree.nodes[i]
+        nonsingular = np.array([classes[nodes[i].id].is_K for i in rows.tolist()], dtype=bool)
+        for i in rows[~nonsingular].tolist():
+            n = nodes[i]
             game = GameSpec(X=n.X, P=stay[i], G=tree.effective_G(n))
-            node = _solve_classified(game, classes[n.id], tol)
-            U[i], exercising[n.id] = node.V_star, node.equilibrium.exercising
+            solution = _solve_classified(game, classes[n.id], tol)
+            U[i] = solution.V_star
+            exercise[i, list(solution.equilibrium.exercising)] = True
+        rows = rows[nonsingular]
+        for start in range(0, len(rows), width):
+            at = rows[start : start + width]
+            G = np.stack([tree.effective_G(nodes[i]).entries for i in at.tolist()])
+            _, w, ok = _chandrasekaran_stack(stay[at] - X[at], G, tol)
+            if not ok.all():
+                raise ArithmeticError(
+                    f"complementarity problem at node {nodes[at[np.argmin(ok)]].id!r} "
+                    "is left unsolved by Chandrasekaran's method"
+                )
+            U[at] = X[at] + w
+            exercise[at] = _binding(U[at], X[at], tol)
     U.flags.writeable = False
-    stops = (frozenset(k for k, e in exercising.items() if i in e) for i in range(tree.m))
+    ids = list(layout.row)
+    stops = (frozenset(compress(ids, col)) for col in exercise.T.tolist())
     solved = tree._values[tol] = U, StoppingProfile(tuple(stops))
     return solved
 

@@ -41,6 +41,7 @@ from .matrices import (
     _minor_signs,
     _principal_blocks,
     _read_only,
+    _row_tols,
     classify,
     scaled_tol,
 )
@@ -313,9 +314,15 @@ def _solve_classified(spec: GameSpec, cls: MatrixClass, tol: float) -> GameSolut
     else:
         V = spec.X.copy()
         status, certificate = "unsolvable_certificate", outcome.certificate
-    tau = scaled_tol(tol, V, spec.X)
-    s = tuple(0 if abs(V[i] - spec.X[i]) <= tau else 1 for i in range(spec.m))
-    return GameSolution(status, V, StrategyProfile(s), certificate)
+    s = np.where(_binding(V[None], spec.X[None], tol)[0], 0, 1)
+    return GameSolution(status, V, StrategyProfile(tuple(s.tolist())), certificate)
+
+
+def _binding(V: np.ndarray, X: np.ndarray, tol: float) -> np.ndarray:
+    """Where each row of an (n, m) stack of payoffs V touches its row of the
+    exercise payoffs X, within that row's scaled_tol(tol, V, X): the players
+    an equilibrium exercises."""
+    return np.abs(V - X) <= _row_tols(tol, V, X)[:, None]
 
 
 def sol(spec: GameSpec, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -14,9 +14,13 @@ conditional_expectation is the rule's public per-node form.
 Validation returns violations as data so callers can report all problems
 at once instead of failing on the first; a non-terminal node with no
 matrix is one, and so is a matrix with a diagonal entry that is not above
-0, which no one-shot game accepts. A tree is validated once per tree and
-tolerance, classifying its distinct matrices together; every call reads
-the matrix classes that require_valid returns. The diagonal rule alone
+0, which no one-shot game accepts. The node checks are reductions over the
+tree's _arrays (parent rows, dates, probabilities, payoffs), built once per
+tree, valid or not; a valid tree's _Layout is built from the same arrays.
+Only nodes a check flags are visited one by one, to word their messages in
+node order. A tree is validated once per tree and tolerance, classifying
+its distinct matrices together; every call reads the matrix classes that
+require_valid returns. The diagonal rule alone
 takes no tolerance, as in GameSpec. A tree also keeps, per tolerance, what
 multi_period solves on it: the value process's rows and tau_star, and per
 anchor the joint payoff table of every stopping profile with its verdict
@@ -28,6 +32,7 @@ pickles keep the verdicts and build the rest again.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
@@ -150,26 +155,59 @@ class ScenarioTree:
         object.__setattr__(self, "_values", {})
         object.__setattr__(self, "_tables", {})
 
-    def __getstate__(self):  # a copy builds its own read-only layout and solves afresh
-        state = {k: v for k, v in self.__dict__.items() if k != "_layout"}
+    def __getstate__(self):  # a copy builds its own read-only arrays and solves afresh
+        state = {k: v for k, v in self.__dict__.items() if k not in ("_arrays", "_layout")}
         return {**state, "_values": {}, "_tables": {}}
 
     @cached_property
-    def _layout(self) -> "_Layout":
-        """The array layout, built at the first read; call require_valid first."""
-        row = {n.id: i for i, n in enumerate(self.nodes)}
-        up = np.array([row.get(n.parent, -1) for n in self.nodes], dtype=np.intp)
-        below = np.flatnonzero(up >= 0)
-        child = below[np.argsort(up[below], kind="stable")]
-        parent = up[child]
-        t = np.array([n.t for n in self.nodes])
-        p = np.array([n.p for n in self.nodes])[child]
-        inner = np.flatnonzero(np.bincount(parent, minlength=len(self.nodes)))
-        X = np.array([n.X for n in self.nodes], dtype=float).reshape(len(self.nodes), self.m)
-        dates = tuple((np.flatnonzero(t[parent] == d), inner[t[inner] == d]) for d in range(self.T))
-        for a in (X, parent, child, p, inner, *(a for date in dates for a in date)):
+    def _arrays(self) -> "_Arrays":
+        """The nodes' fields as arrays, built at the first read, valid tree or not."""
+        nodes, m = self.nodes, self.m
+        ids = [n.id for n in nodes]
+        row = dict(zip(ids, range(len(ids))))
+        if len(row) < len(ids):  # a repeated id maps to its first node's row
+            row = {}
+            for i, nid in enumerate(ids):
+                row.setdefault(nid, i)
+        up = np.array(
+            [-1 if n.parent is None else row.get(n.parent, -2) for n in nodes], dtype=np.intp
+        )
+        try:
+            t = np.array([n.t for n in nodes], dtype=np.int64)
+        except OverflowError:  # dates past int64 are only ever reported
+            t = np.array([n.t for n in nodes], dtype=object)
+        p = np.array([n.p for n in nodes], dtype=float)
+        Xs = [n.X for n in nodes]
+        sized = np.array([x.shape == (m,) for x in Xs], dtype=bool)
+        X = np.array([x for x, ok in zip(Xs, sized.tolist()) if ok], dtype=float)
+        X = X.reshape(len(X), m)
+        for a in (up, t, p, sized, X):
             a.flags.writeable = False
-        return _Layout(X, parent, child, p, inner, dates, MappingProxyType(row))
+        return _Arrays(MappingProxyType(row), up, t, p, sized, X)
+
+    @cached_property
+    def _layout(self) -> "_Layout":
+        """The array layout, built at the first read from _arrays; call
+        require_valid first."""
+        a, n = self._arrays, len(self.nodes)
+        below = np.flatnonzero(a.up >= 0)
+        child = below[np.argsort(a.up[below], kind="stable")]
+        parent = a.up[child]
+        inner = np.flatnonzero(np.bincount(parent, minlength=n))
+        # each date's edges and inner rows are slices of one stable sort by date
+        edge_t, bounds = a.t[parent], np.arange(self.T + 1)
+        by_date = np.argsort(edge_t, kind="stable")
+        inner_by_date = inner[np.argsort(a.t[inner], kind="stable")]
+        cuts = np.searchsorted(edge_t[by_date], bounds).tolist()
+        inner_cuts = np.searchsorted(a.t[inner_by_date], bounds).tolist()
+        p = a.p[child]
+        for x in (parent, child, p, inner, by_date, inner_by_date):
+            x.flags.writeable = False
+        dates = tuple(
+            (by_date[cuts[d] : cuts[d + 1]], inner_by_date[inner_cuts[d] : inner_cuts[d + 1]])
+            for d in range(self.T)
+        )
+        return _Layout(a.X, parent, child, p, inner, dates, a.row)
 
     def node(self, node_id: Union[str, TreeNode]) -> TreeNode:
         if isinstance(node_id, TreeNode):
@@ -198,6 +236,21 @@ class ScenarioTree:
         if problems:
             raise ValueError("invalid tree: " + "; ".join(problems))
         return MappingProxyType(classes)
+
+
+class _Arrays(NamedTuple):
+    """A tree's nodes as read-only arrays, whether or not it is valid: the
+    row of each id's first node; each node's parent row (-1 for none, -2 for
+    an id no node has), date t and probability p; whether its payoff vector
+    has length m; and those that do as the rows of X. validate reads them,
+    and a valid tree's _Layout is built from them."""
+
+    row: Mapping[str, int]
+    up: np.ndarray
+    t: np.ndarray
+    p: np.ndarray
+    sized: np.ndarray
+    X: np.ndarray
 
 
 class _Layout(NamedTuple):
@@ -244,76 +297,94 @@ def _checked(tree: ScenarioTree, tol: float) -> _Verdict:
 
 
 def _check(tree: ScenarioTree, tol: float) -> _Verdict:
-    """_checked's verdict; the distinct matrices are classified as one stack,
-    cut into slices of bounded size."""
+    """_checked's verdict. The node checks are reductions over the tree's
+    _arrays; only a node some check flags is visited, to word its messages in
+    node order. The distinct matrices are classified as one stack, cut into
+    slices of bounded size."""
+    nodes, T, m = tree.nodes, tree.T, tree.m
+    a = tree._arrays
     out: List[str] = []
-    seen: Dict[str, int] = {}
-    for n in tree.nodes:
-        seen[n.id] = seen.get(n.id, 0) + 1
-    for nid, count in seen.items():
-        if count > 1:
-            out.append(f"node id {nid!r} appears {count} times")
+    repeated = len(a.row) < len(nodes)
+    if repeated:
+        for nid, count in Counter(n.id for n in nodes).items():
+            if count > 1:
+                out.append(f"node id {nid!r} appears {count} times")
     if len(tree._roots) != 1:
         out.append(f"expected exactly one root, found {len(tree._roots)}")
-    for n in tree.nodes:
-        if n.parent is None:
-            if n.t != 0:
-                out.append(f"root {n.id!r} has time {n.t}, expected 0")
-        elif n.parent not in tree._by_id:
+    up, t, p, size = a.up, a.t, a.p, len(nodes)
+    edges = np.flatnonzero(up >= 0)
+    below = up[edges]
+    wrong_date = np.zeros(size, dtype=bool)
+    wrong_date[edges] = t[edges] != t[below] + 1
+    finite = np.ones(size, dtype=bool)
+    finite[a.sized] = np.isfinite(a.X).all(axis=1)
+    # children summed in node order from 0, as the builtin sum adds them
+    mass = np.bincount(below, weights=p[edges], minlength=size)
+    kids = np.bincount(below, minlength=size) > 0
+    if repeated:  # a repeated id shares the first one's children
+        first = np.array([a.row[n.id] for n in nodes], dtype=np.intp)
+        mass, kids = mass[first], kids[first]
+    bare = np.array([n.G is None for n in nodes], dtype=bool) & (tree.G is None)
+    root_time = (up == -1) & (t != 0)
+    flagged = root_time | (up == -2) | wrong_date | (t < 0) | (t > T) | ~(p > 0)
+    flagged |= ~finite | ~a.sized | np.where(kids, (np.abs(mass - 1.0) > PROB_TOL) | bare, t != T)
+    for i in np.flatnonzero(flagged).tolist():
+        n = nodes[i]
+        if root_time[i]:
+            out.append(f"root {n.id!r} has time {n.t}, expected 0")
+        elif up[i] == -2:
             out.append(f"node {n.id!r} references unknown parent {n.parent!r}")
-        else:
-            pt = tree.node(n.parent).t
-            if n.t != pt + 1:
-                out.append(
-                    f"node {n.id!r} at time {n.t} under parent at time {pt}"
-                )
-        if not 0 <= n.t <= tree.T:
-            out.append(f"node {n.id!r} time {n.t} outside [0, {tree.T}]")
+        elif wrong_date[i]:
+            out.append(f"node {n.id!r} at time {n.t} under parent at time {nodes[up[i]].t}")
+        if not 0 <= n.t <= T:
+            out.append(f"node {n.id!r} time {n.t} outside [0, {T}]")
         if not n.p > 0:
             out.append(f"node {n.id!r} probability {n.p} is not positive")
-        if n.X.shape != (tree.m,):
-            out.append(f"node {n.id!r} payoff vector is not length {tree.m}")
-        elif not np.all(np.isfinite(n.X)):
+        if not a.sized[i]:
+            out.append(f"node {n.id!r} payoff vector is not length {m}")
+        elif not finite[i]:
             out.append(f"node {n.id!r} payoff vector has non-finite entries")
-        if n.id in tree._children and tree._children[n.id]:
-            mass = sum(c.p for c in tree._children[n.id])
-            if abs(mass - 1.0) > PROB_TOL:
+        if kids[i]:
+            if abs(mass[i] - 1.0) > PROB_TOL:
                 out.append(
-                    f"children of {n.id!r} have probabilities summing to {mass!r}"
+                    f"children of {n.id!r} have probabilities summing to {float(mass[i])!r}"
                 )
-            if tree.effective_G(n) is None:
+            if bare[i]:
                 out.append(f"node {n.id!r} has no matrix and no shared default")
-        elif n.t != tree.T:
-            out.append(f"leaf {n.id!r} at time {n.t}, expected horizon {tree.T}")
+        elif n.t != T:
+            out.append(f"leaf {n.id!r} at time {n.t}, expected horizon {T}")
     matrices: List[Tuple[str, SquareMatrix]] = []
     if tree.G is not None:
         matrices.append(("<shared>", tree.G))
-    matrices.extend((n.id, n.G) for n in tree.nodes if n.G is not None)
-    distinct = {M.entries.tobytes(): M.entries for _, M in matrices if M.m == tree.m}
+    matrices.extend((n.id, n.G) for n in nodes if n.G is not None)
+    # keyed by content, each SquareMatrix object read once
+    key = {id(M): M.entries.tobytes() for _, M in matrices if M.m == m}
+    distinct = {key[id(M)]: M.entries for _, M in matrices if M.m == m}
     keys = list(distinct)
-    width = _stack_width(tree.m)
+    width = _stack_width(m)
     by_entries: Dict[bytes, MatrixClass] = {}
     for start in range(0, len(keys), width):
         part = keys[start : start + width]
         stack = np.stack([distinct[k] for k in part])
         by_entries.update(zip(part, _classify_stack(stack, tol)))
     for label, M in matrices:
-        if M.m != tree.m:
-            out.append(f"matrix at {label!r} has size {M.m}, expected {tree.m}")
+        if M.m != m:
+            out.append(f"matrix at {label!r} has size {M.m}, expected {m}")
             continue
-        key = M.entries.tobytes()
-        if not by_entries[key].is_K0prime:
+        cls = by_entries[key[id(M)]]
+        if not cls.is_K0prime:
             out.append(
                 f"matrix at {label!r} is not a Z-matrix with the almost-P "
                 "minor signs"
             )
-        if not by_entries[key].has_positive_diagonal:
+        if not cls.has_positive_diagonal:
             out.append(f"matrix at {label!r} has a diagonal entry that is not positive")
-    effective = ((n.id, tree.effective_G(n)) for n in tree.nodes)
+    by_object = {k: by_entries[b] for k, b in key.items()}
+    shared = by_object.get(id(tree.G))
     classes = {
-        i: by_entries[G.entries.tobytes()]
-        for i, G in effective
-        if G is not None and G.m == tree.m
+        n.id: c
+        for n in nodes
+        if (c := shared if n.G is None else by_object.get(id(n.G))) is not None
     }
     return tuple(out), classes
 

@@ -335,3 +335,58 @@ class TestDumpJsonMatchesReference:
     @given(_DOCUMENTS)
     def test_bytes_equal_the_reference_serialiser(self, doc):
         assert dump_json(doc) == _serialize(doc, 0) + "\n"
+
+
+def _per_float_list(items) -> str:
+    """A float-only list formatted one float at a time with "{:.17g}": the
+    reference for dump_json's one format call per list."""
+    out = []
+    for x in items:
+        s = "{:.17g}".format(x)
+        if s == "-0":
+            s = "0"
+        out.append(s if "." in s or "e" in s else s + ".0")
+    return "[" + ", ".join(out) + "]\n"
+
+
+# Integers around 1e16 and 1e17 (where %.17g switches to an exponent), 1e20,
+# the subnormals and the largest doubles, beside any finite double.
+_LIST_FLOATS = (
+    st.sampled_from(
+        [0.0, -0.0, 1e20, -1e20, 5e-324, -5e-324, 2.225073858507201e-308,
+         1.7976931348623157e308, -1.7976931348623157e308, 1e-5, 123456789.0]
+    )
+    | st.integers(-(10**18), 10**18).filter(lambda k: abs(k) < 10**4 or 10**15 < abs(k)).map(float)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, max_value=1e-300, min_value=-1e-300)
+)
+
+
+class TestFloatListFormat:
+    """dump_json formats a float-only list in one call; %.17g and {:.17g} must
+    agree on every double, which this shows rather than assumes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_LIST_FLOATS, min_size=1, max_size=40))
+    def test_equals_the_per_float_reference(self, items):
+        assert dump_json(items) == _per_float_list(items)
+        assert dump_json(np.array(items)) == _per_float_list(items)
+
+    def test_edge_values(self):
+        items = [0.0, -0.0, 1e16, 1e16 + 2, 1e17, 1e17 + 16, 1e20, 5e-324,
+                 1.7976931348623157e308, -1.7976931348623157e308, 3.0]
+        assert dump_json(items) == _per_float_list(items)
+        assert dump_json(items) == (
+            "[0.0, 0.0, 10000000000000000.0, 10000000000000002.0, 1e+17, "
+            "1.0000000000000002e+17, 1e+20, 4.9406564584124654e-324, "
+            "1.7976931348623157e+308, -1.7976931348623157e+308, 3.0]\n"
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_non_finite_raises(self, bad, at):
+        items = [1.0, 2.5, -0.0, 4.0]
+        items[at] = bad
+        for doc in (items, np.array(items), {"x": items}):
+            with pytest.raises(ValueError, match="non-finite"):
+                dump_json(doc)

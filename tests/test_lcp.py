@@ -209,6 +209,81 @@ class TestSolveChandrasekaran:
         assert float(np.max(np.abs(a.w - b.w))) <= tau
 
 
+def _perturbed_solve(real, by):
+    """np.linalg.solve whose answer is off by `by` in its first entry."""
+
+    def solve(a, b):
+        x = real(a, b)
+        x[..., 0, :] += by
+        return x
+
+    return solve
+
+
+class TestChandrasekaranStack:
+    """The stacked kernel: each row is solved as solve_chandrasekaran, its
+    one-row case, solves it alone, and every answer is checked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 8),
+        kinds=st.lists(st.sampled_from(["k", "dhat-0.9", "dhat"]), min_size=1, max_size=12),
+    )
+    def test_each_row_is_its_one_row_case(self, seed, m, kinds):
+        problems = [z_problem(seed + j, m, kind) for j, kind in enumerate(kinds)]
+        q = np.stack([p.q for p in problems])
+        M = np.stack([p.M.entries for p in problems])
+        z, w, solved = lcp_module._chandrasekaran_stack(q, M, 1e-9)
+        for row, problem in enumerate(problems):
+            alone = solve_chandrasekaran(problem)
+            assert bool(solved[row]) is (alone is not None)
+            if alone is not None:
+                assert z[row].tobytes() == alone.z.tobytes()
+                assert w[row].tobytes() == alone.w.tobytes()
+
+    def test_one_row_case_is_solve_chandrasekaran(self):
+        problem = z_problem(3, 6, "k")
+        z, w, solved = lcp_module._chandrasekaran_stack(problem.q[None], problem.M.entries[None], 1e-9)
+        sol = solve_chandrasekaran(problem)
+        assert solved.tolist() == [True]
+        assert (z[0].tobytes(), w[0].tobytes()) == (sol.z.tobytes(), sol.w.tobytes())
+        assert sol.support == tuple(np.flatnonzero(z[0] > 0.0).tolist())
+
+    @pytest.mark.parametrize("by", [0.5, -0.5, 1e-3])
+    def test_a_perturbed_solve_is_refused(self, monkeypatch, by):
+        problems = [z_problem(seed, 4, "k") for seed in range(20)]
+        moved = [bool(solve_chandrasekaran(p).support) for p in problems]
+        assert any(moved)
+        monkeypatch.setattr(lcp_module.np.linalg, "solve", _perturbed_solve(np.linalg.solve, by))
+        # a problem solved at the empty support makes no solve to perturb
+        assert [solve_chandrasekaran(p) is None for p in problems] == moved
+
+    def test_a_negative_w_on_the_support_is_refused(self, monkeypatch):
+        # z^T w = 2e-10 stays within tau * sum|z| = 2e-9 here, so only the
+        # test w >= -tau refuses the answer (w = (1e-5, -1e-5))
+        real = np.linalg.solve
+
+        def tilted(a, b):
+            x = real(a, b)
+            x[..., :, 0] += [1e-5, -1e-5]
+            return x
+
+        problem = lcp([-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]])
+        assert solve_chandrasekaran(problem).support == (0, 1)
+        monkeypatch.setattr(lcp_module.np.linalg, "solve", tilted)
+        assert solve_chandrasekaran(problem) is None
+
+    def test_complementarity_is_checked_per_unit_of_z(self):
+        # 1e-12 times a K-matrix: z is about 1e12, and what rounding leaves in
+        # w on the support makes z^T w far above tau, but not tau * sum|z|
+        problem = z_problem(0, 3, "k")
+        small = LcpProblem(q=problem.q, M=SquareMatrix(1e-12 * problem.M.entries))
+        sol = solve_chandrasekaran(small)
+        assert sol is not None and sol.support == solve_chandrasekaran(problem).support
+        assert float(np.max(sol.z)) > 1e11
+
+
 class TestSolveLemke:
     def test_hand_instance(self):
         sol = solve_lemke(HAND)

@@ -404,3 +404,17 @@ class TestGenerators:
 def test_entry_tolerance_scales_with_magnitude():
     assert scaled_tol(1e-9, np.eye(2)) == pytest.approx(1e-9)
     assert scaled_tol(1e-9, 100.0 * np.eye(2)) == pytest.approx(1e-7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    m=st.integers(1, 5),
+    scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]),
+)
+def test_row_tols_is_scaled_tol_row_by_row(seed, n, m, scale):
+    rng = np.random.default_rng(seed)
+    q, M = scale * rng.normal(size=(n, m)), scale * rng.normal(size=(n, m, m))
+    rows = matrices._row_tols(1e-9, q, M)
+    assert rows.tolist() == [scaled_tol(1e-9, q[i], M[i]) for i in range(n)]

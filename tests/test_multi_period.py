@@ -38,7 +38,7 @@ from affinegames.multi_period import (
     verify_optimal_equilibrium,
 )
 from affinegames.redistribution import dhat_matrix
-from affinegames.single_period import GameSpec, payoff, solve_game
+from affinegames.single_period import GameSpec, _solve_classified, payoff, solve_game
 from affinegames.tree import (
     AdaptedProcess,
     ScenarioTree,
@@ -920,20 +920,22 @@ class TestSolveOncePerTolerance:
     copied tree solves its own."""
 
     def test_one_value_process_and_one_table_per_anchor(self, monkeypatch):
+        # Backward induction solves a date's nodes in one kernel call, so one
+        # solve of the value process is one kernel call per date.
         tree = gen_tree(0, 3, T=2, require_nonneg_colsums=True)
-        solves = _counted(monkeypatch, "affinegames.single_period", "_solve_classified")
+        solves = _counted(monkeypatch, "affinegames.lcp", "_chandrasekaran_stack")
         tables = _counted(monkeypatch, "affinegames.multi_period", "_joint_table")
-        inner = len(inner_nodes(tree))
+        dates = tree.T
         _tree_verdicts(tree)
         naive_evaluate_profile(tree, never(3))
-        assert (len(solves), len(tables)) == (inner, 2)
+        assert (len(solves), len(tables)) == (dates, 2)
         _tree_verdicts(tree)
-        assert (len(solves), len(tables)) == (inner, 2)
+        assert (len(solves), len(tables)) == (dates, 2)
         _tree_verdicts(tree, tol=1e-8)
-        assert (len(solves), len(tables)) == (2 * inner, 4)
+        assert (len(solves), len(tables)) == (2 * dates, 4)
         twin = dataclasses.replace(tree)
         _tree_verdicts(twin)
-        assert (len(solves), len(tables)) == (3 * inner, 6)
+        assert (len(solves), len(tables)) == (3 * dates, 6)
         assert tables[-1] is twin
 
     @pytest.mark.parametrize(
@@ -1036,3 +1038,132 @@ def _array_bytes():
     """The bytes of numpy array data that tracemalloc sees allocated."""
     arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
     return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([arrays]).traces)
+
+
+def per_node_value_rows(tree, tol=DEFAULT_TOL):
+    """Backward induction one node at a time: each non-terminal node's
+    one-shot game on the child sum of the next date's values, solved by
+    _solve_classified. The reference the stacked kernel is held to."""
+    classes = tree.require_valid(tol)
+    layout = tree._layout
+    U = layout.X.copy()
+    stops = [set() for _ in range(tree.m)]
+    for edges, rows in reversed(layout.dates):
+        stay = layout.child_sum(U, edges)
+        for i in rows.tolist():
+            n = tree.nodes[i]
+            game = GameSpec(X=n.X, P=stay[i], G=tree.effective_G(n))
+            solution = _solve_classified(game, classes[n.id], tol)
+            U[i] = solution.V_star
+            for k in solution.equilibrium.exercising:
+                stops[k].add(n.id)
+    return U, StoppingProfile(tuple(frozenset(s) for s in stops))
+
+
+def _mixed_per_node(tree, seed):
+    """Own matrices at the non-terminal nodes, as in the per-node benchmark
+    trees: a K-matrix, a nonsingular D-hat (weights summing to 0.8) or a
+    singular one (weights summing to 1), drawn at random."""
+    rng = np.random.default_rng([seed, 37])
+    nodes = []
+    for n in tree.nodes:
+        G = None
+        if tree.children(n):
+            choice = int(rng.integers(3))
+            if choice == 0:
+                G = gen_k_matrix(int(rng.integers(2**31)), tree.m)
+            else:
+                alpha = rng.uniform(0.5, 1.5, tree.m)
+                G = dhat_matrix(alpha * ((0.8 if choice == 1 else 1.0) / alpha.sum()))
+        nodes.append(dataclasses.replace(n, G=G))
+    return ScenarioTree(T=tree.T, m=tree.m, nodes=tuple(nodes))
+
+
+def _equivalence_corpus():
+    """Shared K-matrix trees at m = 1..10 and T = 1..6, per-node trees with K,
+    D-hat and singular D-hat nodes, and the builtin counterexample."""
+    for m in range(1, 11):
+        for T in range(1, 7):
+            yield f"shared m={m} T={T}", gen_tree(10 * m + T, m, T=T, branching=2 + (m + T) % 2 * (T < 4))
+    for seed in range(24):
+        m, T = 2 + seed % 7, 1 + seed % 4
+        base = gen_tree(seed, m, T=T, branching=2 + seed % 2)
+        yield f"mixed seed={seed}", _mixed_per_node(base, seed)
+        yield f"dhat seed={seed}", _per_node_dhat(base, seed)
+    yield "builtin", builtin_tree()
+
+
+class TestStackedBackwardInduction:
+    """Backward induction solves each date's nonsingular nodes as one stack
+    through the Chandrasekaran kernel; singular P0' nodes keep the one-shot
+    certificate path."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-7])
+    def test_bit_identical_to_the_per_node_reference(self, tol):
+        count = 0
+        for label, tree in _equivalence_corpus():
+            vp = backward_induction(tree, tol=tol)
+            U, tau_star = per_node_value_rows(dataclasses.replace(tree), tol)
+            assert tree._layout.rows(vp.U).tobytes() == U.tobytes(), label
+            assert vp.tau_star == tau_star, label
+            count += 1
+        assert count == 60 + 48 + 1
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_slices_take_their_width_from_stack_width(self, monkeypatch, width):
+        tree = _mixed_per_node(gen_tree(5, 4, T=3, branching=2), 5)
+        classes = tree.require_valid()
+        kernel = []
+        real = multi_period._chandrasekaran_stack
+
+        def counted(q, M, tol):
+            kernel.append(q)
+            return real(q, M, tol)
+
+        monkeypatch.setattr(multi_period, "_chandrasekaran_stack", counted)
+        monkeypatch.setattr(multi_period, "_stack_width", lambda k: width)
+        vp = backward_induction(dataclasses.replace(tree))
+        per_date = [
+            sum(classes[tree.nodes[i].id].is_K for i in rows.tolist())
+            for _, rows in tree._layout.dates
+        ]
+        assert [len(q) for q in kernel] == [
+            min(width, k - start) for k in reversed(per_date) for start in range(0, k, width)
+        ]
+        monkeypatch.undo()
+        assert tree._layout.rows(vp.U).tobytes() == tree._layout.rows(backward_induction(tree).U).tobytes()
+
+    def test_no_game_is_built_for_a_nonsingular_node(self, monkeypatch):
+        games = []
+
+        def counted(*args, **kwargs):
+            games.append(kwargs["X"].tobytes())
+            return GameSpec(*args, **kwargs)
+
+        monkeypatch.setattr(multi_period, "GameSpec", counted)
+        backward_induction(gen_tree(2, 5, T=4))
+        assert games == []
+        tree = _mixed_per_node(gen_tree(4, 3, T=3), 4)
+        classes = tree.require_valid()
+        backward_induction(tree)
+        singular = [n for n in inner_nodes(tree) if not classes[n.id].is_P]
+        assert singular and len(singular) < len(inner_nodes(tree))
+        assert sorted(games) == sorted(n.X.tobytes() for n in singular)
+
+    @pytest.mark.parametrize("by", [0.5, 1e-3])
+    def test_a_perturbed_solve_names_its_node(self, monkeypatch, by):
+        from affinegames import lcp
+
+        tree = gen_tree(7, 3, T=2)
+        tree.require_valid()
+        real = np.linalg.solve
+
+        def perturbed(a, b):
+            x = real(a, b)
+            x[..., 0, :] += by
+            return x
+
+        monkeypatch.setattr(lcp.np.linalg, "solve", perturbed)
+        with pytest.raises(ArithmeticError, match=r"at node '(r|r0|r1)' is left unsolved"):
+            backward_induction(tree)
+        assert tree._values == {}

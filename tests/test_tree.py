@@ -105,6 +105,179 @@ class TestDerivedIndexes:
         assert [n.id for n in shorter._children_first] == ["b", "c", "a"]
 
 
+def reference_check(tree, tol):
+    """The node-by-node validation that tree._check replaced, kept unchanged as
+    its oracle: the violations, and the class of each node's well-sized
+    effective matrix by node id."""
+    out: list = []
+    seen: dict = {}
+    for n in tree.nodes:
+        seen[n.id] = seen.get(n.id, 0) + 1
+    for nid, count in seen.items():
+        if count > 1:
+            out.append(f"node id {nid!r} appears {count} times")
+    if len(tree._roots) != 1:
+        out.append(f"expected exactly one root, found {len(tree._roots)}")
+    for n in tree.nodes:
+        if n.parent is None:
+            if n.t != 0:
+                out.append(f"root {n.id!r} has time {n.t}, expected 0")
+        elif n.parent not in tree._by_id:
+            out.append(f"node {n.id!r} references unknown parent {n.parent!r}")
+        else:
+            pt = tree.node(n.parent).t
+            if n.t != pt + 1:
+                out.append(
+                    f"node {n.id!r} at time {n.t} under parent at time {pt}"
+                )
+        if not 0 <= n.t <= tree.T:
+            out.append(f"node {n.id!r} time {n.t} outside [0, {tree.T}]")
+        if not n.p > 0:
+            out.append(f"node {n.id!r} probability {n.p} is not positive")
+        if n.X.shape != (tree.m,):
+            out.append(f"node {n.id!r} payoff vector is not length {tree.m}")
+        elif not np.all(np.isfinite(n.X)):
+            out.append(f"node {n.id!r} payoff vector has non-finite entries")
+        if n.id in tree._children and tree._children[n.id]:
+            mass = sum(c.p for c in tree._children[n.id])
+            if abs(mass - 1.0) > tree_module.PROB_TOL:
+                out.append(
+                    f"children of {n.id!r} have probabilities summing to {mass!r}"
+                )
+            if tree.effective_G(n) is None:
+                out.append(f"node {n.id!r} has no matrix and no shared default")
+        elif n.t != tree.T:
+            out.append(f"leaf {n.id!r} at time {n.t}, expected horizon {tree.T}")
+    matrices: list = []
+    if tree.G is not None:
+        matrices.append(("<shared>", tree.G))
+    matrices.extend((n.id, n.G) for n in tree.nodes if n.G is not None)
+    distinct = {M.entries.tobytes(): M.entries for _, M in matrices if M.m == tree.m}
+    keys = list(distinct)
+    width = tree_module._stack_width(tree.m)
+    by_entries: dict = {}
+    for start in range(0, len(keys), width):
+        part = keys[start : start + width]
+        stack = np.stack([distinct[k] for k in part])
+        by_entries.update(zip(part, tree_module._classify_stack(stack, tol)))
+    for label, M in matrices:
+        if M.m != tree.m:
+            out.append(f"matrix at {label!r} has size {M.m}, expected {tree.m}")
+            continue
+        key = M.entries.tobytes()
+        if not by_entries[key].is_K0prime:
+            out.append(
+                f"matrix at {label!r} is not a Z-matrix with the almost-P "
+                "minor signs"
+            )
+        if not by_entries[key].has_positive_diagonal:
+            out.append(f"matrix at {label!r} has a diagonal entry that is not positive")
+    effective = ((n.id, tree.effective_G(n)) for n in tree.nodes)
+    classes = {
+        i: by_entries[G.entries.tobytes()]
+        for i, G in effective
+        if G is not None and G.m == tree.m
+    }
+    return tuple(out), classes
+
+
+MALFORMATIONS = (
+    "duplicate id",
+    "duplicate node",
+    "unknown parent",
+    "extra root",
+    "no root",
+    "date",
+    "probability",
+    "payoff length",
+    "payoff entry",
+    "missing matrix",
+    "early leaf",
+    "matrix",
+)
+
+
+@st.composite
+def malformed_trees(draw):
+    """A generated tree with a few malformations drawn from MALFORMATIONS,
+    some of which leave it valid."""
+    m, T, b = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    base = gen_tree(draw(st.integers(0, 50)), m, T=T, branching=b)
+    nodes = [dict(id=n.id, t=n.t, parent=n.parent, p=n.p, X=n.X, G=None) for n in base.nodes]
+    shared = base.G
+    for kind in draw(st.lists(st.sampled_from(MALFORMATIONS), max_size=4)):
+        n = nodes[draw(st.integers(0, len(nodes) - 1))]
+        if kind == "duplicate id":  # onto a node with or without children
+            nodes[draw(st.integers(0, len(nodes) - 1))]["id"] = n["id"]
+        elif kind == "duplicate node":
+            nodes.append(dict(n))
+        elif kind == "unknown parent":
+            n["parent"] = "ghost"
+        elif kind == "extra root":
+            n["parent"] = None
+        elif kind == "no root":
+            for other in nodes:
+                if other["parent"] is None:
+                    other["parent"] = n["id"]
+        elif kind == "date":
+            n["t"] = draw(st.integers(-2, T + 2) | st.just(10**30))
+        elif kind == "probability":
+            n["p"] = draw(st.sampled_from([0.0, -0.0, -0.5, float("nan"), 0.3, 2.0, float("inf")]))
+        elif kind == "payoff length":
+            n["X"] = np.zeros(draw(st.sampled_from([m - 1, m + 1, (1, m)])))
+        elif kind == "payoff entry":
+            X = np.array(n["X"])
+            if X.size:  # a payoff vector an earlier malformation may have emptied
+                X.flat[draw(st.integers(0, X.size - 1))] = draw(
+                    st.sampled_from([np.nan, np.inf, -np.inf])
+                )
+            n["X"] = X
+        elif kind == "missing matrix":
+            shared = None
+            n["G"] = K2 if m == 2 else gen_k_matrix(0, m)
+        elif kind == "early leaf":
+            nodes.append(dict(id=f"{n['id']}x", t=n["t"] + 1, parent=n["id"], p=0.5, X=np.zeros(m)))
+        else:
+            n["G"] = draw(st.sampled_from([NOT_Z, SINGULAR, K2, SquareMatrix(np.eye(m + 1))]))
+    return ScenarioTree(T=T, m=m, nodes=tuple(TreeNode(**n) for n in nodes), G=shared)
+
+
+class TestValidationOracle:
+    """validate is a set of array reductions; it must say what the node-by-node
+    loop said, message for message and in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=malformed_trees())
+    def test_equals_the_node_by_node_reference(self, tree):
+        problems, classes = reference_check(tree, 1e-9)
+        assert validate(tree) == list(problems)
+        assert tree_module._check(dataclasses.replace(tree), 1e-9) == (problems, classes)
+
+    def test_every_malformation_is_reported(self):
+        tree = malformed_tree_of_every_kind()
+        problems = validate(tree)
+        assert problems == list(reference_check(tree, 1e-9)[0])
+        for text in (
+            "appears 2 times", "exactly one root", "has time 1", "unknown parent",
+            "under parent at time", "outside [0, 2]", "probability nan", "probability -0.5",
+            "not length 2", "non-finite", "summing to", "no matrix", "expected horizon",
+        ):
+            assert any(text in p for p in problems), text
+
+
+def malformed_tree_of_every_kind():
+    nodes = (
+        node("a", 0, None, 1.0, [0.0, 0.0], G=K2),
+        node("b", 1, "a", -0.5, [1.0, 1.0]),
+        node("c", 1, "a", float("nan"), [np.inf, 0.0]),
+        node("b0", 2, "b", 1.0, [0.0]),
+        node("b0", 3, "b", 1.0, [0.0, 0.0]),
+        node("d", 1, "ghost", 1.0, [0.0, 0.0]),
+        node("e", 1, None, 1.0, [0.0, 0.0]),
+    )
+    return ScenarioTree(T=2, m=2, nodes=nodes)
+
+
 class TestValidate:
     def test_well_formed(self):
         assert validate(two_level_tree(m=2, G=K2)) == []
