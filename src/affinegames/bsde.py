@@ -32,8 +32,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .matrices import DEFAULT_TOL, SquareMatrix, _stack_width, scaled_tol
-from .tree import AdaptedProcess, ScenarioTree, TreeNode
+from .matrices import DEFAULT_TOL, _stack_width, scaled_tol
+from .tree import AdaptedProcess, ScenarioTree, TreeNode, _valid
 
 __all__ = [
     "BsdeSolution",
@@ -65,20 +65,21 @@ class BsdeSolution:
 def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSolution:
     """Backward sweep, latest date first, solving each date's complementarity
     problems together; then a forward sweep accumulating K and J."""
-    classes = tree.require_valid(tol)
+    classes = _valid(tree, tol)
     layout, nodes = tree._layout, tree.nodes
-    for i in layout.inner:
-        if not classes[nodes[i].id].is_K:
+    inner = np.flatnonzero(np.diff(layout.start)).tolist()
+    for i in inner:
+        if not classes[layout.col[i]].is_K:
             raise NotKMatrix(f"matrix at node {nodes[i].id!r} is singular or not a K-matrix")
     X, parent, child = layout.X, layout.parent, layout.child
     Z, dK, GdK = X.copy(), np.zeros_like(X), np.zeros_like(X)
-    width = _stack_width(tree.m)
+    width, stack = _stack_width(tree.m), layout.stack()
     for edges, rows in reversed(layout.dates):
         expected = layout.child_sum(Z, edges)
         for start in range(0, len(rows), width):
             at = rows[start : start + width]
-            part = [nodes[i] for i in at]
-            G = np.stack([tree.effective_G(n).entries for n in part])
+            part = [nodes[i] for i in at.tolist()]
+            G = stack[layout.col[at]]
             z, w = _howard(expected[at] - X[at], G, tol, part)
             dK[at] = z
             Z[at] = X[at] + w
@@ -89,7 +90,7 @@ def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSo
         K[down] = K[up] + dK[up]
         J[down] = J[up] + GdK[up]
     Z, K, J = (layout.process(a) for a in (Z, K, J))
-    return BsdeSolution(Z=Z, K=K, J=J, delta_K={nodes[i].id: dK[i] for i in layout.inner})
+    return BsdeSolution(Z=Z, K=K, J=J, delta_K={nodes[i].id: dK[i] for i in inner})
 
 
 def _howard(
@@ -159,7 +160,7 @@ def verify_bsde_solution(
     Nodes and edges are reported in the tree's node order, each edge's
     checks in a fixed order; every check is one reduction over all nodes or
     all edges."""
-    tree.require_valid(tol)
+    _valid(tree, tol)
     out: List[str] = []
     for proc, name in ((sol.Z, "Z"), (sol.K, "K"), (sol.J, "J")):
         for n in tree.nodes:
@@ -173,13 +174,12 @@ def verify_bsde_solution(
     Z, K, J = (layout.rows(proc) for proc in (sol.Z, sol.K, sol.J))
     X, parent, child = layout.X, layout.parent, layout.child
     tau = scaled_tol(tol, Z, X, K)
-    root = [n.parent for n in nodes].index(None)
+    root = layout.row[tree.root.id]
     for name, A in (("K", K), ("J", J)):
         if float(np.max(np.abs(A[root]))) > tau:
             out.append(f"{name} at root {nodes[root].id!r} is not zero")
     gap = Z - X
-    leaf = np.ones(len(nodes), dtype=bool)
-    leaf[layout.inner] = False
+    leaf = layout.start[1:] == layout.start[:-1]
     off_leaf = leaf & (np.abs(gap).max(axis=1) > tau)
     below = gap.min(axis=1) < -tau
     for i in np.flatnonzero(off_leaf | below):
@@ -188,18 +188,15 @@ def verify_bsde_solution(
         if below[i]:
             out.append(f"Z at node {nodes[i].id!r} falls below the payoff floor")
 
-    # Edges in node order, then child order; edges under one matrix share
-    # one product with it.
-    under: Dict[int, Tuple[SquareMatrix, List[int]]] = {}
-    for e, i in enumerate(parent.tolist()):
-        G = tree.effective_G(nodes[i])
-        under.setdefault(id(G), (G, []))[1].append(e)
+    # Edges in node order, then child order; edges under one distinct matrix
+    # share one product with it.
     expected = layout.child_sum(Z)[parent]
     dK = K[child] - K[parent]
     dJ = J[child] - J[parent]
     GdK = np.empty_like(dK)
-    for G, at in under.values():
-        GdK[at] = dK[at] @ G.entries.T
+    under = layout.col[parent]
+    for j in set(under.tolist()):
+        GdK[under == j] = dK[under == j] @ layout.matrices[j].entries.T
     decreases = dK.min(axis=1) < -tau
     not_gdk = np.abs(dJ - GdK).max(axis=1) > tau
     recursion = np.abs(Z[parent] - dJ - expected).max(axis=1) > tau

@@ -165,10 +165,12 @@ def _cmd_classify(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _solve_lcp(problem: LcpProblem, tol: float) -> Dict[str, Any]:
+    # Only enumeration proves that there is no solution: Lemke's method ending
+    # on a ray proves nothing for a general M.
     if problem.m <= ENUM_SOLVER_CUTOFF:
         solution = solve_enum(problem, tol=tol)
-    else:
-        solution = solve_lemke(problem, tol=tol)
+    elif (solution := solve_lemke(problem, tol=tol)) is None:
+        raise DomainError("Lemke's method stopped on a ray without deciding the problem")
     if solution is None:
         return {"status": "no_solution", "z": None, "w": None, "support": None}
     return {

@@ -24,7 +24,8 @@ payoff table over every joint profile, checked by the normal-form engine;
 the naive search's table takes the naive anchor.
 That table is built bottom-up from each node's one-shot game, whose
 single-period payoff table covers every exercising set at once; a single
-profile's walk instead evaluates one exercising set per stop node. A
+profile's walk instead evaluates one exercising set per stop node. Every
+walk goes by the tree's rows, latest date first or down from the root. A
 profile is located in the table by its index, and the naive search reads
 its Nash cells' indices back into stopping times, neither by a listing.
 A tree keeps, per tolerance, its value process (_value_rows) and each
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .single_period import (
     _solve_classified,
     payoff,
 )
-from .tree import AdaptedProcess, ScenarioTree, TreeNode
+from .tree import AdaptedProcess, ScenarioTree, TreeNode, _valid
 
 __all__ = [
     "StoppingProfile",
@@ -116,23 +117,23 @@ def backward_induction(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> ValuePro
 
     U's rows are read-only views of the tree's kept solution; each call
     returns a new mapping of them."""
-    return _value_process(tree, tree.require_valid(tol), tol)
+    return _value_process(tree, _valid(tree, tol), tol)
 
 
 def _value_process(
-    tree: ScenarioTree, classes: Mapping[str, MatrixClass], tol: float
+    tree: ScenarioTree, classes: Tuple[MatrixClass, ...], tol: float
 ) -> ValueProcess:
-    """backward_induction on a tree validated at tol, given its matrix classes."""
+    """backward_induction on a tree validated at tol, given its classes by column."""
     U, tau_star = _value_rows(tree, classes, tol)
     return ValueProcess(U=tree._layout.process(U), tau_star=tau_star)
 
 
 def _value_rows(
-    tree: ScenarioTree, classes: Mapping[str, MatrixClass], tol: float
+    tree: ScenarioTree, classes: Tuple[MatrixClass, ...], tol: float
 ) -> Tuple[np.ndarray, StoppingProfile]:
     """U as read-only rows, a row per node, and tau_star, on a tree validated at
-    tol given its matrix classes; solved at the first call for the tree and tol,
-    a date at a time, its stay-in payoffs one child sum.
+    tol given its classes by column; solved at the first call for the tree and
+    tol, a date at a time, its stay-in payoffs one child sum.
 
     A date's nodes with a nonsingular matrix (a K-matrix, as the tree is
     valid) go through the stacked Chandrasekaran kernel together, in slices of
@@ -144,23 +145,21 @@ def _value_rows(
     if solved is not None:
         return solved
     layout, nodes, U = tree._layout, tree.nodes, tree._layout.X.copy()
-    X = layout.X
+    X, col, G = layout.X, layout.col, layout.stack()
     exercise = np.zeros(U.shape, dtype=bool)
     width = _stack_width(tree.m)
     for edges, rows in reversed(layout.dates):
         stay = layout.child_sum(U, edges)
-        nonsingular = np.array([classes[nodes[i].id].is_K for i in rows.tolist()], dtype=bool)
+        nonsingular = np.array([classes[j].is_K for j in col[rows].tolist()], dtype=bool)
         for i in rows[~nonsingular].tolist():
-            n = nodes[i]
-            game = GameSpec(X=n.X, P=stay[i], G=tree.effective_G(n))
-            solution = _solve_classified(game, classes[n.id], tol)
+            game = GameSpec(X=nodes[i].X, P=stay[i], G=layout.matrices[col[i]])
+            solution = _solve_classified(game, classes[col[i]], tol)
             U[i] = solution.V_star
             exercise[i, list(solution.equilibrium.exercising)] = True
         rows = rows[nonsingular]
         for start in range(0, len(rows), width):
             at = rows[start : start + width]
-            G = np.stack([tree.effective_G(nodes[i]).entries for i in at.tolist()])
-            _, w, ok = _chandrasekaran_stack(stay[at] - X[at], G, tol)
+            _, w, ok = _chandrasekaran_stack(stay[at] - X[at], G[col[at]], tol)
             if not ok.all():
                 raise ArithmeticError(
                     f"complementarity problem at node {nodes[at[np.argmin(ok)]].id!r} "
@@ -191,23 +190,23 @@ def _profile_value(
     sum of each process a date; each reached stop node costs one payoff()
     call, as a full table there would be exponential in the number of players.
     """
-    start = tree.root if node is None else tree.node(node)
-    layout, level, levels = tree._layout, [start], []
-    while level and level[0].t < tree.T:  # the leaves' rows hold X already
-        levels.append([(n, tuple(0 if n.id in s else 1 for s in profile.stops)) for n in level])
-        level = [c for n, s in levels[-1] if 0 not in s for c in tree.children(n)]
+    layout, nodes, stops = tree._layout, tree.nodes, profile.stops
+    first = layout.row[(tree.root if node is None else tree.node(node)).id]
+    below, level, levels = tree._index.below, [first], []
+    while level and nodes[level[0]].t < tree.T:  # the leaves' rows hold X already
+        levels.append([(i, tuple(0 if nodes[i].id in s else 1 for s in stops)) for i in level])
+        level = [c for i, s in levels[-1] if 0 not in s for c in below[i]]
     vals = layout.X.copy()
     for level in reversed(levels):
-        edges = layout.dates[level[0][0].t][0]
+        edges = layout.dates[nodes[level[0][0]].t][0]
         stay, go_on = layout.child_sum(anchor, edges), layout.child_sum(vals, edges)
-        for n, s in level:
-            i = layout.row[n.id]
+        for i, s in level:
             if 0 in s:
-                game = GameSpec(X=n.X, P=stay[i], G=tree.effective_G(n))
+                game = GameSpec(X=nodes[i].X, P=stay[i], G=layout.matrices[layout.col[i]])
                 vals[i] = payoff(game, StrategyProfile(s), tol=tol).V
             else:
                 vals[i] = go_on[i]
-    return vals[layout.row[start.id]].copy()
+    return vals[first].copy()
 
 
 def _joint_table(tree: ScenarioTree, anchor: np.ndarray, tol: float) -> np.ndarray:
@@ -224,27 +223,27 @@ def _joint_table(tree: ScenarioTree, anchor: np.ndarray, tol: float) -> np.ndarr
     tables, summed by the one child-sum rule, which also gives every node's
     stay-in payoff from the anchor rows.
     """
-    m, layout = tree.m, tree._layout
-    stay = layout.child_sum(anchor)
-    tables: Dict[str, np.ndarray] = {}
-    for n in tree._children_first:
-        kids = tree.children(n)
+    m, layout, nodes = tree.m, tree._layout, tree.nodes
+    stay, below = layout.child_sum(anchor), tree._index.below
+    tables: Dict[int, np.ndarray] = {}  # by row, each popped by its parent
+    for i in layout.order.tolist():
+        kids = below[i]
         if not kids:
-            tables[n.id] = n.X.reshape((1,) * m + (m,))
+            tables[i] = nodes[i].X.reshape((1,) * m + (m,))
             continue
-        subs = _from_children(tree, n, tables)
+        subs = [tables.pop(c) for c in kids]
         mix = np.zeros(m)
         for j, (c, sub) in enumerate(zip(kids, subs)):
             axes = [1] * len(kids)
             axes[j] = sub.shape[0]
-            mix = mix + c.p * sub.reshape(tuple(axes) * m + (m,))
+            mix = mix + nodes[c].p * sub.reshape(tuple(axes) * m + (m,))
         rest = math.prod(sub.shape[0] for sub in subs)
         pick = np.minimum(np.arange(1 + rest), 1)  # 0 exercises, the rest stay
-        game = GameSpec(X=n.X, P=stay[layout.row[n.id]], G=tree.effective_G(n))
+        game = GameSpec(X=nodes[i].X, P=stay[i], G=layout.matrices[layout.col[i]])
         table = _payoff_table(game, tol)[np.ix_(*[pick] * m)]
         table[(slice(1, None),) * m] = mix.reshape((rest,) * m + (m,))
-        tables[n.id] = table
-    return tables[tree.root.id]
+        tables[i] = table
+    return tables[layout.row[tree.root.id]]
 
 
 def _terminal_anchor(tree: ScenarioTree) -> np.ndarray:
@@ -258,9 +257,8 @@ def _terminal_anchor(tree: ScenarioTree) -> np.ndarray:
 def _check_profile(tree: ScenarioTree, profile: StoppingProfile) -> None:
     if profile.m != tree.m:
         raise ValueError(f"profile covers {profile.m} players, tree has {tree.m}")
-    known = set(tree._by_id)
     for i, s in enumerate(profile.stops):
-        unknown = s - known
+        unknown = s.difference(tree._index.row)
         if unknown:
             raise ValueError(f"player {i} stops at unknown nodes {sorted(unknown)}")
 
@@ -276,29 +274,28 @@ def evaluate_profile(
     The value process is solved once per tree and tolerance, so evaluating
     many profiles on one tree repeats none of it.
     """
-    classes = tree.require_valid(tol)
+    classes = _valid(tree, tol)
     _check_profile(tree, profile)
     return _profile_value(tree, _value_rows(tree, classes, tol)[0], profile, node, tol)
 
 
-def _from_children(tree: ScenarioTree, n: TreeNode, done: Dict[str, Any]) -> List[Any]:
-    """Pop the results of n's children; a child dated no later than n has none yet."""
-    if any(c.id not in done for c in tree.children(n)):
-        raise ValueError(f"invalid tree: a child of {n.id!r} is not dated after it")
-    return [done.pop(c.id) for c in tree.children(n)]
-
-
 def stopping_time_count(tree: ScenarioTree) -> int:
-    return {n.id: count for n, count in _subtree_counts(tree)}[tree.root.id]
+    return dict(_subtree_counts(tree))[tree._index.row[tree.root.id]]
 
 
-def _subtree_counts(tree: ScenarioTree) -> Iterator[Tuple[TreeNode, int]]:
-    """Each node after its descendants, with the stopping-time count under it."""
-    counts: Dict[str, int] = {}
-    for n in tree._children_first:
-        kids = _from_children(tree, n, counts)
-        counts[n.id] = 1 + math.prod(kids) if kids else 1
-        yield n, counts[n.id]
+def _subtree_counts(tree: ScenarioTree) -> Iterator[Tuple[int, int]]:
+    """Each row after its descendants, with the stopping-time count under it;
+    a repeated id, or a child not dated after its parent, is refused."""
+    ix, nodes = tree._index, tree.nodes
+    if len(ix.row) < len(nodes):
+        raise ValueError("invalid tree: a node id appears more than once")
+    below, counts = ix.below, [0] * len(nodes)
+    for i in ix.order.tolist():
+        kids = [counts[c] for c in below[i]]
+        if 0 in kids:
+            raise ValueError(f"invalid tree: a child of {nodes[i].id!r} is not dated after it")
+        counts[i] = 1 + math.prod(kids) if kids else 1
+        yield i, counts[i]
 
 
 def _check_budget(tree: ScenarioTree) -> None:
@@ -311,8 +308,8 @@ def _check_budget(tree: ScenarioTree) -> None:
     counts above it grow.
     """
     total = 0
-    for n, count in _subtree_counts(tree):
-        if tree.children(n):
+    for _, count in _subtree_counts(tree):
+        if count > 1:  # a node with children
             total += count**tree.m
             if total > ENUMERATION_BUDGET:
                 raise EnumerationTooLarge(
@@ -322,11 +319,11 @@ def _check_budget(tree: ScenarioTree) -> None:
 
 
 def _tree_normal_form(
-    tree: ScenarioTree, classes: Optional[Mapping[str, MatrixClass]], tol: float
+    tree: ScenarioTree, classes: Optional[Tuple[MatrixClass, ...]], tol: float
 ) -> Tuple[np.ndarray, float, Optional[ValueProcess]]:
     """The verifiers' one prologue: refuse a tree over ENUMERATION_BUDGET before
     any other work; then the joint table, read-only, against the value process
-    (given the matrix classes) or the naive rule's terminal anchor (given None),
+    (given the classes by column) or the naive rule's terminal anchor (given None),
     its verdict tolerance scaled_tol(tol, table), and the value process or None.
     The table is built at the first call for the tree, tol and anchor."""
     _check_budget(tree)
@@ -345,29 +342,30 @@ def _profile_index(tree: ScenarioTree, profile: StoppingProfile) -> Tuple[int, .
     """A profile's cell in the joint table. Per player, children first: 0 at a
     non-leaf node the player stops at, else 1 plus the children's indices as
     one C-order index over their counts."""
-    done: Dict[str, Tuple[int, List[int]]] = {}
-    for n in tree._children_first:
+    ix, nodes, below = tree._index, tree.nodes, tree._index.below
+    done: Dict[int, Tuple[int, List[int]]] = {}  # by row, each popped by its parent
+    for r in ix.order.tolist():
         count, index = 1, [0] * tree.m
-        for k, sub in _from_children(tree, n, done):
+        for k, sub in (done.pop(c) for c in below[r]):
             count, index = count * k, [i * k + j for i, j in zip(index, sub)]
-        if tree.children(n):
-            stops = (n.id in s for s in profile.stops)
+        if below[r]:
+            stops = (nodes[r].id in s for s in profile.stops)
             count, index = 1 + count, [0 if s else 1 + i for s, i in zip(stops, index)]
-        done[n.id] = count, index
-    return tuple(done[tree.root.id][1])
+        done[r] = count, index
+    return tuple(done[ix.row[tree.root.id]][1])
 
 
-def _stopping_time(tree: ScenarioTree, counts: Mapping[str, int], k: int) -> FrozenSet[str]:
+def _stopping_time(tree: ScenarioTree, counts: Mapping[int, int], k: int) -> FrozenSet[str]:
     """The stopping time at index k of the joint table's axis, read back from
-    the root as _profile_index builds it, given the count under each node."""
-    first, walk = [], [(tree.root, k)]
+    the root as _profile_index builds it, given the count under each row."""
+    below, first, walk = tree._index.below, [], [(tree._index.row[tree.root.id], k)]
     while walk:
-        n, k = walk.pop()
-        kids = tree.children(n)
+        r, k = walk.pop()
+        kids = below[r]
         if kids and k == 0:
-            first.append(n.id)
+            first.append(tree.nodes[r].id)
         elif kids:
-            walk.extend(zip(kids, np.unravel_index(k - 1, [counts[c.id] for c in kids])))
+            walk.extend(zip(kids, np.unravel_index(k - 1, [counts[c] for c in kids])))
     return frozenset(first)
 
 
@@ -383,7 +381,7 @@ def verify_optimal_equilibrium(
     stopping times, keeping the profile entry must not fall below it.
     Without a profile, the canonical profile tau_star is checked.
     """
-    classes = tree.require_valid(tol)
+    classes = _valid(tree, tol)
     if profile is not None:
         _check_profile(tree, profile)
     table, tau, values = _tree_normal_form(tree, classes, tol)
@@ -403,13 +401,14 @@ def coalition_value_tree(
     value must match the summed value process at the root, and a mismatch
     reports the failed conclusion rather than returning a bogus number.
     """
-    classes = tree.require_valid(tol)
+    classes = _valid(tree, tol)
     members = _coalition(A, tree.m)
-    # Nodes on the shared matrix first, so it is reported before any override.
-    for n in sorted(tree.nodes, key=lambda n: n.G is not None):
-        if n.id in classes and not classes[n.id].column_sums_nonneg:
-            label = n.id if n.G is not None else "<shared>"
-            raise HypothesisViolated(f"matrix at {label!r} has a negative column sum")
+    col = tree._index.col.tolist()
+    bad = [i for i, j in enumerate(col) if j >= 0 and not classes[j].column_sums_nonneg]
+    if bad:  # nodes on the shared matrix first, so it is reported before any override
+        n = tree.nodes[min(bad, key=lambda i: tree.nodes[i].G is not None)]
+        label = n.id if n.G is not None else "<shared>"
+        raise HypothesisViolated(f"matrix at {label!r} has a negative column sum")
     table, tau, values = _tree_normal_form(tree, classes, tol)
     value = group_value(table, members, tau)
     if value is None:
@@ -441,9 +440,9 @@ def naive_equilibrium_search(
     adversary deviations. The builtin three-player instance comes out
     with two distinct equilibrium payoffs and no surviving profile.
     """
-    tree.require_valid(tol)
+    _valid(tree, tol)
     table, tau, _ = _tree_normal_form(tree, None, tol)
-    counts = {n.id: count for n, count in _subtree_counts(tree)}
+    counts = dict(_subtree_counts(tree))
     nash_at = nash_mask(table, tau)
     optimal_at = nash_at & floor_mask(table, tau)
 

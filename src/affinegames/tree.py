@@ -11,23 +11,23 @@ evaluation, the naive anchor, the reflected equation and its verifier,
 the joint table's stay-in payoffs; its mix of children's tables adds in
 the same order), so they agree bit for bit; np.add.reduceat does not.
 conditional_expectation is the rule's public per-node form.
+A tree is held once, as its nodes; the accessors, validation and every walk
+in multi_period and bsde read one row index built from them, valid tree or
+not (ScenarioTree._index), and a node's matrix through its column into the
+distinct matrices. A valid tree's _Layout is that index with date slices.
 Validation returns violations as data so callers can report all problems
 at once instead of failing on the first; a non-terminal node with no
 matrix is one, and so is a matrix with a diagonal entry that is not above
 0, which no one-shot game accepts. The node checks are reductions over the
-tree's _arrays (parent rows, dates, probabilities, payoffs), built once per
-tree, valid or not; a valid tree's _Layout is built from the same arrays.
-Only nodes a check flags are visited one by one, to word their messages in
-node order. A tree is validated once per tree and tolerance, classifying
-its distinct matrices together; every call reads the matrix classes that
-require_valid returns. The diagonal rule alone
-takes no tolerance, as in GameSpec. A tree also keeps, per tolerance, what
-multi_period solves on it: the value process's rows and tau_star, and per
-anchor the joint payoff table of every stopping profile with its verdict
-tolerance, all read-only. These memos are sound because a tree cannot
-change: its nodes and matrices are frozen and their arrays read-only; so is
-a valid tree's array layout (_Layout), built at its first use. Copies and
-pickles keep the verdicts and build the rest again.
+index; only nodes a check flags are visited, to word their messages in node
+order. A tree is validated once per tree and tolerance, classifying its
+distinct matrices together. The diagonal rule alone takes no tolerance, as
+in GameSpec. A tree also keeps, per tolerance, what multi_period solves on
+it: the value process's rows and tau_star, and per anchor the joint payoff
+table of every stopping profile with its verdict tolerance, all read-only.
+These memos are sound because a tree cannot change: its nodes and matrices
+are frozen and its index read-only. Copies and pickles keep the verdicts and
+build the rest again.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,9 +60,6 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
-
-# violations, and the class of each node's effective matrix by node id
-_Verdict = Tuple[Tuple[str, ...], Dict[str, MatrixClass]]
 
 
 class TerminalNode(DomainError):
@@ -108,23 +105,26 @@ class AdaptedProcess:
 class ScenarioTree:
     """Horizon T, player count m, nodes, and an optional shared matrix G.
 
-    A per-node matrix overrides the shared one. Lookup tables and the
-    latest-date-first sweep order are built eagerly from the nodes alone and
-    are not compared; semantic problems are reported by validate, not raised
-    here, so a malformed tree can still be inspected.
-    The verdicts, the array layout and the solved value process and joint
-    tables are kept; dataclasses.replace starts afresh.
+    A per-node matrix overrides the shared one. The nodes are the only input;
+    _index, built from them at its first read and not compared, holds a row
+    per node: the row of each id's first node (row); the parent row (up; -1
+    for a root, -2 for an unknown id) and the root rows (roots); t, p, whether
+    X has length m (sized) and those X; the edges by parent row, then child
+    row (parent, child; a row's are start[row]:start[row + 1], or below[row],
+    a list built at its first read); the rows latest date first (order); and
+    each node's effective matrix as a column (col; -1 for none, -2 for one not
+    m by m) into the distinct m-by-m matrices by content, shared one first
+    (matrices). validate reports semantic problems rather than raising them,
+    so a malformed tree can be inspected. The verdicts, the index, the layout
+    and the solved value process and joint tables are kept;
+    dataclasses.replace starts afresh.
     """
 
     T: int
     m: int
     nodes: Tuple[TreeNode, ...]
     G: Optional[SquareMatrix] = None
-    _by_id: Dict[str, TreeNode] = field(init=False, compare=False, repr=False)
-    _roots: Tuple[TreeNode, ...] = field(init=False, compare=False, repr=False)
-    _children: Dict[str, Tuple[TreeNode, ...]] = field(init=False, compare=False, repr=False)
-    _children_first: Tuple[TreeNode, ...] = field(init=False, compare=False, repr=False)
-    _verdicts: Dict[float, _Verdict] = field(init=False, compare=False, repr=False)
+    _verdicts: Dict[float, "_Verdict"] = field(init=False, compare=False, repr=False)
     # by tol: U's rows and tau_star, kept by multi_period._value_rows
     _values: Dict[float, Tuple[np.ndarray, Any]] = field(init=False, compare=False, repr=False)
     # by (tol, naive anchor): the joint table and its tau, kept by
@@ -134,44 +134,29 @@ class ScenarioTree:
     )
 
     def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        by_id: Dict[str, TreeNode] = {}
-        for n in nodes:
-            by_id.setdefault(n.id, n)
-        kids: Dict[str, List[TreeNode]] = {n.id: [] for n in nodes}
-        for n in nodes:
-            if n.parent is not None and n.parent in kids:
-                kids[n.parent].append(n)
         object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_roots", tuple(n for n in nodes if n.parent is None))
-        object.__setattr__(
-            self, "_children", {k: tuple(v) for k, v in kids.items()}
-        )
-        object.__setattr__(self, "_children_first", tuple(sorted(nodes, key=lambda n: -n.t)))
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "_verdicts", {})
         object.__setattr__(self, "_values", {})
         object.__setattr__(self, "_tables", {})
 
     def __getstate__(self):  # a copy builds its own read-only arrays and solves afresh
-        state = {k: v for k, v in self.__dict__.items() if k not in ("_arrays", "_layout")}
+        state = {k: v for k, v in self.__dict__.items() if k not in ("_index", "_layout")}
         return {**state, "_values": {}, "_tables": {}}
 
     @cached_property
-    def _arrays(self) -> "_Arrays":
-        """The nodes' fields as arrays, built at the first read, valid tree or not."""
-        nodes, m = self.nodes, self.m
+    def _index(self) -> "_Index":
+        """The nodes as read-only rows, built at the first read, valid tree or not."""
+        nodes, m, size = self.nodes, self.m, len(self.nodes)
         ids = [n.id for n in nodes]
-        row = dict(zip(ids, range(len(ids))))
-        if len(row) < len(ids):  # a repeated id maps to its first node's row
-            row = {}
-            for i, nid in enumerate(ids):
-                row.setdefault(nid, i)
+        row = dict(zip(ids, range(size)))
+        if len(row) < size:  # a repeated id maps to its first node's row
+            row.update(zip(reversed(ids), range(size - 1, -1, -1)))
         up = np.array(
             [-1 if n.parent is None else row.get(n.parent, -2) for n in nodes], dtype=np.intp
         )
+        roots = np.flatnonzero(up == -1)
         try:
             t = np.array([n.t for n in nodes], dtype=np.int64)
         except OverflowError:  # dates past int64 are only ever reported
@@ -181,50 +166,64 @@ class ScenarioTree:
         sized = np.array([x.shape == (m,) for x in Xs], dtype=bool)
         X = np.array([x for x, ok in zip(Xs, sized.tolist()) if ok], dtype=float)
         X = X.reshape(len(X), m)
-        for a in (up, t, p, sized, X):
+        child = np.flatnonzero(up >= 0)[np.argsort(up[up >= 0], kind="stable")]
+        parent = up[child]
+        start = np.searchsorted(parent, np.arange(size + 1))
+        # latest date first, ties in node order (negating an int64 date can overflow)
+        order = (size - 1 - np.argsort(t[::-1], kind="stable"))[::-1]
+        by_content: Dict[bytes, int] = {}  # the column of each m-by-m matrix's entries
+        matrices: List[SquareMatrix] = []
+
+        def column(M: Optional[SquareMatrix]) -> int:
+            if M is None or M.m != m:
+                return -1 if M is None else -2
+            j = by_content.setdefault(M.entries.tobytes(), len(by_content))
+            if j == len(matrices):
+                matrices.append(M)
+            return j
+
+        shared = column(self.G)  # 0 when the shared matrix is m by m
+        col = np.array([shared if n.G is None else column(n.G) for n in nodes], dtype=np.intp)
+        arrays = (up, roots, t, p, sized, X, parent, child, start, order, col)
+        for a in arrays:
             a.flags.writeable = False
-        return _Arrays(MappingProxyType(row), up, t, p, sized, X)
+        return _Index(MappingProxyType(row), *arrays, tuple(matrices))
 
     @cached_property
     def _layout(self) -> "_Layout":
-        """The array layout, built at the first read from _arrays; call
+        """The index with per-date slices, built at the first read; call
         require_valid first."""
-        a, n = self._arrays, len(self.nodes)
-        below = np.flatnonzero(a.up >= 0)
-        child = below[np.argsort(a.up[below], kind="stable")]
-        parent = a.up[child]
-        inner = np.flatnonzero(np.bincount(parent, minlength=n))
-        # each date's edges and inner rows are slices of one stable sort by date
-        edge_t, bounds = a.t[parent], np.arange(self.T + 1)
+        ix = self._index
+        # a date's edges: a slice of one stable sort by date; its rows: the
+        # parents of the first edges among them (np.unique imports numpy.ma)
+        edge_t = ix.t[ix.parent]
         by_date = np.argsort(edge_t, kind="stable")
-        inner_by_date = inner[np.argsort(a.t[inner], kind="stable")]
-        cuts = np.searchsorted(edge_t[by_date], bounds).tolist()
-        inner_cuts = np.searchsorted(a.t[inner_by_date], bounds).tolist()
-        p = a.p[child]
-        for x in (parent, child, p, inner, by_date, inner_by_date):
-            x.flags.writeable = False
-        dates = tuple(
-            (by_date[cuts[d] : cuts[d + 1]], inner_by_date[inner_cuts[d] : inner_cuts[d + 1]])
-            for d in range(self.T)
-        )
-        return _Layout(a.X, parent, child, p, inner, dates, a.row)
+        by_date.flags.writeable = False
+        cuts = np.searchsorted(edge_t[by_date], np.arange(self.T + 1)).tolist()
+        edges = [by_date[a:b] for a, b in zip(cuts, cuts[1:])]
+        first = np.diff(ix.parent, prepend=-1) != 0  # each parent row's first edge
+        dates = tuple((e, ix.parent[e[first[e]]]) for e in edges)
+        for _, rows in dates:
+            rows.flags.writeable = False
+        return _Layout(**{f.name: getattr(ix, f.name) for f in fields(_Index)}, dates=dates)
 
     def node(self, node_id: Union[str, TreeNode]) -> TreeNode:
         if isinstance(node_id, TreeNode):
             return node_id
-        return self._by_id[str(node_id)]
+        return self.nodes[self._index.row[str(node_id)]]
 
     def children(self, node_id: Union[str, TreeNode]) -> Tuple[TreeNode, ...]:
-        return self._children[self.node(node_id).id]
+        ix = self._index
+        return tuple(self.nodes[c] for c in ix.below[ix.row[self.node(node_id).id]])
 
     def is_leaf(self, node_id: Union[str, TreeNode]) -> bool:
         return not self.children(node_id)
 
     @property
     def root(self) -> TreeNode:
-        if len(self._roots) != 1:
-            raise ValueError(f"tree has {len(self._roots)} roots")
-        return self._roots[0]
+        if len(self._index.roots) != 1:
+            raise ValueError(f"tree has {len(self._index.roots)} roots")
+        return self.nodes[self._index.roots[0]]
 
     def effective_G(self, node_id: Union[str, TreeNode]) -> Optional[SquareMatrix]:
         n = self.node(node_id)
@@ -232,47 +231,54 @@ class ScenarioTree:
 
     def require_valid(self, tol: float = DEFAULT_TOL) -> Mapping[str, MatrixClass]:
         """Validate at tol; the class of each node's effective matrix, by node id."""
-        problems, classes = _checked(self, tol)
-        if problems:
-            raise ValueError("invalid tree: " + "; ".join(problems))
-        return MappingProxyType(classes)
+        classes, col = _valid(self, tol), self._index.col.tolist()
+        return MappingProxyType({n.id: classes[j] for n, j in zip(self.nodes, col) if j >= 0})
 
 
-class _Arrays(NamedTuple):
-    """A tree's nodes as read-only arrays, whether or not it is valid: the
-    row of each id's first node; each node's parent row (-1 for none, -2 for
-    an id no node has), date t and probability p; whether its payoff vector
-    has length m; and those that do as the rows of X. validate reads them,
-    and a valid tree's _Layout is built from them."""
+@dataclass(frozen=True)
+class _Index:
+    """A tree's nodes as read-only rows, valid tree or not; the fields are
+    listed in ScenarioTree's docstring."""
 
     row: Mapping[str, int]
     up: np.ndarray
+    roots: np.ndarray
     t: np.ndarray
     p: np.ndarray
     sized: np.ndarray
     X: np.ndarray
-
-
-class _Layout(NamedTuple):
-    """A valid tree as read-only arrays: payoffs X, one row per node; edges as
-    parent row, child row and p, in node order, then child order; the rows
-    of the nodes with children, inner; dates[t], the edges under the nodes
-    at date t with those nodes' rows; and the row of each node id, by which
-    process and rows turn an (n, m) array into an AdaptedProcess and back."""
-
-    X: np.ndarray
     parent: np.ndarray
     child: np.ndarray
-    p: np.ndarray
-    inner: np.ndarray
+    start: np.ndarray
+    order: np.ndarray
+    col: np.ndarray
+    matrices: Tuple[SquareMatrix, ...]
+
+    @cached_property
+    def below(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each row's child rows, for walks in Python."""
+        child, start = tuple(self.child.tolist()), self.start.tolist()
+        return tuple(child[a:b] for a, b in zip(start, start[1:]))
+
+    def stack(self) -> np.ndarray:
+        """The distinct matrices' entries, one (k, m, m) array indexed by col."""
+        return np.array([M.entries for M in self.matrices], dtype=float)
+
+
+@dataclass(frozen=True)
+class _Layout(_Index):
+    """A valid tree's _Index, with dates[t]: the edges under the nodes at date
+    t, with those nodes' rows. Processes are (n, m) arrays in row order;
+    process and rows turn one into an AdaptedProcess and back."""
+
     dates: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-    row: Mapping[str, int]
 
     def child_sum(self, values: np.ndarray, edges=slice(None)) -> np.ndarray:
         """Each row's sum of p times values over its children along edges, by
         the one child-sum rule; 0 at rows with no such child."""
         out = np.zeros_like(values)
-        np.add.at(out, self.parent[edges], self.p[edges, None] * values[self.child[edges]])
+        child = self.child[edges]
+        np.add.at(out, self.parent[edges], self.p[child, None] * values[child])
         return out
 
     def process(self, values: np.ndarray) -> AdaptedProcess:
@@ -282,52 +288,60 @@ class _Layout(NamedTuple):
         return np.array([proc[k] for k in self.row], dtype=float)
 
 
+# violations, and the class of each distinct matrix by column
+_Verdict = Tuple[Tuple[str, ...], Tuple[MatrixClass, ...]]
+
+
 def validate(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> List[str]:
     """All invariant violations, empty when the tree is well formed."""
     return list(_checked(tree, tol)[0])
 
 
 def _checked(tree: ScenarioTree, tol: float) -> _Verdict:
-    """Violations, and the class of each node's well-sized effective matrix by
-    node id; worked out at the first call for the tree and tol."""
+    """_check's verdict, worked out at the first call for the tree and tol."""
     verdict = tree._verdicts.get(tol)
     if verdict is None:
         verdict = tree._verdicts[tol] = _check(tree, tol)
     return verdict
 
 
+def _valid(tree: ScenarioTree, tol: float) -> Tuple[MatrixClass, ...]:
+    """Validate at tol; the class of each distinct matrix, by column."""
+    problems, classes = _checked(tree, tol)
+    if problems:
+        raise ValueError("invalid tree: " + "; ".join(problems))
+    return classes
+
+
 def _check(tree: ScenarioTree, tol: float) -> _Verdict:
-    """_checked's verdict. The node checks are reductions over the tree's
-    _arrays; only a node some check flags is visited, to word its messages in
-    node order. The distinct matrices are classified as one stack, cut into
-    slices of bounded size."""
+    """The node checks are reductions over the tree's _index; only a node some
+    check flags is visited, to word its messages in node order. The distinct
+    matrices are classified as one stack, cut into slices of bounded size."""
     nodes, T, m = tree.nodes, tree.T, tree.m
-    a = tree._arrays
+    ix = tree._index
     out: List[str] = []
-    repeated = len(a.row) < len(nodes)
+    repeated = len(ix.row) < len(nodes)
     if repeated:
         for nid, count in Counter(n.id for n in nodes).items():
             if count > 1:
                 out.append(f"node id {nid!r} appears {count} times")
-    if len(tree._roots) != 1:
-        out.append(f"expected exactly one root, found {len(tree._roots)}")
-    up, t, p, size = a.up, a.t, a.p, len(nodes)
-    edges = np.flatnonzero(up >= 0)
-    below = up[edges]
+    if len(ix.roots) != 1:
+        out.append(f"expected exactly one root, found {len(ix.roots)}")
+    up, t, p, size = ix.up, ix.t, ix.p, len(nodes)
     wrong_date = np.zeros(size, dtype=bool)
-    wrong_date[edges] = t[edges] != t[below] + 1
+    wrong_date[ix.child] = t[ix.child] != t[ix.parent] + 1
     finite = np.ones(size, dtype=bool)
-    finite[a.sized] = np.isfinite(a.X).all(axis=1)
+    finite[ix.sized] = np.isfinite(ix.X).all(axis=1)
     # children summed in node order from 0, as the builtin sum adds them
-    mass = np.bincount(below, weights=p[edges], minlength=size)
-    kids = np.bincount(below, minlength=size) > 0
+    mass = np.bincount(ix.parent, weights=p[ix.child], minlength=size)
+    kids = ix.start[1:] > ix.start[:-1]
     if repeated:  # a repeated id shares the first one's children
-        first = np.array([a.row[n.id] for n in nodes], dtype=np.intp)
+        first = np.array([ix.row[n.id] for n in nodes], dtype=np.intp)
         mass, kids = mass[first], kids[first]
-    bare = np.array([n.G is None for n in nodes], dtype=bool) & (tree.G is None)
+    bare = ix.col == -1
     root_time = (up == -1) & (t != 0)
     flagged = root_time | (up == -2) | wrong_date | (t < 0) | (t > T) | ~(p > 0)
-    flagged |= ~finite | ~a.sized | np.where(kids, (np.abs(mass - 1.0) > PROB_TOL) | bare, t != T)
+    flagged |= ~finite | ~ix.sized | np.where(kids, (np.abs(mass - 1.0) > PROB_TOL) | bare, t != T)
     for i in np.flatnonzero(flagged).tolist():
         n = nodes[i]
         if root_time[i]:
@@ -340,7 +354,7 @@ def _check(tree: ScenarioTree, tol: float) -> _Verdict:
             out.append(f"node {n.id!r} time {n.t} outside [0, {T}]")
         if not n.p > 0:
             out.append(f"node {n.id!r} probability {n.p} is not positive")
-        if not a.sized[i]:
+        if not ix.sized[i]:
             out.append(f"node {n.id!r} payoff vector is not length {m}")
         elif not finite[i]:
             out.append(f"node {n.id!r} payoff vector has non-finite entries")
@@ -353,40 +367,27 @@ def _check(tree: ScenarioTree, tol: float) -> _Verdict:
                 out.append(f"node {n.id!r} has no matrix and no shared default")
         elif n.t != T:
             out.append(f"leaf {n.id!r} at time {n.t}, expected horizon {T}")
-    matrices: List[Tuple[str, SquareMatrix]] = []
-    if tree.G is not None:
-        matrices.append(("<shared>", tree.G))
-    matrices.extend((n.id, n.G) for n in nodes if n.G is not None)
-    # keyed by content, each SquareMatrix object read once
-    key = {id(M): M.entries.tobytes() for _, M in matrices if M.m == m}
-    distinct = {key[id(M)]: M.entries for _, M in matrices if M.m == m}
-    keys = list(distinct)
-    width = _stack_width(m)
-    by_entries: Dict[bytes, MatrixClass] = {}
-    for start in range(0, len(keys), width):
-        part = keys[start : start + width]
-        stack = np.stack([distinct[k] for k in part])
-        by_entries.update(zip(part, _classify_stack(stack, tol)))
-    for label, M in matrices:
-        if M.m != m:
+    width, G = _stack_width(m), ix.stack()
+    classes: List[MatrixClass] = []
+    for start in range(0, len(G), width):
+        classes.extend(_classify_stack(G[start : start + width], tol))
+    # by column, then -2 (not m by m) and -1 (no matrix)
+    bad = [not (c.is_K0prime and c.has_positive_diagonal) for c in classes] + [True, False]
+    declared = [("<shared>", tree.G, 0 if tree.G.m == m else -2)] if tree.G is not None else []
+    rows = np.flatnonzero(np.array(bad, dtype=bool)[ix.col]).tolist()
+    declared += [(nodes[i].id, nodes[i].G, ix.col[i]) for i in rows if nodes[i].G is not None]
+    for label, M, j in declared:
+        if j == -2:
             out.append(f"matrix at {label!r} has size {M.m}, expected {m}")
             continue
-        cls = by_entries[key[id(M)]]
-        if not cls.is_K0prime:
+        if not classes[j].is_K0prime:
             out.append(
                 f"matrix at {label!r} is not a Z-matrix with the almost-P "
                 "minor signs"
             )
-        if not cls.has_positive_diagonal:
+        if not classes[j].has_positive_diagonal:
             out.append(f"matrix at {label!r} has a diagonal entry that is not positive")
-    by_object = {k: by_entries[b] for k, b in key.items()}
-    shared = by_object.get(id(tree.G))
-    classes = {
-        n.id: c
-        for n in nodes
-        if (c := shared if n.G is None else by_object.get(id(n.G))) is not None
-    }
-    return tuple(out), classes
+    return tuple(out), tuple(classes)
 
 
 def conditional_expectation(

@@ -66,14 +66,21 @@ def edited(sol, Z=None, K=None, J=None):
 
 
 def lemke_sweep(tree, tol=DEFAULT_TOL):
-    """Reference Z: one Lemke solve per node, latest date first."""
-    Z = {}
-    for n in tree._children_first:
-        if tree.is_leaf(n):
+    """Reference Z: one Lemke solve per node, latest date first. Reads only
+    tree.nodes; the expected next Z adds p times each child's Z from 0, in
+    child order."""
+    kids, Z = {}, {}
+    for n in tree.nodes:
+        kids.setdefault(n.parent, []).append(n)
+    for n in sorted(tree.nodes, key=lambda n: -n.t):
+        if n.id not in kids:
             Z[n.id] = n.X.copy()
             continue
-        p = conditional_expectation(tree, Z, n)
-        sol = solve_lemke(LcpProblem(q=p - n.X, M=tree.effective_G(n)), tol=tol)
+        p = np.zeros(tree.m)
+        for c in kids[n.id]:
+            p = p + c.p * Z[c.id]
+        G = tree.G if n.G is None else n.G
+        sol = solve_lemke(LcpProblem(q=p - n.X, M=G), tol=tol)
         assert sol is not None, n.id
         Z[n.id] = n.X + sol.w
     return Z

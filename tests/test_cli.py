@@ -8,7 +8,7 @@ import pytest
 from affinegames import cli
 from affinegames.cli import _HANDLERS, gen_game, gen_tree, main
 from affinegames.jsonio import dump_json, game_json, matrix_json, tree_json
-from affinegames.matrices import gen_p_matrix
+from affinegames.matrices import SquareMatrix, gen_p_matrix
 from affinegames.tree import validate as validate_tree
 from affinegames.jsonio import parse_tree
 from affinegames.lcp import LcpProblem, solve_enum, solve_lemke
@@ -171,6 +171,26 @@ class TestExitCodes:
         assert report["result"]["status"] == "no_solution"
         assert report["result"]["z"] is None
         check_schema(report)
+
+    def test_lemke_ray_past_the_cutoff_is_refused(self, capsys):
+        # 13 x 13: a 4 x 4 block that is neither Z nor P, then the identity.
+        # Lemke's method ends on a ray; enumeration finds support {2, 3, 4}.
+        M = np.eye(13)
+        M[:4, :4] = [
+            [0.684, 1.004, -0.618, 1.822],
+            [-1.32, -0.662, 0.935, 0.049],
+            [2.002, 0.189, -0.633, -0.378],
+            [-1.091, -1.278, 0.63, 0.581],
+        ]
+        q = np.array([1.295, -0.755, 1.689, -0.287] + [1.0] * 9)
+        problem = LcpProblem(q=q, M=SquareMatrix(M))
+        assert solve_lemke(problem) is None
+        found = solve_enum(problem)
+        assert found is not None and found.support == (1, 2, 3)
+        doc = dump_json({"q": q, "M": {"m": 13, "rows": M.tolist()}})
+        code, out, err = run(capsys, "solve", "--input", doc)
+        assert code == 1 and out == ""
+        assert "Lemke's method stopped on a ray without deciding the problem" in err
 
     def test_bsde_rejects_singular_matrix(self, capsys):
         code, _, err = run(capsys, "bsde", "--input", "paper-counterexample")

@@ -22,7 +22,6 @@ from affinegames.multi_period import (
     EnumerationTooLarge,
     _check_budget,
     _check_profile,
-    _from_children,
     _joint_table,
     _profile_index,
     _profile_value,
@@ -73,16 +72,24 @@ def inner_nodes(tree):
 def enumerate_stopping_times(tree):
     """Every adapted single-player stopping time, as its first-stop antichain,
     in the joint table's axis order. The empty set is the never-stop-early
-    time (exercise at the horizon)."""
-    choices = {}
-    for n in tree._children_first:
-        per_child = _from_children(tree, n, choices)
+    time (exercise at the horizon). Reads only tree.nodes: latest date first,
+    a node's children are the nodes that name it as parent, and a child dated
+    no later than its parent has no choices yet."""
+    kids, choices = {}, {}
+    for n in tree.nodes:
+        kids.setdefault(n.parent, []).append(n)
+    for n in sorted(tree.nodes, key=lambda n: -n.t):
+        below = kids.get(n.id, [])
+        if any(c.id not in choices for c in below):
+            raise ValueError(f"invalid tree: a child of {n.id!r} is not dated after it")
+        per_child = [choices.pop(c.id) for c in below]
         if not per_child:
             choices[n.id] = [frozenset()]
             continue
         combos = itertools.product(*per_child)
         choices[n.id] = [frozenset({n.id})] + [frozenset().union(*c) for c in combos]
-    return choices[tree.root.id]
+    (root,) = kids[None]
+    return choices[root.id]
 
 
 def naive_evaluate_profile(tree, profile, node=None, tol=DEFAULT_TOL):
@@ -397,7 +404,7 @@ class TestProfileIndex:
                 )
                 want = tuple(position[first_stops(tree, s)] for s in stops)
                 assert _profile_index(tree, StoppingProfile(stops)) == want, (m, T, b)
-            counts = {n.id: count for n, count in multi_period._subtree_counts(tree)}
+            counts = dict(multi_period._subtree_counts(tree))
             for choice in position:
                 assert _profile_index(tree, StoppingProfile((choice,) * m)) == (
                     position[choice],

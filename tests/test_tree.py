@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import functools
+import math
 import pickle
 import tracemalloc
 
@@ -12,6 +14,7 @@ from affinegames import tree as tree_module
 from affinegames.bsde import solve_reflected_bsde, verify_bsde_solution
 from affinegames.cli import gen_tree
 from affinegames.matrices import SquareMatrix, gen_k_matrix
+from affinegames.multi_period import naive_equilibrium_search, stopping_time_count
 from affinegames.tree import (
     AdaptedProcess,
     ScenarioTree,
@@ -88,44 +91,67 @@ class TestNavigation:
 
 
 class TestDerivedIndexes:
-    """The lookup tables and sweep order come from the nodes alone."""
+    """The row index and its sweep order come from the nodes alone."""
 
-    @pytest.mark.parametrize("name", ["_by_id", "_children", "_children_first"])
+    @pytest.mark.parametrize("name", ["_index", "_layout"])
     def test_not_a_constructor_argument(self, name):
-        tree = two_level_tree()
+        tree = two_level_tree(G=SquareMatrix(np.array([[1.0]])))
         with pytest.raises(TypeError, match=name):
             ScenarioTree(T=tree.T, m=tree.m, nodes=tree.nodes, **{name: getattr(tree, name)})
 
     def test_replace_rebuilds_them(self):
         tree = two_level_tree()
         shorter = dataclasses.replace(tree, T=1, nodes=tree.nodes[:3])
-        assert list(shorter._by_id) == ["a", "b", "c"]
+        assert list(shorter._index.row) == ["a", "b", "c"]
         assert [c.id for c in shorter.children("a")] == ["b", "c"]
         assert shorter.is_leaf("b") and not tree.is_leaf("b")
-        assert [n.id for n in shorter._children_first] == ["b", "c", "a"]
+        assert [shorter.nodes[i].id for i in shorter._index.order] == ["b", "c", "a"]
+
+    def test_child_lists_are_built_once_per_tree(self, monkeypatch):
+        built = []
+        real = tree_module._Index.below.func
+
+        def counted(ix):
+            built.append(ix)
+            return real(ix)
+
+        below = functools.cached_property(counted)
+        below.__set_name__(tree_module._Index, "below")
+        monkeypatch.setattr(tree_module._Index, "below", below)
+        tree = gen_tree(0, 2, T=2, branching=2)
+        naive_equilibrium_search(tree)
+        naive_equilibrium_search(tree, tol=1e-12)
+        assert stopping_time_count(tree) == 5
+        assert all(tree.children(n) == () for n in tree.nodes if n.t == tree.T)
+        assert built == [tree._index]
 
 
 def reference_check(tree, tol):
-    """The node-by-node validation that tree._check replaced, kept unchanged as
-    its oracle: the violations, and the class of each node's well-sized
-    effective matrix by node id."""
+    """The node-by-node validation that tree._check replaced, kept as its
+    oracle and reading only tree.nodes: the violations, and the class of each
+    node's well-sized effective matrix by node id."""
     out: list = []
     seen: dict = {}
+    first: dict = {}
+    kids: dict = {}
     for n in tree.nodes:
         seen[n.id] = seen.get(n.id, 0) + 1
+        first.setdefault(n.id, n)
+        kids.setdefault(n.parent, []).append(n)
     for nid, count in seen.items():
         if count > 1:
             out.append(f"node id {nid!r} appears {count} times")
-    if len(tree._roots) != 1:
-        out.append(f"expected exactly one root, found {len(tree._roots)}")
+    roots = kids.get(None, [])
+    if len(roots) != 1:
+        out.append(f"expected exactly one root, found {len(roots)}")
     for n in tree.nodes:
         if n.parent is None:
             if n.t != 0:
                 out.append(f"root {n.id!r} has time {n.t}, expected 0")
-        elif n.parent not in tree._by_id:
+        elif n.parent not in first:
             out.append(f"node {n.id!r} references unknown parent {n.parent!r}")
         else:
-            pt = tree.node(n.parent).t
+            pt = first[n.parent].t
             if n.t != pt + 1:
                 out.append(
                     f"node {n.id!r} at time {n.t} under parent at time {pt}"
@@ -138,13 +164,13 @@ def reference_check(tree, tol):
             out.append(f"node {n.id!r} payoff vector is not length {tree.m}")
         elif not np.all(np.isfinite(n.X)):
             out.append(f"node {n.id!r} payoff vector has non-finite entries")
-        if n.id in tree._children and tree._children[n.id]:
-            mass = sum(c.p for c in tree._children[n.id])
+        if kids.get(n.id):
+            mass = sum(c.p for c in kids[n.id])
             if abs(mass - 1.0) > tree_module.PROB_TOL:
                 out.append(
                     f"children of {n.id!r} have probabilities summing to {mass!r}"
                 )
-            if tree.effective_G(n) is None:
+            if n.G is None and tree.G is None:
                 out.append(f"node {n.id!r} has no matrix and no shared default")
         elif n.t != tree.T:
             out.append(f"leaf {n.id!r} at time {n.t}, expected horizon {tree.T}")
@@ -172,7 +198,7 @@ def reference_check(tree, tol):
             )
         if not by_entries[key].has_positive_diagonal:
             out.append(f"matrix at {label!r} has a diagonal entry that is not positive")
-    effective = ((n.id, tree.effective_G(n)) for n in tree.nodes)
+    effective = ((n.id, tree.G if n.G is None else n.G) for n in tree.nodes)
     classes = {
         i: by_entries[G.entries.tobytes()]
         for i, G in effective
@@ -251,7 +277,10 @@ class TestValidationOracle:
     def test_equals_the_node_by_node_reference(self, tree):
         problems, classes = reference_check(tree, 1e-9)
         assert validate(tree) == list(problems)
-        assert tree_module._check(dataclasses.replace(tree), 1e-9) == (problems, classes)
+        twin = dataclasses.replace(tree)
+        got, by_column = tree_module._check(twin, 1e-9)
+        by_id = {n.id: by_column[j] for n, j in zip(twin.nodes, twin._index.col.tolist()) if j >= 0}
+        assert (got, by_id) == (problems, classes)
 
     def test_every_malformation_is_reported(self):
         tree = malformed_tree_of_every_kind()
@@ -276,6 +305,88 @@ def malformed_tree_of_every_kind():
         node("e", 1, None, 1.0, [0.0, 0.0]),
     )
     return ScenarioTree(T=2, m=2, nodes=nodes)
+
+
+def malformed(kind):
+    """One small tree per malformation that the accessors must still answer."""
+    if kind == "repeated id":  # a second 'b' under 'c', dated after it
+        nodes = (
+            node("a", 0, None, 1.0, [0.0]),
+            node("c", 1, "a", 0.5, [1.0]),
+            node("b", 1, "a", 0.5, [2.0]),
+            node("b", 2, "c", 1.0, [3.0]),
+        )
+    elif kind == "repeated id with children":  # by id, 'a' has 9 stopping times
+        nodes = (
+            node("a", 0, None, 1.0, [0.0]),
+            node("b", 1, "a", 0.25, [1.0]),
+            node("c", 1, "a", 0.5, [2.0]),
+            node("b0", 2, "b", 1.0, [3.0]),
+            node("c0", 2, "c", 1.0, [4.0]),
+            node("b", 1, "a", 0.25, [5.0]),
+        )
+    elif kind == "unknown parent":
+        nodes = (node("a", 0, None, 1.0, [0.0]), node("b", 1, "a", 1.0, [1.0]),
+                 node("c", 1, "ghost", 1.0, [2.0]))
+    elif kind == "two roots":
+        nodes = (node("a", 0, None, 1.0, [0.0]), node("b", 1, "a", 1.0, [1.0]),
+                 node("c", 0, None, 1.0, [2.0]), node("c0", 1, "c", 1.0, [3.0]))
+    elif kind == "no root":
+        nodes = (node("a", 0, "b", 1.0, [0.0]), node("b", 1, "a", 1.0, [1.0]))
+    elif kind == "child not after parent":
+        nodes = (node("r", 0, None, 1.0, [0.0]), node("a", 1, "r", 1.0, [1.0]),
+                 node("b", 1, "a", 1.0, [2.0]), node("c", 0, "a", 1.0, [3.0]))
+    else:  # a date past int64
+        nodes = (node("r", 0, None, 1.0, [0.0]), node("a", 10**30, "r", 1.0, [1.0]))
+    return ScenarioTree(T=1, m=1, nodes=nodes, G=SquareMatrix(np.array([[1.0]])))
+
+
+class TestMalformedTrees:
+    """On a tree that validate refuses, the accessors, validate and the
+    stopping-time count answer as a walk over tree.nodes with its own dicts."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["repeated id", "repeated id with children", "unknown parent", "two roots", "no root",
+         "child not after parent", "date past int64"],
+    )
+    def test_accessors_follow_the_nodes(self, kind):
+        tree = malformed(kind)
+        first, kids = {}, {}
+        for n in tree.nodes:
+            first.setdefault(n.id, n)
+            kids.setdefault(n.parent, []).append(n)
+        for n in tree.nodes:
+            assert tree.node(n.id) is first[n.id]
+            for key in (n.id, n):
+                assert [id(c) for c in tree.children(key)] == [id(c) for c in kids.get(n.id, [])]
+                assert tree.is_leaf(key) == (n.id not in kids)
+        with pytest.raises(KeyError):
+            tree.node("nowhere")
+        roots = kids.get(None, [])
+        if len(roots) == 1:
+            assert tree.root is roots[0]
+        else:
+            with pytest.raises(ValueError, match=f"^tree has {len(roots)} roots$"):
+                tree.root
+        problems = validate(tree)
+        assert problems and problems == list(reference_check(tree, 1e-9)[0])
+
+        def count(n):
+            below = kids.get(n.id, [])
+            if any(c.t <= n.t for c in below):
+                raise ValueError(f"a child of {n.id!r} is not dated after it")
+            return 1 + math.prod(count(c) for c in below) if below else 1
+
+        try:
+            if len(roots) != 1 or len(first) < len(tree.nodes):
+                raise ValueError("no single root, or a repeated id")
+            want = count(roots[0])
+        except ValueError:
+            with pytest.raises(ValueError):
+                stopping_time_count(tree)
+        else:
+            assert stopping_time_count(tree) == want
 
 
 class TestValidate:
@@ -414,9 +525,15 @@ class TestValidate:
 
 class TestRootIndex:
     def test_root_is_found_with_the_lookup_tables(self):
+        class Unscanned(tuple):
+            def __iter__(self):
+                raise AssertionError("the nodes were scanned")
+
         tree = two_level_tree()
-        object.__setattr__(tree, "nodes", ())  # a read of root scans no nodes
-        assert tree.root.id == "a" and tree.root is tree._by_id["a"]
+        # a read of root scans neither the nodes nor the parent rows
+        vars(tree)["_index"] = dataclasses.replace(tree._index, up=None)
+        object.__setattr__(tree, "nodes", Unscanned(tree.nodes))
+        assert tree.root.id == "a" and tree.root is tree.nodes[tree._index.row["a"]]
 
 
 class TestVerdictMemo:
@@ -482,6 +599,11 @@ class TestVerdictMemo:
             classes["a"] = None
 
 
+LAYOUT_ARRAYS = (
+    "up", "roots", "t", "p", "sized", "X", "parent", "child", "start", "order", "col"
+)
+
+
 class TestLayoutMemo:
     """A valid tree's array layout is built once and cannot be written to; a
     replaced or copied tree builds its own."""
@@ -491,9 +613,9 @@ class TestLayoutMemo:
         layouts = []
 
         class Counted(tree_module._Layout):
-            def __new__(cls, *fields):
-                layouts.append(super().__new__(cls, *fields))
-                return layouts[-1]
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                layouts.append(self)
 
         monkeypatch.setattr(tree_module, "_Layout", Counted)
         return layouts
@@ -513,8 +635,7 @@ class TestLayoutMemo:
         assert layout.X.tolist() == [n.X.tolist() for n in tree.nodes]
         assert layout.parent.tolist() == [0, 0, 1, 1, 2, 2]
         assert layout.child.tolist() == [1, 2, 3, 4, 5, 6]
-        assert layout.p.tolist() == [0.25, 0.75, 0.2, 0.8, 0.5, 0.5]
-        assert layout.inner.tolist() == [0, 1, 2]
+        assert layout.start.tolist() == [0, 2, 4, 6, 6, 6, 6, 6]
         assert [(e.tolist(), r.tolist()) for e, r in layout.dates] == [
             ([0, 1], [0]),
             ([2, 3, 4, 5], [1, 2]),
@@ -524,7 +645,7 @@ class TestLayoutMemo:
         tree = two_level_tree(m=2, G=K2)
         tree.require_valid()
         layout = tree._layout
-        arrays = [layout.X, layout.parent, layout.child, layout.p, layout.inner]
+        arrays = [getattr(layout, name) for name in LAYOUT_ARRAYS]
         arrays += [a for date in layout.dates for a in date]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -537,7 +658,8 @@ class TestLayoutMemo:
         for twin in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
             assert "_layout" not in vars(twin)
             assert twin._layout is not layout
-            for a, b in zip(twin._layout[:5], layout[:5]):
+            for name in LAYOUT_ARRAYS:
+                a, b = getattr(twin._layout, name), getattr(layout, name)
                 assert a.tolist() == b.tolist() and not a.flags.writeable
 
 
