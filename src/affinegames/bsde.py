@@ -19,9 +19,10 @@ bounded size. Backward induction reaches the same values by a separate
 method: Chandrasekaran's grows the support from empty and solves on
 principal blocks, while policy iteration here starts from the full support
 and solves on bordered rows (G's rows on the policy, identity rows off it),
-so U = Z remains a check between two computations. The verifier, a third path, checks the defining
-conditions on all nodes and edges at once. Both read the tree's array
-layout and sum children by the tree module's one child-sum rule.
+so U = Z remains a check between two computations. The verifier, a third
+path, checks the defining conditions on all nodes and edges at once. Both
+read the tree's row index and its dates, and sum children by the tree
+module's one child-sum rule.
 """
 
 from __future__ import annotations
@@ -66,30 +67,30 @@ def solve_reflected_bsde(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> BsdeSo
     """Backward sweep, latest date first, solving each date's complementarity
     problems together; then a forward sweep accumulating K and J."""
     classes = _valid(tree, tol)
-    layout, nodes = tree._layout, tree.nodes
-    inner = np.flatnonzero(np.diff(layout.start)).tolist()
+    ix, nodes = tree._index, tree.nodes
+    inner = np.flatnonzero(np.diff(ix.start)).tolist()
     for i in inner:
-        if not classes[layout.col[i]].is_K:
+        if not classes[ix.col[i]].is_K:
             raise NotKMatrix(f"matrix at node {nodes[i].id!r} is singular or not a K-matrix")
-    X, parent, child = layout.X, layout.parent, layout.child
+    X, parent, child = ix.X, ix.parent, ix.child
     Z, dK, GdK = X.copy(), np.zeros_like(X), np.zeros_like(X)
-    width, stack = _stack_width(tree.m), layout.stack()
-    for edges, rows in reversed(layout.dates):
-        expected = layout.child_sum(Z, edges)
+    width, stack = _stack_width(tree.m), ix.stack()
+    for edges, rows in reversed(ix.dates):
+        expected = ix.child_sum(Z, edges)
         for start in range(0, len(rows), width):
             at = rows[start : start + width]
             part = [nodes[i] for i in at.tolist()]
-            G = stack[layout.col[at]]
+            G = stack[ix.col[at]]
             z, w = _howard(expected[at] - X[at], G, tol, part)
             dK[at] = z
             Z[at] = X[at] + w
             GdK[at] = (G @ z[..., None])[..., 0]
     K, J = np.zeros_like(X), np.zeros_like(X)
-    for edges, _ in layout.dates:
+    for edges, _ in ix.dates:
         up, down = parent[edges], child[edges]
         K[down] = K[up] + dK[up]
         J[down] = J[up] + GdK[up]
-    Z, K, J = (layout.process(a) for a in (Z, K, J))
+    Z, K, J = (ix.process(a) for a in (Z, K, J))
     return BsdeSolution(Z=Z, K=K, J=J, delta_K={nodes[i].id: dK[i] for i in inner})
 
 
@@ -170,16 +171,16 @@ def verify_bsde_solution(
                 out.append(f"{name} at node {n.id!r} is not length {tree.m}")
     if out:
         return out
-    layout, nodes = tree._layout, tree.nodes
-    Z, K, J = (layout.rows(proc) for proc in (sol.Z, sol.K, sol.J))
-    X, parent, child = layout.X, layout.parent, layout.child
+    ix, nodes = tree._index, tree.nodes
+    Z, K, J = (ix.rows(proc) for proc in (sol.Z, sol.K, sol.J))
+    X, parent, child = ix.X, ix.parent, ix.child
     tau = scaled_tol(tol, Z, X, K)
-    root = layout.row[tree.root.id]
+    root = ix.row[tree.root.id]
     for name, A in (("K", K), ("J", J)):
         if float(np.max(np.abs(A[root]))) > tau:
             out.append(f"{name} at root {nodes[root].id!r} is not zero")
     gap = Z - X
-    leaf = layout.start[1:] == layout.start[:-1]
+    leaf = ix.start[1:] == ix.start[:-1]
     off_leaf = leaf & (np.abs(gap).max(axis=1) > tau)
     below = gap.min(axis=1) < -tau
     for i in np.flatnonzero(off_leaf | below):
@@ -190,13 +191,13 @@ def verify_bsde_solution(
 
     # Edges in node order, then child order; edges under one distinct matrix
     # share one product with it.
-    expected = layout.child_sum(Z)[parent]
+    expected = ix.child_sum(Z)[parent]
     dK = K[child] - K[parent]
     dJ = J[child] - J[parent]
     GdK = np.empty_like(dK)
-    under = layout.col[parent]
+    under = ix.col[parent]
     for j in set(under.tolist()):
-        GdK[under == j] = dK[under == j] @ layout.matrices[j].entries.T
+        GdK[under == j] = dK[under == j] @ ix.matrices[j].entries.T
     decreases = dK.min(axis=1) < -tau
     not_gdk = np.abs(dJ - GdK).max(axis=1) > tau
     recursion = np.abs(Z[parent] - dJ - expected).max(axis=1) > tau

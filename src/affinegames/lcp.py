@@ -24,6 +24,7 @@ that bypasses complementarity (single_period.projection_sol).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -221,17 +222,21 @@ def solve_lemke(
     the columns that started as the identity, which rules out cycling in
     exact arithmetic; a pivot budget of 10 * 2^m guards the floating-point
     version. Returns None on ray termination (no solution found along the
-    pivot path).
+    pivot path). The pivots run on M / s, with s the power of two nearest
+    max |M| (1 for a zero M), so that the ratio test's fixed threshold means
+    the same at every scale of M; z is divided back by s, exactly.
     """
     q, Ma, m = problem.q, problem.M.entries, problem.m
     tau = scaled_tol(tol, q, Ma)
     if float(np.min(q)) >= -tau:
         return _finish(np.zeros(m), q.copy())
 
-    # Columns: w_0..w_{m-1}, z_0..z_{m-1}, z0, rhs. System w - Mz - z0*1 = q.
+    peak = float(np.max(np.abs(Ma)))
+    scale = 2.0 ** min(round(math.log2(peak)), 1023) if peak > 0.0 else 1.0
+    # Columns: w_0..w_{m-1}, z_0..z_{m-1}, z0, rhs. System w - (M/s)z - z0*1 = q.
     T = np.zeros((m, 2 * m + 2))
     T[:, :m] = np.eye(m)
-    T[:, m : 2 * m] = -Ma
+    T[:, m : 2 * m] = -Ma / scale
     T[:, 2 * m] = -1.0
     T[:, 2 * m + 1] = q
     basis = list(range(m))
@@ -277,7 +282,7 @@ def solve_lemke(
             for r, var in enumerate(basis):
                 if m <= var < 2 * m:
                     z[var - m] = T[r, 2 * m + 1]
-            z = np.where(z < 0.0, 0.0, z)
+            z = np.where(z < 0.0, 0.0, z) / scale
             return _finish(z, q + Ma @ z)
         entering = leaving + m if leaving < m else leaving - m
     raise CycleLimit(f"no termination within {_pivot_budget(m)} pivots")

@@ -25,12 +25,14 @@ the naive search's table takes the naive anchor.
 That table is built bottom-up from each node's one-shot game, whose
 single-period payoff table covers every exercising set at once; a single
 profile's walk instead evaluates one exercising set per stop node. Every
-walk goes by the tree's rows, latest date first or down from the root. A
+walk goes by the tree's index, latest date first or down from the root. A
 profile is located in the table by its index, and the naive search reads
-its Nash cells' indices back into stopping times, neither by a listing.
-A tree keeps, per tolerance, its value process (_value_rows) and each
+its Nash cells' indices back into stopping times, neither by a listing;
+both read the count under each row from _subtree_counts. A tree keeps, per
+tolerance, its value process as rows with tau_star (_value_rows) and each
 anchor's joint table (_tree_normal_form), so every verdict and profile
-evaluation on one tree after the first builds neither again.
+evaluation on one tree after the first builds neither again. Only
+backward_induction maps the rows by node id.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,15 +119,8 @@ def backward_induction(tree: ScenarioTree, tol: float = DEFAULT_TOL) -> ValuePro
 
     U's rows are read-only views of the tree's kept solution; each call
     returns a new mapping of them."""
-    return _value_process(tree, _valid(tree, tol), tol)
-
-
-def _value_process(
-    tree: ScenarioTree, classes: Tuple[MatrixClass, ...], tol: float
-) -> ValueProcess:
-    """backward_induction on a tree validated at tol, given its classes by column."""
-    U, tau_star = _value_rows(tree, classes, tol)
-    return ValueProcess(U=tree._layout.process(U), tau_star=tau_star)
+    U, tau_star = _value_rows(tree, _valid(tree, tol), tol)
+    return ValueProcess(U=tree._index.process(U), tau_star=tau_star)
 
 
 def _value_rows(
@@ -144,15 +139,15 @@ def _value_rows(
     solved = tree._values.get(tol)
     if solved is not None:
         return solved
-    layout, nodes, U = tree._layout, tree.nodes, tree._layout.X.copy()
-    X, col, G = layout.X, layout.col, layout.stack()
+    ix, nodes, U = tree._index, tree.nodes, tree._index.X.copy()
+    X, col, G = ix.X, ix.col, ix.stack()
     exercise = np.zeros(U.shape, dtype=bool)
     width = _stack_width(tree.m)
-    for edges, rows in reversed(layout.dates):
-        stay = layout.child_sum(U, edges)
+    for edges, rows in reversed(ix.dates):
+        stay = ix.child_sum(U, edges)
         nonsingular = np.array([classes[j].is_K for j in col[rows].tolist()], dtype=bool)
         for i in rows[~nonsingular].tolist():
-            game = GameSpec(X=nodes[i].X, P=stay[i], G=layout.matrices[col[i]])
+            game = GameSpec(X=nodes[i].X, P=stay[i], G=ix.matrices[col[i]])
             solution = _solve_classified(game, classes[col[i]], tol)
             U[i] = solution.V_star
             exercise[i, list(solution.equilibrium.exercising)] = True
@@ -168,7 +163,7 @@ def _value_rows(
             U[at] = X[at] + w
             exercise[at] = _binding(U[at], X[at], tol)
     U.flags.writeable = False
-    ids = list(layout.row)
+    ids = list(ix.row)
     stops = (frozenset(compress(ids, col)) for col in exercise.T.tolist())
     solved = tree._values[tol] = U, StoppingProfile(tuple(stops))
     return solved
@@ -190,19 +185,19 @@ def _profile_value(
     sum of each process a date; each reached stop node costs one payoff()
     call, as a full table there would be exponential in the number of players.
     """
-    layout, nodes, stops = tree._layout, tree.nodes, profile.stops
-    first = layout.row[(tree.root if node is None else tree.node(node)).id]
-    below, level, levels = tree._index.below, [first], []
+    ix, nodes, stops = tree._index, tree.nodes, profile.stops
+    first = ix.row[(tree.root if node is None else tree.node(node)).id]
+    below, level, levels = ix.below, [first], []
     while level and nodes[level[0]].t < tree.T:  # the leaves' rows hold X already
         levels.append([(i, tuple(0 if nodes[i].id in s else 1 for s in stops)) for i in level])
         level = [c for i, s in levels[-1] if 0 not in s for c in below[i]]
-    vals = layout.X.copy()
+    vals = ix.X.copy()
     for level in reversed(levels):
-        edges = layout.dates[nodes[level[0][0]].t][0]
-        stay, go_on = layout.child_sum(anchor, edges), layout.child_sum(vals, edges)
+        edges = ix.dates[nodes[level[0][0]].t][0]
+        stay, go_on = ix.child_sum(anchor, edges), ix.child_sum(vals, edges)
         for i, s in level:
             if 0 in s:
-                game = GameSpec(X=nodes[i].X, P=stay[i], G=layout.matrices[layout.col[i]])
+                game = GameSpec(X=nodes[i].X, P=stay[i], G=ix.matrices[ix.col[i]])
                 vals[i] = payoff(game, StrategyProfile(s), tol=tol).V
             else:
                 vals[i] = go_on[i]
@@ -223,10 +218,10 @@ def _joint_table(tree: ScenarioTree, anchor: np.ndarray, tol: float) -> np.ndarr
     tables, summed by the one child-sum rule, which also gives every node's
     stay-in payoff from the anchor rows.
     """
-    m, layout, nodes = tree.m, tree._layout, tree.nodes
-    stay, below = layout.child_sum(anchor), tree._index.below
+    m, ix, nodes, counts = tree.m, tree._index, tree.nodes, _subtree_counts(tree)
+    stay, below = ix.child_sum(anchor), ix.below
     tables: Dict[int, np.ndarray] = {}  # by row, each popped by its parent
-    for i in layout.order.tolist():
+    for i in ix.order.tolist():
         kids = below[i]
         if not kids:
             tables[i] = nodes[i].X.reshape((1,) * m + (m,))
@@ -237,20 +232,20 @@ def _joint_table(tree: ScenarioTree, anchor: np.ndarray, tol: float) -> np.ndarr
             axes = [1] * len(kids)
             axes[j] = sub.shape[0]
             mix = mix + nodes[c].p * sub.reshape(tuple(axes) * m + (m,))
-        rest = math.prod(sub.shape[0] for sub in subs)
-        pick = np.minimum(np.arange(1 + rest), 1)  # 0 exercises, the rest stay
-        game = GameSpec(X=nodes[i].X, P=stay[i], G=layout.matrices[layout.col[i]])
+        rest = counts[i] - 1  # the combinations of the children's antichains
+        pick = np.minimum(np.arange(counts[i]), 1)  # 0 exercises, the rest stay
+        game = GameSpec(X=nodes[i].X, P=stay[i], G=ix.matrices[ix.col[i]])
         table = _payoff_table(game, tol)[np.ix_(*[pick] * m)]
         table[(slice(1, None),) * m] = mix.reshape((rest,) * m + (m,))
         tables[i] = table
-    return tables[layout.row[tree.root.id]]
+    return tables[ix.row[tree.root.id]]
 
 
 def _terminal_anchor(tree: ScenarioTree) -> np.ndarray:
-    layout = tree._layout
-    out = layout.X.copy()
-    for edges, rows in reversed(layout.dates):
-        out[rows] = layout.child_sum(out, edges)[rows]
+    ix = tree._index
+    out = ix.X.copy()
+    for edges, rows in reversed(ix.dates):
+        out[rows] = ix.child_sum(out, edges)[rows]
     return out
 
 
@@ -280,12 +275,12 @@ def evaluate_profile(
 
 
 def stopping_time_count(tree: ScenarioTree) -> int:
-    return dict(_subtree_counts(tree))[tree._index.row[tree.root.id]]
+    return _subtree_counts(tree)[tree._index.row[tree.root.id]]
 
 
-def _subtree_counts(tree: ScenarioTree) -> Iterator[Tuple[int, int]]:
-    """Each row after its descendants, with the stopping-time count under it;
-    a repeated id, or a child not dated after its parent, is refused."""
+def _subtree_counts(tree: ScenarioTree) -> List[int]:
+    """The stopping-time count under every row, by row; a repeated id, or a
+    child not dated after its parent, is refused."""
     ix, nodes = tree._index, tree.nodes
     if len(ix.row) < len(nodes):
         raise ValueError("invalid tree: a node id appears more than once")
@@ -295,7 +290,7 @@ def _subtree_counts(tree: ScenarioTree) -> Iterator[Tuple[int, int]]:
         if 0 in kids:
             raise ValueError(f"invalid tree: a child of {nodes[i].id!r} is not dated after it")
         counts[i] = 1 + math.prod(kids) if kids else 1
-        yield i, counts[i]
+    return counts
 
 
 def _check_budget(tree: ScenarioTree) -> None:
@@ -304,11 +299,11 @@ def _check_budget(tree: ScenarioTree) -> None:
 
     _joint_table builds, at every non-terminal node, one entry per joint
     profile of the stopping times under the node: (count there)^m. The
-    check stops at the first node that crosses the budget, before the
-    counts above it grow.
+    check adds up the nodes children first and stops at the first one that
+    crosses the budget.
     """
-    total = 0
-    for _, count in _subtree_counts(tree):
+    total, counts = 0, _subtree_counts(tree)
+    for count in (counts[i] for i in tree._index.order.tolist()):
         if count > 1:  # a node with children
             total += count**tree.m
             if total > ENUMERATION_BUDGET:
@@ -320,42 +315,41 @@ def _check_budget(tree: ScenarioTree) -> None:
 
 def _tree_normal_form(
     tree: ScenarioTree, classes: Optional[Tuple[MatrixClass, ...]], tol: float
-) -> Tuple[np.ndarray, float, Optional[ValueProcess]]:
+) -> Tuple[np.ndarray, float]:
     """The verifiers' one prologue: refuse a tree over ENUMERATION_BUDGET before
     any other work; then the joint table, read-only, against the value process
     (given the classes by column) or the naive rule's terminal anchor (given None),
-    its verdict tolerance scaled_tol(tol, table), and the value process or None.
-    The table is built at the first call for the tree, tol and anchor."""
+    and its verdict tolerance scaled_tol(tol, table). The table is built at the
+    first call for the tree, tol and anchor."""
     _check_budget(tree)
     naive = classes is None
-    values = None if naive else _value_process(tree, classes, tol)
     form = tree._tables.get((tol, naive))
     if form is None:
         anchor = _terminal_anchor(tree) if naive else _value_rows(tree, classes, tol)[0]
         table = _joint_table(tree, anchor, tol)
         table.flags.writeable = False
         form = tree._tables[tol, naive] = table, scaled_tol(tol, table)
-    return (*form, values)
+    return form
 
 
 def _profile_index(tree: ScenarioTree, profile: StoppingProfile) -> Tuple[int, ...]:
     """A profile's cell in the joint table. Per player, children first: 0 at a
     non-leaf node the player stops at, else 1 plus the children's indices as
     one C-order index over their counts."""
-    ix, nodes, below = tree._index, tree.nodes, tree._index.below
-    done: Dict[int, Tuple[int, List[int]]] = {}  # by row, each popped by its parent
+    ix, nodes, counts = tree._index, tree.nodes, _subtree_counts(tree)
+    below, index = ix.below, {}  # index by row, each popped by its parent
     for r in ix.order.tolist():
-        count, index = 1, [0] * tree.m
-        for k, sub in (done.pop(c) for c in below[r]):
-            count, index = count * k, [i * k + j for i, j in zip(index, sub)]
+        at = [0] * tree.m
+        for c in below[r]:
+            at = [i * counts[c] + j for i, j in zip(at, index.pop(c))]
         if below[r]:
             stops = (nodes[r].id in s for s in profile.stops)
-            count, index = 1 + count, [0 if s else 1 + i for s, i in zip(stops, index)]
-        done[r] = count, index
-    return tuple(done[ix.row[tree.root.id]][1])
+            at = [0 if s else 1 + i for s, i in zip(stops, at)]
+        index[r] = at
+    return tuple(index[ix.row[tree.root.id]])
 
 
-def _stopping_time(tree: ScenarioTree, counts: Mapping[int, int], k: int) -> FrozenSet[str]:
+def _stopping_time(tree: ScenarioTree, counts: Sequence[int], k: int) -> FrozenSet[str]:
     """The stopping time at index k of the joint table's axis, read back from
     the root as _profile_index builds it, given the count under each row."""
     below, first, walk = tree._index.below, [], [(tree._index.row[tree.root.id], k)]
@@ -384,8 +378,10 @@ def verify_optimal_equilibrium(
     classes = _valid(tree, tol)
     if profile is not None:
         _check_profile(tree, profile)
-    table, tau, values = _tree_normal_form(tree, classes, tol)
-    at = _profile_index(tree, values.tau_star if profile is None else profile)
+    table, tau = _tree_normal_form(tree, classes, tol)
+    if profile is None:
+        profile = _value_rows(tree, classes, tol)[1]
+    at = _profile_index(tree, profile)
     return bool(optimal_mask(table, tau)[at])
 
 
@@ -409,11 +405,12 @@ def coalition_value_tree(
         n = tree.nodes[min(bad, key=lambda i: tree.nodes[i].G is not None)]
         label = n.id if n.G is not None else "<shared>"
         raise HypothesisViolated(f"matrix at {label!r} has a negative column sum")
-    table, tau, values = _tree_normal_form(tree, classes, tol)
+    table, tau = _tree_normal_form(tree, classes, tol)
     value = group_value(table, members, tau)
     if value is None:
         return None
-    target = float(sum(values.U.values[tree.root.id][i] for i in members))
+    root = _value_rows(tree, classes, tol)[0][tree._index.row[tree.root.id]]
+    target = float(sum(root[i] for i in members))
     if abs(value - target) > group_margin(tau, members):
         raise HypothesisViolated(
             f"coalition value {value!r} differs from summed root values {target!r}"
@@ -441,8 +438,8 @@ def naive_equilibrium_search(
     with two distinct equilibrium payoffs and no surviving profile.
     """
     _valid(tree, tol)
-    table, tau, _ = _tree_normal_form(tree, None, tol)
-    counts = dict(_subtree_counts(tree))
+    table, tau = _tree_normal_form(tree, None, tol)
+    counts = _subtree_counts(tree)
     nash_at = nash_mask(table, tau)
     optimal_at = nash_at & floor_mask(table, tau)
 

@@ -6,7 +6,7 @@ tree assign one length-m vector per node; conditional expectation at a
 node averages the children's values with the branch probabilities by the
 one child-sum rule: from 0, add p times each child's value in child order.
 Inside the package a process is an array, a row per node. Every sum over
-children of one is a _Layout.child_sum call (backward induction, profile
+children of one is an _Index.child_sum call (backward induction, profile
 evaluation, the naive anchor, the reflected equation and its verifier,
 the joint table's stay-in payoffs; its mix of children's tables adds in
 the same order), so they agree bit for bit; np.add.reduceat does not.
@@ -14,7 +14,8 @@ conditional_expectation is the rule's public per-node form.
 A tree is held once, as its nodes; the accessors, validation and every walk
 in multi_period and bsde read one row index built from them, valid tree or
 not (ScenarioTree._index), and a node's matrix through its column into the
-distinct matrices. A valid tree's _Layout is that index with date slices.
+distinct matrices. Its dates, each date's edges and parent rows, are built at
+their first read, which only a validated tree's solvers and verifiers make.
 Validation returns violations as data so callers can report all problems
 at once instead of failing on the first; a non-terminal node with no
 matrix is one, and so is a matrix with a diagonal entry that is not above
@@ -111,13 +112,14 @@ class ScenarioTree:
     for a root, -2 for an unknown id) and the root rows (roots); t, p, whether
     X has length m (sized) and those X; the edges by parent row, then child
     row (parent, child; a row's are start[row]:start[row + 1], or below[row],
-    a list built at its first read); the rows latest date first (order); and
-    each node's effective matrix as a column (col; -1 for none, -2 for one not
-    m by m) into the distinct m-by-m matrices by content, shared one first
-    (matrices). validate reports semantic problems rather than raising them,
-    so a malformed tree can be inspected. The verdicts, the index, the layout
-    and the solved value process and joint tables are kept;
-    dataclasses.replace starts afresh.
+    a list built at its first read); the rows latest date first (order); each
+    node's effective matrix as a column (col; -1 for none, -2 for one not m by
+    m) into the distinct m-by-m matrices by content, shared one first
+    (matrices); and, read only once the tree is validated, each date's edges
+    with their parent rows (dates, built at its first read). validate reports
+    semantic problems rather than raising them, so a malformed tree can be
+    inspected. The verdicts, the index and the solved value process and joint
+    tables are kept; dataclasses.replace starts afresh.
     """
 
     T: int
@@ -142,7 +144,7 @@ class ScenarioTree:
         object.__setattr__(self, "_tables", {})
 
     def __getstate__(self):  # a copy builds its own read-only arrays and solves afresh
-        state = {k: v for k, v in self.__dict__.items() if k not in ("_index", "_layout")}
+        state = {k: v for k, v in self.__dict__.items() if k != "_index"}
         return {**state, "_values": {}, "_tables": {}}
 
     @cached_property
@@ -189,24 +191,6 @@ class ScenarioTree:
             a.flags.writeable = False
         return _Index(MappingProxyType(row), *arrays, tuple(matrices))
 
-    @cached_property
-    def _layout(self) -> "_Layout":
-        """The index with per-date slices, built at the first read; call
-        require_valid first."""
-        ix = self._index
-        # a date's edges: a slice of one stable sort by date; its rows: the
-        # parents of the first edges among them (np.unique imports numpy.ma)
-        edge_t = ix.t[ix.parent]
-        by_date = np.argsort(edge_t, kind="stable")
-        by_date.flags.writeable = False
-        cuts = np.searchsorted(edge_t[by_date], np.arange(self.T + 1)).tolist()
-        edges = [by_date[a:b] for a, b in zip(cuts, cuts[1:])]
-        first = np.diff(ix.parent, prepend=-1) != 0  # each parent row's first edge
-        dates = tuple((e, ix.parent[e[first[e]]]) for e in edges)
-        for _, rows in dates:
-            rows.flags.writeable = False
-        return _Layout(**{f.name: getattr(ix, f.name) for f in fields(_Index)}, dates=dates)
-
     def node(self, node_id: Union[str, TreeNode]) -> TreeNode:
         if isinstance(node_id, TreeNode):
             return node_id
@@ -238,7 +222,8 @@ class ScenarioTree:
 @dataclass(frozen=True)
 class _Index:
     """A tree's nodes as read-only rows, valid tree or not; the fields are
-    listed in ScenarioTree's docstring."""
+    listed in ScenarioTree's docstring. Processes are (n, m) arrays in row
+    order; process and rows turn one into an AdaptedProcess and back."""
 
     row: Mapping[str, int]
     up: np.ndarray
@@ -260,18 +245,27 @@ class _Index:
         child, start = tuple(self.child.tolist()), self.start.tolist()
         return tuple(child[a:b] for a, b in zip(start, start[1:]))
 
+    @cached_property
+    def dates(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """dates[t]: the edges under the nodes at date t, with those nodes'
+        rows, for t below the horizon; read only on a validated tree, whose
+        latest date is its horizon."""
+        # a date's edges: a slice of one stable sort by date; its rows: the
+        # parents of the first edges among them (np.unique imports numpy.ma)
+        edge_t = self.t[self.parent]
+        by_date = np.argsort(edge_t, kind="stable")
+        by_date.flags.writeable = False
+        cuts = np.searchsorted(edge_t[by_date], np.arange(self.t.max() + 1)).tolist()
+        first = np.diff(self.parent, prepend=-1) != 0  # each parent row's first edge
+        edges = [by_date[a:b] for a, b in zip(cuts, cuts[1:])]
+        dates = tuple((e, self.parent[e[first[e]]]) for e in edges)
+        for _, rows in dates:
+            rows.flags.writeable = False
+        return dates
+
     def stack(self) -> np.ndarray:
         """The distinct matrices' entries, one (k, m, m) array indexed by col."""
         return np.array([M.entries for M in self.matrices], dtype=float)
-
-
-@dataclass(frozen=True)
-class _Layout(_Index):
-    """A valid tree's _Index, with dates[t]: the edges under the nodes at date
-    t, with those nodes' rows. Processes are (n, m) arrays in row order;
-    process and rows turn one into an AdaptedProcess and back."""
-
-    dates: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     def child_sum(self, values: np.ndarray, edges=slice(None)) -> np.ndarray:
         """Each row's sum of p times values over its children along edges, by

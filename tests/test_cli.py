@@ -192,6 +192,21 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "Lemke's method stopped on a ray without deciding the problem" in err
 
+    def test_lemke_solves_a_small_scale_p_matrix_past_the_cutoff(self, capsys):
+        # A P-matrix times 1e-12 has a solution for every q; the ratio test's
+        # fixed threshold must not read its pivot entries as zero.
+        M = gen_p_matrix(1, 13).entries * 1e-12
+        q = np.array([(-1) ** i * (i + 1) for i in range(13)], dtype=float)
+        doc = dump_json({"q": q, "M": {"m": 13, "rows": M.tolist()}})
+        code, out, _ = run(capsys, "solve", "--input", doc)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["status"] == "solved"
+        z, w = np.array(result["z"]), np.array(result["w"])
+        assert z.min() >= 0.0 and w.min() >= 0.0
+        assert np.abs(w - (q + M @ z)).max() <= 1e-9 * np.abs(q).max()
+        assert float(z @ w) <= 1e-9 * float(np.abs(z).max())
+
     def test_bsde_rejects_singular_matrix(self, capsys):
         code, _, err = run(capsys, "bsde", "--input", "paper-counterexample")
         assert code == 1 and err.startswith("error:")

@@ -18,7 +18,8 @@ CASES = sorted(GOLDEN.glob("*.json"))
 def test_every_command_the_reports_cover_is_present():
     commands = {path.stem.split("--")[0] for path in CASES}
     assert commands == {
-        "tree-solve", "bsde", "tree-verify", "equilibria", "solve", "naive-counterexample"
+        "tree-solve", "bsde", "tree-verify", "equilibria", "solve", "naive-counterexample",
+        "classify", "wuc", "dummy", "grg", "gen",
     }
     assert all(path.with_suffix(".out").exists() for path in CASES)
 

@@ -28,7 +28,6 @@ from affinegames.multi_period import (
     _terminal_anchor,
     HypothesisViolated,
     StoppingProfile,
-    ValueProcess,
     backward_induction,
     coalition_value_tree,
     evaluate_profile,
@@ -404,7 +403,7 @@ class TestProfileIndex:
                 )
                 want = tuple(position[first_stops(tree, s)] for s in stops)
                 assert _profile_index(tree, StoppingProfile(stops)) == want, (m, T, b)
-            counts = dict(multi_period._subtree_counts(tree))
+            counts = multi_period._subtree_counts(tree)
             for choice in position:
                 assert _profile_index(tree, StoppingProfile((choice,) * m)) == (
                     position[choice],
@@ -494,15 +493,15 @@ class TestCoalitionValueTree:
         # the root value plays no part in the joint table, so shifting it
         # leaves the enumerated value and moves only the summed target
         tree = gen_tree(0, 2, T=2, require_nonneg_colsums=True)
-        real = multi_period._value_process
+        real = multi_period._value_rows
 
         def shifted(tree, classes, tol):
-            vp = real(tree, classes, tol)
-            U = dict(vp.U.values)
-            U[tree.root.id] = U[tree.root.id] + 1.0
-            return ValueProcess(U=AdaptedProcess(values=U), tau_star=vp.tau_star)
+            U, tau_star = real(tree, classes, tol)
+            U = U.copy()
+            U[tree._index.row[tree.root.id]] += 1.0
+            return U, tau_star
 
-        monkeypatch.setattr(multi_period, "_value_process", shifted)
+        monkeypatch.setattr(multi_period, "_value_rows", shifted)
         with pytest.raises(HypothesisViolated, match="differs from summed root values"):
             coalition_value_tree(tree, [0, 1])
 
@@ -539,7 +538,7 @@ class TestNaiveEquilibriumSearch:
         found = 0
         for seed, (m, T, b) in enumerate(((2, 2, 2), (3, 2, 2), (2, 2, 3), (3, 2, 3), (2, 3, 2))):
             tree = gen_tree(seed, m, T=T, branching=b)
-            table, tau, _ = multi_period._tree_normal_form(tree, None, 1e-9)
+            table, tau = multi_period._tree_normal_form(tree, None, 1e-9)
             choices = enumerate_stopping_times(tree)
 
             def listed(mask):
@@ -619,7 +618,7 @@ class TestJointTable:
         m, T, b = shape
         tree = gen_tree(sum(shape), m, T=T, branching=b)
         evaluate = naive_evaluate_profile if naive else evaluate_profile
-        anchor = _terminal_anchor(tree) if naive else tree._layout.rows(backward_induction(tree).U)
+        anchor = _terminal_anchor(tree) if naive else tree._index.rows(backward_induction(tree).U)
         table = _joint_table(tree, anchor, 1e-9)
         choices = enumerate_stopping_times(tree)
         assert table.shape == (len(choices),) * m + (m,)
@@ -641,9 +640,9 @@ class TestJointTable:
                 _check_budget(tree)
             except EnumerationTooLarge:
                 continue
-            for anchor in (tree._layout.rows(backward_induction(tree).U), _terminal_anchor(tree)):
+            for anchor in (tree._index.rows(backward_induction(tree).U), _terminal_anchor(tree)):
                 table = _joint_table(tree, anchor, 1e-9)
-                ref = loop_joint_table(tree, tree._layout.process(anchor))
+                ref = loop_joint_table(tree, tree._index.process(anchor))
                 assert table.shape == ref.shape, (T, b)
                 assert table.tobytes() == ref.tobytes(), (T, b)
             checked += 1
@@ -717,7 +716,7 @@ def _solving(monkeypatch):
     """The calls that solve or tabulate a tree: each records its tree."""
     return [
         _counted(monkeypatch, "affinegames.multi_period", attr)
-        for attr in ("_value_process", "_joint_table", "_terminal_anchor")
+        for attr in ("_value_rows", "_joint_table", "_terminal_anchor")
     ]
 
 
@@ -893,12 +892,13 @@ class TestClassifyOncePerCall:
         assert len(classified) == 1
 
     def test_tree_verify_does_its_work_once(self, classified, monkeypatch, tmp_path):
-        values = _counted(monkeypatch, "affinegames.multi_period", "_value_process")
+        # one solve of the value process is one kernel call per date
+        solves = _counted(monkeypatch, "affinegames.lcp", "_chandrasekaran_stack")
         path = tmp_path / "tree.json"
         path.write_text(dump_json(tree_json(gen_tree(0, 3, T=2))), encoding="utf-8")
         assert main(["tree-verify", "--input", str(path)]) == 0
         assert len(_rows(classified)) == 1
-        assert len(values) == 1
+        assert len(solves) == 2
 
 
 def _tree_verdicts(tree, tol=1e-9):
@@ -959,6 +959,24 @@ class TestSolveOncePerTolerance:
         cold = _tree_verdicts(make())
         assert _tree_verdicts(tree) == cold
         assert _tree_verdicts(tree) == cold
+
+    def test_verifiers_read_the_kept_rows(self, monkeypatch):
+        """tau_star and the root's values come from the kept rows; only
+        backward_induction maps them by node id."""
+        tree = gen_tree(0, 2, T=2, require_nonneg_colsums=True)
+        built = []
+        real = AdaptedProcess.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(AdaptedProcess, "__init__", counted)
+        assert verify_optimal_equilibrium(tree)
+        assert coalition_value_tree(tree, [0, 1]) is not None
+        assert built == []
+        backward_induction(tree)
+        assert len(built) == 1
 
     def test_arrays_are_read_only(self):
         tree = gen_tree(0, 2, T=2, require_nonneg_colsums=True)
@@ -1027,17 +1045,17 @@ class TestSolveOncePerTolerance:
         reached date, over that date's edges alone."""
         tree = gen_tree(0, 2, T=4)
         backward_induction(tree)
-        layout = tree._layout
+        ix = tree._index
         summed = []
-        real = tree_module._Layout.child_sum
+        real = tree_module._Index.child_sum
 
         def counted(self, values, edges=slice(None)):
             summed.append(len(self.parent[edges]))
             return real(self, values, edges)
 
-        monkeypatch.setattr(tree_module._Layout, "child_sum", counted)
+        monkeypatch.setattr(tree_module._Index, "child_sum", counted)
         evaluate_profile(tree, StoppingProfile(stops))
-        per_date = [len(layout.dates[t][0]) for t in dates]
+        per_date = [len(ix.dates[t][0]) for t in dates]
         assert sorted(summed) == sorted(2 * per_date)
 
 
@@ -1052,11 +1070,11 @@ def per_node_value_rows(tree, tol=DEFAULT_TOL):
     one-shot game on the child sum of the next date's values, solved by
     _solve_classified. The reference the stacked kernel is held to."""
     classes = tree.require_valid(tol)
-    layout = tree._layout
-    U = layout.X.copy()
+    ix = tree._index
+    U = ix.X.copy()
     stops = [set() for _ in range(tree.m)]
-    for edges, rows in reversed(layout.dates):
-        stay = layout.child_sum(U, edges)
+    for edges, rows in reversed(ix.dates):
+        stay = ix.child_sum(U, edges)
         for i in rows.tolist():
             n = tree.nodes[i]
             game = GameSpec(X=n.X, P=stay[i], G=tree.effective_G(n))
@@ -1111,7 +1129,7 @@ class TestStackedBackwardInduction:
         for label, tree in _equivalence_corpus():
             vp = backward_induction(tree, tol=tol)
             U, tau_star = per_node_value_rows(dataclasses.replace(tree), tol)
-            assert tree._layout.rows(vp.U).tobytes() == U.tobytes(), label
+            assert tree._index.rows(vp.U).tobytes() == U.tobytes(), label
             assert vp.tau_star == tau_star, label
             count += 1
         assert count == 60 + 48 + 1
@@ -1132,13 +1150,13 @@ class TestStackedBackwardInduction:
         vp = backward_induction(dataclasses.replace(tree))
         per_date = [
             sum(classes[tree.nodes[i].id].is_K for i in rows.tolist())
-            for _, rows in tree._layout.dates
+            for _, rows in tree._index.dates
         ]
         assert [len(q) for q in kernel] == [
             min(width, k - start) for k in reversed(per_date) for start in range(0, k, width)
         ]
         monkeypatch.undo()
-        assert tree._layout.rows(vp.U).tobytes() == tree._layout.rows(backward_induction(tree).U).tobytes()
+        assert tree._index.rows(vp.U).tobytes() == tree._index.rows(backward_induction(tree).U).tobytes()
 
     def test_no_game_is_built_for_a_nonsingular_node(self, monkeypatch):
         games = []

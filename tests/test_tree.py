@@ -14,7 +14,11 @@ from affinegames import tree as tree_module
 from affinegames.bsde import solve_reflected_bsde, verify_bsde_solution
 from affinegames.cli import gen_tree
 from affinegames.matrices import SquareMatrix, gen_k_matrix
-from affinegames.multi_period import naive_equilibrium_search, stopping_time_count
+from affinegames.multi_period import (
+    naive_equilibrium_search,
+    stopping_time_count,
+    verify_optimal_equilibrium,
+)
 from affinegames.tree import (
     AdaptedProcess,
     ScenarioTree,
@@ -93,7 +97,7 @@ class TestNavigation:
 class TestDerivedIndexes:
     """The row index and its sweep order come from the nodes alone."""
 
-    @pytest.mark.parametrize("name", ["_index", "_layout"])
+    @pytest.mark.parametrize("name", ["_index"])
     def test_not_a_constructor_argument(self, name):
         tree = two_level_tree(G=SquareMatrix(np.array([[1.0]])))
         with pytest.raises(TypeError, match=name):
@@ -605,38 +609,47 @@ LAYOUT_ARRAYS = (
 
 
 class TestLayoutMemo:
-    """A valid tree's array layout is built once and cannot be written to; a
-    replaced or copied tree builds its own."""
+    """A tree's row index and its dates are built once and cannot be written
+    to; a replaced or copied tree builds its own."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        layouts = []
+        """Each index built, and each index whose dates were built."""
+        indexes, dated = [], []
+        real = tree_module._Index.dates.func
 
-        class Counted(tree_module._Layout):
+        class Counted(tree_module._Index):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                layouts.append(self)
+                indexes.append(self)
 
-        monkeypatch.setattr(tree_module, "_Layout", Counted)
-        return layouts
+            @functools.cached_property
+            def dates(self):
+                dated.append(self)
+                return real(self)
+
+        monkeypatch.setattr(tree_module, "_Index", Counted)
+        return indexes, dated
 
     def test_one_solve_and_one_verify_build_it_once(self, built):
+        indexes, dated = built
         tree = gen_tree(0, 3, T=3, branching=2)
         sol = solve_reflected_bsde(tree)
         assert verify_bsde_solution(tree, sol) == []
-        assert len(built) == 1 and tree._layout is built[0]
+        assert verify_optimal_equilibrium(tree)
+        assert indexes == dated == [tree._index]
         solve_reflected_bsde(dataclasses.replace(tree))
-        assert len(built) == 2 and tree._layout is built[0]
+        assert len(indexes) == len(dated) == 2 and indexes[0] is tree._index
 
     def test_rows_and_edges_follow_node_and_child_order(self):
         tree = two_level_tree(m=2, G=K2)
         tree.require_valid()
-        layout = tree._layout
-        assert layout.X.tolist() == [n.X.tolist() for n in tree.nodes]
-        assert layout.parent.tolist() == [0, 0, 1, 1, 2, 2]
-        assert layout.child.tolist() == [1, 2, 3, 4, 5, 6]
-        assert layout.start.tolist() == [0, 2, 4, 6, 6, 6, 6, 6]
-        assert [(e.tolist(), r.tolist()) for e, r in layout.dates] == [
+        ix = tree._index
+        assert ix.X.tolist() == [n.X.tolist() for n in tree.nodes]
+        assert ix.parent.tolist() == [0, 0, 1, 1, 2, 2]
+        assert ix.child.tolist() == [1, 2, 3, 4, 5, 6]
+        assert ix.start.tolist() == [0, 2, 4, 6, 6, 6, 6, 6]
+        assert [(e.tolist(), r.tolist()) for e, r in ix.dates] == [
             ([0, 1], [0]),
             ([2, 3, 4, 5], [1, 2]),
         ]
@@ -644,9 +657,9 @@ class TestLayoutMemo:
     def test_arrays_are_read_only(self):
         tree = two_level_tree(m=2, G=K2)
         tree.require_valid()
-        layout = tree._layout
-        arrays = [getattr(layout, name) for name in LAYOUT_ARRAYS]
-        arrays += [a for date in layout.dates for a in date]
+        ix = tree._index
+        arrays = [getattr(ix, name) for name in LAYOUT_ARRAYS]
+        arrays += [a for date in ix.dates for a in date]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
@@ -654,13 +667,16 @@ class TestLayoutMemo:
     def test_copies_build_their_own(self):
         tree = two_level_tree(m=2, G=K2)
         tree.require_valid()
-        layout = tree._layout
+        ix = tree._index
         for twin in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
-            assert "_layout" not in vars(twin)
-            assert twin._layout is not layout
+            assert "_index" not in vars(twin)
+            assert twin._index is not ix and twin._index.dates is not ix.dates
             for name in LAYOUT_ARRAYS:
-                a, b = getattr(twin._layout, name), getattr(layout, name)
+                a, b = getattr(twin._index, name), getattr(ix, name)
                 assert a.tolist() == b.tolist() and not a.flags.writeable
+            for (e, r), (f, s) in zip(twin._index.dates, ix.dates):
+                assert (e.tolist(), r.tolist()) == (f.tolist(), s.tolist())
+                assert not e.flags.writeable and not r.flags.writeable
 
 
 class TestValidationMemory:
