@@ -22,17 +22,19 @@ in the CLI). Verification is by brute-force enumeration of adapted
 stopping times, represented as the antichain of first-stop nodes: one
 payoff table over every joint profile, checked by the normal-form engine;
 the naive search's table takes the naive anchor.
-That table is built bottom-up from each node's one-shot game, whose
-single-period payoff table covers every exercising set at once; a single
-profile's walk instead evaluates one exercising set per stop node. Every
-walk goes by the tree's index, latest date first or down from the root. A
-profile is located in the table by its index, and the naive search reads
-its Nash cells' indices back into stopping times, neither by a listing;
-both read the count under each row from _subtree_counts. A tree keeps, per
-tolerance, its value process as rows with tau_star (_value_rows) and each
-anchor's joint table (_tree_normal_form), so every verdict and profile
-evaluation on one tree after the first builds neither again. Only
-backward_induction maps the rows by node id.
+That table is built bottom-up from each node's one-shot game. The
+one-shot tables of all non-leaf nodes come from one call of the stacked
+single-period kernel, a row of X, stay-in payoff and matrix a node, with no
+GameSpec built per node; a single profile's walk instead evaluates one
+exercising set per stop node. Every walk goes by the tree's index, latest
+date first or down from the root. A profile is located in the table by
+its index, and the naive search reads its Nash cells' indices back into
+stopping times, neither by a listing; both read the count under each row
+from _subtree_counts. A tree keeps, per tolerance, its value process as
+rows with tau_star (_value_rows) and each anchor's joint table
+(_tree_normal_form), so every verdict and profile evaluation on one tree
+after the first builds neither again. Only backward_induction maps the
+rows by node id.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .single_period import (
     StrategyProfile,
     _binding,
     _coalition,
-    _payoff_table,
+    _payoff_tables,
     _solve_classified,
     payoff,
 )
@@ -212,14 +214,18 @@ def _joint_table(tree: ScenarioTree, anchor: np.ndarray, tol: float) -> np.ndarr
     non-leaf node, antichain 0 stops there and antichain 1 + k is the k-th
     combination of the children's antichains, in C order over the children
     in tree order (the order _profile_index reads). The node's one-shot
-    payoff table, widened so
-    that every index past 0 stays in, gives every block where someone
-    stops; the no-stop block is the probability mix of the children's
-    tables, summed by the one child-sum rule, which also gives every node's
-    stay-in payoff from the anchor rows.
+    payoff table, widened so that every index past 0 stays in, gives every
+    block where someone stops; every non-leaf node's one-shot table comes
+    from one stacked _payoff_tables call, the node's row of X, stay-in
+    payoff and matrix. The no-stop block is the probability mix of the
+    children's tables, summed by the one child-sum rule, which also gives
+    every node's stay-in payoff from the anchor rows.
     """
     m, ix, nodes, counts = tree.m, tree._index, tree.nodes, _subtree_counts(tree)
-    stay, below = ix.child_sum(anchor), ix.below
+    below = ix.below
+    inner = [i for i in ix.order.tolist() if below[i]]
+    shots = _payoff_tables(ix.X[inner], ix.child_sum(anchor)[inner], ix.stack()[ix.col[inner]], tol)
+    one_shot = dict(zip(inner, shots))
     tables: Dict[int, np.ndarray] = {}  # by row, each popped by its parent
     for i in ix.order.tolist():
         kids = below[i]
@@ -234,8 +240,7 @@ def _joint_table(tree: ScenarioTree, anchor: np.ndarray, tol: float) -> np.ndarr
             mix = mix + nodes[c].p * sub.reshape(tuple(axes) * m + (m,))
         rest = counts[i] - 1  # the combinations of the children's antichains
         pick = np.minimum(np.arange(counts[i]), 1)  # 0 exercises, the rest stay
-        game = GameSpec(X=nodes[i].X, P=stay[i], G=ix.matrices[ix.col[i]])
-        table = _payoff_table(game, tol)[np.ix_(*[pick] * m)]
+        table = one_shot.pop(i)[np.ix_(*[pick] * m)]
         table[(slice(1, None),) * m] = mix.reshape((rest,) * m + (m,))
         tables[i] = table
     return tables[ix.row[tree.root.id]]

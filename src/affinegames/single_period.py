@@ -20,12 +20,23 @@ builds it once per game and tolerance and keeps it, read-only, on the
 GameSpec; a game cannot change, since its fields are frozen and its arrays
 read-only. The solvers (solve_game, sol) keep no table and share none, so
 the enumerated Nash payoff stays an independent check of sol().
+
+One kernel, _payoff_tables, builds the tables of a stack of games in one
+walk over the sizes of the exercising set: at each size the exact blocks
+G_EE of every game go to LAPACK together (_coefficients), and the payoff
+formula then turns the coefficients into the stack of tables, a slice of
+cells at a time, in place (_values). A game's own table is the stack of
+one; multi_period stacks every non-leaf node of a tree. payoff() evaluates
+one profile by the same two steps, and alone holds the rule for everyone
+exercising on a singular G (V = X, no a), since a table's all-exercise cell
+needs no solve. The kernel keeps nothing between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import islice
+from math import comb
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -39,9 +50,9 @@ from .matrices import (
     NullCertificate,
     SquareMatrix,
     _minor_signs,
-    _principal_blocks,
     _read_only,
     _row_tols,
+    _stack_width,
     classify,
     scaled_tol,
 )
@@ -205,49 +216,107 @@ def payoff(
     tol: float = DEFAULT_TOL,
 ) -> PayoffOutcome:
     """Evaluate the payoff vector for one strategy profile."""
-    E = np.array([_checked_profile(spec, s).exercising], dtype=np.intp)
-    V, a = _payoffs(spec, E, spec.G.entries[E[:, :, None], E[:, None, :]], tol)
-    return PayoffOutcome(V=V[0], a=None if a is None else a[0])
+    E = _checked_profile(spec, s).exercising
+    X, P, G = spec.X[None], spec.P[None], spec.G.entries[None]
+    try:
+        a = _coefficients(X, P, G, np.array([E], dtype=np.intp), tol)
+    except SingularSubmatrix:
+        if len(E) < spec.m:
+            raise
+        return PayoffOutcome(V=spec.X.copy(), a=None)  # everyone exercises: V = X
+    exercised = np.zeros((1, spec.m), dtype=bool)
+    exercised[0, list(E)] = True
+    return PayoffOutcome(V=_values(X, P, G, a, exercised)[0, 0], a=a[0, 0])
 
 
-def _payoffs(
-    spec: GameSpec, sets: np.ndarray, blocks: np.ndarray, tol: float
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """V and a for each exercising set in the rows of sets, an (n, k) array of
-    one size k, with blocks = G[E, E] stacked; a is None when everyone
-    exercises and G is singular."""
-    n, k = sets.shape
-    a = np.zeros((n, spec.m))
-    if k == 0:
-        return np.tile(spec.P, (n, 1)), a
-    singular = _minor_signs(blocks, tol) == 0
-    if k == spec.m and singular[0]:
-        return spec.X[None, :].copy(), None
-    if singular.any():
-        E = sets[np.argmax(singular)].tolist()
-        raise SingularSubmatrix(f"G restricted to exercising set {E} is singular")
-    rows = np.arange(n)[:, None]
-    a[rows, sets] = np.linalg.solve(blocks, (spec.X - spec.P)[sets][..., None])[..., 0]
-    V = spec.P + (spec.G.entries @ a[..., None])[..., 0]
-    V[rows, sets] = spec.X[sets]
-    return V, a
+def _coefficients(
+    X: np.ndarray, P: np.ndarray, G: np.ndarray, sets: np.ndarray, tol: float
+) -> np.ndarray:
+    """a_E = G_EE^{-1} (X - P)_E at each exercising set E in the rows of sets,
+    a (C, k) array of one size k, for each game of a stack: X and P (n, m),
+    G (n, m, m); an (n, C, m) array, zero off the set.
 
-
-def _payoff_table(spec: GameSpec, tol: float) -> np.ndarray:
-    """Payoffs of every profile in one array, stacked by size of exercising set.
-
-    Axis i is player i's exercise bit; a non-exercising player's axis has
-    size 1, its one entry standing for stay (bit 1).
+    The exact blocks G[E, E] go to LAPACK in slices of at most _stack_width(k)
+    blocks, of whole games or of one game's sets; a singular block is a
+    SingularSubmatrix naming the first, by game and then by set.
     """
-    shape = tuple(1 if i in spec.non_exercising else 2 for i in range(spec.m))
-    free = np.array(spec.exercisable, dtype=np.intp)
-    table = np.empty(shape + (spec.m,))
-    for k in range(len(free) + 1):
-        for S, blocks in _principal_blocks(spec.G.entries[np.ix_(free, free)], k):
-            bits = np.tile(np.array(shape) - 1, (len(S), 1))
-            bits[np.arange(len(S))[:, None], free[S]] = 0
-            table[tuple(bits.T)] = _payoffs(spec, free[S], blocks, tol)[0]
-    return table
+    n, m = X.shape
+    C, k = sets.shape
+    a = np.zeros((n, C, m))
+    if k == 0:
+        return a
+    D, width = X - P, _stack_width(k)
+    step = min(C, width)  # sets a slice
+    per = max(1, width // step)  # games a slice
+    for g0 in range(0, n, per):
+        for j0 in range(0, C, step):
+            E = sets[j0 : j0 + step]
+            blocks = G[g0 : g0 + per, E[:, :, None], E[:, None, :]]
+            singular = _minor_signs(blocks, tol) == 0
+            if singular.any():
+                bad = E[np.argwhere(singular)[0, 1]].tolist()
+                raise SingularSubmatrix(f"G restricted to exercising set {bad} is singular")
+            solved = np.linalg.solve(blocks, D[g0 : g0 + per, E, None])[..., 0]
+            a[g0 : g0 + per, np.arange(j0, j0 + len(E))[:, None], E] = solved
+    return a
+
+
+def _values(
+    X: np.ndarray, P: np.ndarray, G: np.ndarray, a: np.ndarray, exercised: np.ndarray
+) -> np.ndarray:
+    """The payoff formula for each game of a stack and each row of its
+    coefficients a, (n, C, m): V = P + G a, except V_i = X_i where the (C, m)
+    mask exercised holds, and V = P in a row where nobody exercises."""
+    V = (G[:, None] @ a[..., None])[..., 0]
+    V += P[:, None]
+    np.copyto(V, X[:, None], where=exercised)
+    V[:, ~exercised.any(axis=1)] = P[:, None]
+    return V
+
+
+def _payoff_tables(
+    X: np.ndarray, P: np.ndarray, G: np.ndarray, tol: float, frozen: FrozenSet[int] = frozenset()
+) -> np.ndarray:
+    """Every profile's payoffs for each game of a stack, X and P (n, m) and G
+    (n, m, m), in which the players in frozen cannot exercise: an array of
+    shape (n,) + table shape, axis i player i's exercise bit, of size 1 (its
+    one entry standing for stay) for a frozen player.
+
+    One walk over the exercising-set sizes serves the whole stack. Read as f
+    bits over the f free players, a cell's flat index has a 1 where that
+    player stays, so the sets of one size, in ascending cell order, come in
+    lexicographic order. When everyone exercises, V = X whether G is singular
+    or not, so that cell needs no solve. The payoffs overwrite the
+    coefficients in slices of at most _stack_width(1) entries, so the walk
+    never holds a second table. A singular block is refused for the
+    first game in stack order that has one, naming that game's smallest
+    singular set.
+    """
+    n, m = X.shape
+    free = np.array([i for i in range(m) if i not in frozen], dtype=np.intp)
+    f = len(free)
+    index = np.arange(1 << f, dtype=">u4").view(np.uint8).reshape(-1, 4)  # f <= 32
+    ex = np.unpackbits(index, axis=1)[:, 32 - f :] == 0  # free player j exercises
+    cells = np.argsort(ex.sum(axis=1), kind="stable")  # by size of the set
+    a = np.zeros((n, 1 << f, m))
+    try:
+        done = 1  # cells passed, the empty set's first
+        for k in range(1, min(f, m - 1) + 1):
+            at = cells[done : done + comb(f, k)]
+            sets = free[np.nonzero(ex[at])[1]].reshape(len(at), k)
+            a[:, at] = _coefficients(X, P, G, sets, tol)
+            done += len(at)
+    except SingularSubmatrix:
+        for g in range(n - 1):  # an earlier game's larger singular set comes first
+            _payoff_tables(X[g : g + 1], P[g : g + 1], G[g : g + 1], tol, frozen)
+        raise
+    exercised = np.zeros((1 << f, m), dtype=bool)
+    exercised[:, free] = ex
+    step = max(1, _stack_width(1) // max(1, n * m))  # cells a slice, of n * m entries each
+    for c0 in range(0, 1 << f, step):  # each slice's payoffs overwrite its a
+        at = slice(c0, c0 + step)
+        a[:, at] = _values(X, P, G, a[:, at], exercised[at])
+    return a.reshape((n,) + tuple(1 if i in frozen else 2 for i in range(m)) + (m,))
 
 
 def _profiles_where(mask: np.ndarray) -> List[StrategyProfile]:
@@ -265,7 +334,9 @@ def _normal_form(spec: GameSpec, cap: int, what: str, tol: float) -> Tuple[np.nd
         raise DimensionTooLarge(f"{what} enumerates 2^{free} profiles; cap is {cap}")
     form = spec._tables.get(tol)
     if form is None:
-        table = _payoff_table(spec, tol)
+        table = _payoff_tables(
+            spec.X[None], spec.P[None], spec.G.entries[None], tol, spec.non_exercising
+        )[0]
         table.flags.writeable = False
         form = spec._tables[tol] = table, scaled_tol(tol, table)
     return form

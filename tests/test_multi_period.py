@@ -453,6 +453,16 @@ class TestVerifyOptimalEquilibrium:
         vp = backward_induction(tree)
         assert verify_optimal_equilibrium(tree, vp.tau_star)
 
+    def test_root_only_tree(self):
+        """T = 0: no node has children, so the joint table is the root's X and
+        the stacked one-shot kernel gets an empty stack."""
+        tree = ScenarioTree(T=0, m=2, nodes=(node("r", 0, None, 1.0, [1.0, -1.0]),), G=K2)
+        assert verify_optimal_equilibrium(tree)
+        res = naive_equilibrium_search(tree)
+        assert [p.stops for p in res.nash_profiles] == [(frozenset(), frozenset())]
+        assert res.distinct_nash_payoffs[0] == pytest.approx([1.0, -1.0])
+        assert coalition_value_tree(tree, [0, 1]) == pytest.approx(0.0)
+
 
 class TestCoalitionValueTree:
     def test_single_player_is_root_value(self):
@@ -654,8 +664,9 @@ class TestJointTable:
         ["verify_optimal_equilibrium", "coalition_value_tree", "naive_equilibrium_search"],
     )
     def test_one_payoff_table_per_node(self, monkeypatch, name, builtin):
-        """The joint table takes each node's exercising sets from one stacked
-        one-shot table, never from per-profile payoff() calls."""
+        """The joint table takes every node's exercising sets from one call of
+        the stacked one-shot kernel, holding every non-leaf node's row, never
+        from per-profile payoff() calls."""
         if builtin:
             tree = builtin_tree()
         else:
@@ -668,10 +679,13 @@ class TestJointTable:
         else:
             call = lambda: naive_equilibrium_search(tree)
         payoffs = _counted(monkeypatch, "affinegames.single_period", "payoff")
-        tables = _counted(monkeypatch, "affinegames.single_period", "_payoff_table")
+        tables = _counted(monkeypatch, "affinegames.single_period", "_payoff_tables")
         call()
         assert len(payoffs) == 0
-        assert len(tables) == len(inner_nodes(tree))
+        assert len(tables) == 1
+        assert sorted(map(tuple, tables[0].tolist())) == sorted(
+            tuple(n.X.tolist()) for n in inner_nodes(tree)
+        )
 
 
 class TestOneChildSumRule:
@@ -1032,6 +1046,28 @@ class TestSolveOncePerTolerance:
             tracemalloc.stop()
         assert held >= table_bytes
         assert left < table_bytes // 10
+
+    def test_dropping_the_tree_frees_both_tables(self):
+        """Both verifiers on a per-node tree (a singular D-hat root, so each
+        one-shot stack spans distinct matrices) keep the two joint tables;
+        once the tree is deleted, not even one one-shot stack's worth is left."""
+        tree = _per_node_dhat(gen_tree(0, 3, T=3), 1)
+        table_bytes = 26**3 * 3 * 8  # 26 stopping times a player at the root
+        stack_bytes = len(inner_nodes(tree)) * 2**3 * 3 * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = _array_bytes()
+            verify_optimal_equilibrium(tree)
+            naive_equilibrium_search(tree)
+            held = _array_bytes() - before
+            del tree
+            gc.collect()
+            left = _array_bytes() - before
+        finally:
+            tracemalloc.stop()
+        assert held >= 2 * table_bytes
+        assert left < stack_bytes // 10
 
     @pytest.mark.parametrize(
         "stops, dates",

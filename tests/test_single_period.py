@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import itertools
+import math
 import pickle
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affinegames import lcp, single_period
+from affinegames import lcp, matrices, single_period
 from affinegames.errors import DimensionTooLarge
 from affinegames.lcp import LcpProblem, solve_enum
 from affinegames.cli import gen_game
@@ -416,11 +417,15 @@ class TestWorkDoneOnce:
         "spec", [hand_game(), dummy_extension(hand_game()), random_k_game(4, 4)]
     )
     def test_equilibrium_report_builds_one_table(self, monkeypatch, spec):
-        tables = counting(monkeypatch, [single_period], "_payoff_table")
-        rows = counting(monkeypatch, [single_period], "_payoffs")
+        """One one-row call of the stacked kernel, which solves every proper,
+        nonempty exercising set once: the empty set's payoff is P, and when
+        everyone exercises it is X."""
+        tables = counting(monkeypatch, [single_period], "_payoff_tables")
+        rows = counting(monkeypatch, [single_period], "_coefficients")
         equilibrium_report(spec)
-        assert len(tables) == 1
-        assert sum(len(sets) for _, sets, _, _ in rows) == 2 ** len(spec.exercisable)
+        assert [len(X) for X, *_ in tables] == [1]
+        f = len(spec.exercisable)
+        assert sum(len(sets) for _, _, _, sets, _ in rows) == 2**f - 1 - (f == spec.m)
 
 
 def loop_report(spec, tol=1e-9):
@@ -534,6 +539,30 @@ def loop_payoff(spec, s, tol=1e-9):
     return V, a
 
 
+def one_table(spec, tol=1e-9):
+    """The game's payoff table as the one-row case of the stacked kernel."""
+    X, P, G = spec.X[None], spec.P[None], spec.G.entries[None]
+    return single_period._payoff_tables(X, P, G, tol, spec.non_exercising)[0]
+
+
+def stacked_tables(specs, tol=1e-9):
+    """The stacked kernel on games of one size and one frozen set."""
+    stack = [np.stack(a) for a in zip(*((g.X, g.P, g.G.entries) for g in specs))]
+    return single_period._payoff_tables(*stack, tol, specs[0].non_exercising)
+
+
+def singular_at(m, S):
+    """A game whose G is singular on the block of S, of two or three players,
+    and on no smaller set: on S, 1 on the diagonal and 2 off it, but the last
+    row of the block is the sum of its others."""
+    G = np.eye(m)
+    for i in S[:-1]:
+        G[i, S] = 2.0
+        G[i, i] = 1.0
+    G[S[-1], S] = G[S[:-1]][:, S].sum(axis=0)
+    return game(np.arange(m, dtype=float), np.zeros(m), G)
+
+
 def oracle_game(seed, m, kind):
     rng = np.random.default_rng([seed, m, 41])
     X, P = rng.uniform(-5, 5, m), rng.uniform(-5, 5, m)
@@ -554,7 +583,7 @@ class TestBatchedPayoffs:
     def test_every_profile_matches_the_loop(self, kind, m):
         for seed in range(3):
             spec = oracle_game(seed, m, kind)
-            table = single_period._payoff_table(spec, 1e-9)
+            table = one_table(spec)
             for s in itertools.product((0, 1), repeat=m):
                 if any(s[i] == 0 for i in spec.non_exercising):
                     continue
@@ -578,19 +607,107 @@ class TestBatchedPayoffs:
         with pytest.raises(SingularSubmatrix, match=r"set \[0, 1\] is singular"):
             enumerate_nash(spec)
 
+    def test_mixed_stack_equals_each_games_one_row_table(self):
+        """K, P, positive off-diagonal and singular D-hat games in one stack:
+        every game's table is its one-row table, bit for bit, and the
+        singular game's all-exercise cell is X."""
+        m = 4
+        rng = np.random.default_rng(3)
+        G = dhat_matrix([0.1, 0.2, 0.3, 0.4]).entries
+        dhat = game(rng.uniform(-5, 5, m), rng.uniform(-5, 5, m), G)
+        specs = [oracle_game(0, m, "k"), dhat, oracle_game(1, m, "p")]
+        specs += [oracle_game(2, m, "positive")] + [oracle_game(s, m, "k") for s in range(3, 6)]
+        tables = stacked_tables(specs)
+        assert tables.shape == (len(specs),) + (2,) * m + (m,)
+        for spec, table in zip(specs, tables):
+            assert table.tobytes() == one_table(spec).tobytes()
+            for s in itertools.product((0, 1), repeat=m):
+                assert table[s].tobytes() == loop_payoff(spec, s)[0].tobytes()
+        assert payoff(dhat, (0,) * m).a is None
+        assert tables[1][(0,) * m].tobytes() == dhat.X.tobytes()
+
+    def test_stack_of_dummy_extensions(self):
+        """Games whose player 0 cannot exercise: that axis has size 1."""
+        specs = [dummy_extension(random_k_game(seed, 3, nonneg=True)) for seed in range(4)]
+        tables = stacked_tables(specs)
+        assert tables.shape == (4, 1, 2, 2, 2, 4)
+        for spec, table in zip(specs, tables):
+            assert table.tobytes() == one_table(spec).tobytes()
+            for s in itertools.product((0, 1), repeat=3):
+                assert table[(0,) + s].tobytes() == loop_payoff(spec, (1,) + s)[0].tobytes()
+
+    def test_a_stack_names_the_first_games_smallest_singular_set(self):
+        """Game 1 is singular on [0, 1, 2] and game 3 on [0, 1], a smaller set
+        that a walk by size meets first; the stack names game 1's, as a loop
+        over the games would."""
+        first, later = singular_at(4, [0, 1, 2]), singular_at(4, [0, 1])
+        for spec, S in ((first, r"\[0, 1, 2\]"), (later, r"\[0, 1\]")):
+            with pytest.raises(SingularSubmatrix, match=f"set {S} is singular"):
+                one_table(spec)
+        specs = [random_k_game(0, 4), first, random_k_game(1, 4), later]
+        with pytest.raises(SingularSubmatrix, match=r"set \[0, 1, 2\] is singular"):
+            stacked_tables(specs)
+        with pytest.raises(SingularSubmatrix, match=r"set \[0, 1\] is singular"):
+            stacked_tables(specs[2:] + specs[:2])
+
+    def test_every_lapack_call_stays_within_the_stack_bound(self, monkeypatch):
+        """Unbounded, the walk makes one call of each kind per proper size,
+        for every game at once. A 40-entry bound still holds the six games'
+        1-by-1 blocks in one call (36 entries), but cuts one game's 20 blocks
+        of size 3 into calls of four, and writes the payoffs a cell at a time;
+        the tables do not change."""
+        m = 6
+        specs = [oracle_game(seed, m, kind) for seed in range(3) for kind in ("k", "p")]
+        expected = stacked_tables(specs).tobytes()
+        stacks = []
+        for name in ("slogdet", "solve"):
+            real = getattr(np.linalg, name)
+
+            def recorded(a, *rest, real=real, name=name):
+                stacks.append((name, a.shape))
+                return real(a, *rest)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        assert stacked_tables(specs).tobytes() == expected
+        assert [shape[:-2] for _, shape in stacks[::2]] == [
+            (len(specs), math.comb(m, k)) for k in range(1, m)
+        ]
+        stacks.clear()
+        monkeypatch.setattr(matrices, "_STACK_ENTRIES", 40)
+        assert stacked_tables(specs).tobytes() == expected
+        assert {name for name, _ in stacks} == {"slogdet", "solve"}
+        assert max(math.prod(shape) for _, shape in stacks) <= 40
+        shapes = [shape for _, shape in stacks]
+        assert (6, 6, 1, 1) in shapes and (1, 4, 3, 3) in shapes
+
+    def test_the_walk_never_holds_a_second_table(self):
+        """The payoffs overwrite the coefficients a slice at a time, so
+        building an 8 MB table (m = 16) peaks below two tables' bytes."""
+        spec = random_k_game(0, 16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = one_table(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 2**16 * 16 * 8
+        assert peak < 2 * table.nbytes
+
 
 def _tables_built(monkeypatch):
-    """The games whose payoff table _payoff_table builds, one entry a build."""
+    """The calls of the stacked payoff-table kernel, one entry a call: its
+    number of games and its tolerance."""
     built = []
-    real = single_period._payoff_table
+    real = single_period._payoff_tables
 
-    def counted(spec, tol):
-        built.append((spec, tol))
-        return real(spec, tol)
+    def counted(X, P, G, tol, frozen=frozenset()):
+        built.append((len(X), tol))
+        return real(X, P, G, tol, frozen)
 
     for module in list(sys.modules.values()):
-        if getattr(module, "_payoff_table", None) is real:
-            monkeypatch.setattr(module, "_payoff_table", counted)
+        if getattr(module, "_payoff_tables", None) is real:
+            monkeypatch.setattr(module, "_payoff_tables", counted)
     return built
 
 
@@ -620,12 +737,12 @@ class TestNormalFormMemo:
         built = _tables_built(monkeypatch)
         spec = gen_game(0, 5)
         _all_verdicts(spec)
-        assert built == [(spec, 1e-9)]
+        assert built == [(1, 1e-9)]
         _all_verdicts(spec, tol=1e-6)
-        assert [tol for _, tol in built] == [1e-9, 1e-6]
+        assert built == [(1, 1e-9), (1, 1e-6)]
         twin = dataclasses.replace(spec)
         coalition_value(twin, [0, 1])
-        assert len(built) == 3 and built[-1][0] is twin
+        assert built[2:] == [(1, 1e-9)] and list(twin._tables) == [1e-9]
         _all_verdicts(spec)
         _all_verdicts(twin)
         assert len(built) == 3
