@@ -33,6 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
+from .lcp import _judged
 from .matrices import DEFAULT_TOL, _stack_width, scaled_tol
 from .tree import AdaptedProcess, ScenarioTree, TreeNode, _valid
 
@@ -116,39 +117,30 @@ def _howard(
     have stopped), so at most m + 1 solves are needed. The whole stack is
     re-solved until no policy moves; an unchanged policy gives the same z
     again. Floating point can flip a policy on a degenerate row; the loop
-    stops after m + 1 solves in any case and the answer is judged by its
-    residual.
-
-    Each problem is accepted when max |min(z, w)| is at most tau =
-    scaled_tol(tol, q, G), which also holds min z and min w above -tau;
-    near-zero negatives are then clamped to 0. Raises ArithmeticError
-    naming the first node whose problem fails that test.
+    stops after m + 1 solves in any case and the answer is judged by the
+    LCP solvers' one check, lcp._judged, which clamps accepted near-zero
+    negatives to 0. Raises ArithmeticError naming the first node whose
+    answer it refuses.
     """
     n, m = q.shape
     eye = np.eye(m)
     on = np.ones((n, m), dtype=bool)
-    z = np.linalg.solve(G, -q[..., None])[..., 0]
-    w = q + (G @ z[..., None])[..., 0]
-    for _ in range(m):
-        nxt = np.where(on, z > 0.0, w < 0.0)
-        if (nxt == on).all():
-            break
-        on = nxt
+    for _ in range(m + 1):
         A = np.where(on[..., None], G, eye)
         z = np.linalg.solve(A, np.where(on, -q, 0.0)[..., None])[..., 0]
         z[~on] = 0.0
         w = q + (G @ z[..., None])[..., 0]
-    # scaled_tol is never below tol, so only a problem that fails at tol
-    # needs its own scale.
-    residual = np.abs(np.minimum(z, w)).max(axis=1)
-    for k in np.flatnonzero(~(residual <= tol)):
-        tau = scaled_tol(tol, q[k], G[k])
-        if not residual[k] <= tau:
-            raise ArithmeticError(
-                f"complementarity problem at node {part[k].id!r} is left unsolved "
-                f"by policy iteration (residual {residual[k]:.3g}, tolerance {tau:.3g})"
-            )
-    return np.where(z < 0.0, 0.0, z), np.where(w < 0.0, 0.0, w)
+        nxt = np.where(on, z > 0.0, w < 0.0)
+        if (nxt == on).all():
+            break
+        on = nxt
+    z, w, ok = _judged(q, G, z, tol)
+    if not ok.all():
+        raise ArithmeticError(
+            f"complementarity problem at node {part[int(np.argmin(ok))].id!r} is left "
+            "unsolved by policy iteration"
+        )
+    return z, w
 
 
 def verify_bsde_solution(

@@ -8,9 +8,8 @@ P-matrices both must agree. Lemke's one caller in the package is the CLI's
 raw {q, M} input above its enumeration cutoff; the reflected equation
 solves its K-matrix problems by policy iteration (bsde). Z-matrices have a
 third, polynomial solver: Chandrasekaran's method grows the support from
-empty at most m times, re-solving on principal blocks M[S, S], and accepts
-its answer by solve_enum's test and by the complementarity conditions. Its
-kernel, _chandrasekaran_stack, solves a stack of problems at once (backward
+empty at most m times, re-solving on principal blocks M[S, S]. Its kernel,
+_chandrasekaran_stack, solves a stack of problems at once (backward
 induction sends it each date's nonsingular nodes); solve_chandrasekaran is
 its one-row case. Policy iteration instead starts from the full support on
 bordered rows, so the game value U and the reflected equation's Z stay two
@@ -20,6 +19,11 @@ certificate: the problem has a solution exactly when v^T q >= 0; it solves
 with solve_chandrasekaran when the matrix is Z and with solve_enum otherwise.
 project_quadratic, an active-set minimizer, is the route to the Nash payoff
 that bypasses complementarity (single_period.projection_sol).
+
+Every solver's answer, policy iteration's included, is judged by one check,
+_judged, at one scale: w = q + Mz at q's, since scaling M by s > 0 leaves w
+alone, and z at q's over M's, since z scales by 1/s. So an answer, and what
+each solver's own thresholds decide, do not depend on the scale of M.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .matrices import (
     SquareMatrix,
     _minor_signs,
     _principal_blocks,
-    _row_tols,
     classify,
     positive_left_null,
     scaled_tol,
@@ -101,41 +104,67 @@ class P0PrimeOutcome:
     certificate: Optional[NullCertificate]
 
 
-def _finish(z: np.ndarray, w: np.ndarray) -> LcpSolution:
-    z = np.where(z < 0.0, 0.0, z)
-    w = np.where(w < 0.0, 0.0, w)
-    support = tuple(int(i) for i in np.nonzero(z > 0.0)[0])
-    return LcpSolution(z=z, w=w, support=support)
+def _answer_tols(q: np.ndarray, M: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The answer tolerances of each problem of a stack (leading axes
+    broadcast): tau_w = tol * max(1, |q|) for w and tau_z = tau_w / |M| for z,
+    with |q| and |M| the largest magnitudes in the problem's q and M."""
+    tau_w = tol * np.maximum(1.0, np.abs(q).max(axis=-1))
+    with np.errstate(divide="ignore"):
+        return tau_w, tau_w / np.abs(M).max(axis=(-2, -1))
+
+
+def _judged(
+    q: np.ndarray, M: np.ndarray, z: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one check of a complementarity answer, for each row of a stack of
+    problems q, M and candidates z (leading axes broadcast).
+
+    Recomputes w = q + Mz and accepts a row when z >= -tau_z, w >= -tau_w
+    and |z^T w| <= tau_w * sum|z|: complementarity per unit of z, since the
+    rounding left in w on the support is at q's scale whatever z's (on 1e-12
+    times a K-matrix, z is about 1e13 and z^T w about 1e-2). Returns z and w
+    with the near-zero negatives of accepted rows clamped to 0, and which
+    rows were accepted.
+    """
+    w = q + (M @ z[..., None])[..., 0]
+    tau_w, tau_z = _answer_tols(q, M, tol)
+    ok = ((z >= -tau_z[..., None]) & (w >= -tau_w[..., None])).all(axis=-1)
+    if ok.any():  # most of solve_enum's candidate stacks end here
+        ok &= np.abs(np.einsum("...i,...i", z, w)) <= tau_w * np.abs(z).sum(axis=-1)
+        keep = ok[..., None]
+        z, w = np.where(keep & (z < 0.0), 0.0, z), np.where(keep & (w < 0.0), 0.0, w)
+    return z, w, ok
+
+
+def _first(z: np.ndarray, w: np.ndarray, ok: np.ndarray) -> Optional[LcpSolution]:
+    """The first accepted row of _judged's answer, its support the indices
+    where z > 0; None when no row is accepted."""
+    for i in np.flatnonzero(ok)[:1].tolist():
+        return LcpSolution(z=z[i], w=w[i], support=tuple(np.flatnonzero(z[i] > 0.0).tolist()))
+    return None
 
 
 def solve_enum(problem: LcpProblem, tol: float = DEFAULT_TOL) -> Optional[LcpSolution]:
     """Support enumeration in increasing cardinality, then lexicographic order.
 
     Solves M_SS z_S = -q_S, stacked over the supports of one size whose
-    det(M_SS) is nonzero at the scaled tolerance, and accepts the first S whose
-    z and off-support w are nonnegative at the scaled tolerance. Accepted
-    near-zero negatives are clamped to 0. Returns None when no S qualifies.
-    Refused when m > ENUM_CAP.
+    det(M_SS) is nonzero at the scaled tolerance, starting from the empty
+    support (z = 0), and returns the first answer that _judged accepts, or
+    None when there is none. Refused when m > ENUM_CAP.
     """
     q, Ma, m = problem.q, problem.M.entries, problem.m
     if m > ENUM_CAP:
         raise DimensionTooLarge(f"support enumeration is 2^{m} subsets; cap is {ENUM_CAP}")
-    tau = scaled_tol(tol, q, Ma)
-
-    if float(np.min(q)) >= -tau:
-        return _finish(np.zeros(m), q.copy())
-    for k in range(1, m + 1):
+    for k in range(m + 1):
         for S, blocks in _principal_blocks(Ma, k):
             ok = _minor_signs(blocks, tol) != 0
             S = S[ok]
             on = (S[:, :, None] == np.arange(m)).any(axis=1)
             z = np.zeros(on.shape)
             z[on] = np.linalg.solve(blocks[ok], -q[S][..., None]).ravel()
-            w = q + (Ma @ z[..., None])[..., 0]
-            feasible = np.all((z >= -tau) & (on | (w >= -tau)), axis=1)
-            if feasible.any():
-                first = int(np.argmax(feasible))
-                return _finish(z[first], w[first])
+            solution = _first(*_judged(q, Ma, z, tol))
+            if solution is not None:
+                return solution
     return None
 
 
@@ -145,10 +174,7 @@ def solve_chandrasekaran(
     """Chandrasekaran's method for Z-matrices, in at most m re-solves: the
     one-row case of _chandrasekaran_stack. Returns None when the problem is
     left unsolved there."""
-    z, w, solved = _chandrasekaran_stack(problem.q[None], problem.M.entries[None], tol)
-    if not solved[0]:
-        return None
-    return LcpSolution(z=z[0], w=w[0], support=tuple(np.flatnonzero(z[0] > 0.0).tolist()))
+    return _first(*_chandrasekaran_stack(problem.q[None], problem.M.entries[None], tol))
 
 
 def _chandrasekaran_stack(
@@ -158,28 +184,24 @@ def _chandrasekaran_stack(
     (n, m, m) stack M of Z-matrices, all rows at once.
 
     Each row starts from the empty support; while some off-support w_i is
-    below the row's tau = scaled_tol(tol, q, M), it adds every such index
-    and re-solves M_SS z_S = -q_S. On a K-matrix the iterates increase to the
-    unique solution. The re-solves of one pass are grouped by support size
-    and run on the exact blocks M[S, S], singularity test included, and w
-    is q + Mz, as in solve_enum, so the two solvers agree bit for bit where
-    their supports do. A row fails when M_SS is singular at the tolerance (on
-    a singular P0' matrix, only the full support can be) or z_S falls below
-    -tau; an answer is accepted only when z >= -tau, w >= -tau and
-    |z^T w| <= tau * sum|z|: complementarity per unit of z, since z scales
-    inversely with M (on 1e-12 times a K-matrix, z is about 1e13 and the
-    rounding left in w_S makes z^T w about 1e-2, with tau about 5e-9).
-    Returns z and w with accepted near-zero negatives clamped to 0, and
-    whether each row was solved.
+    below the row's -tau_w, it adds every such index and re-solves
+    M_SS z_S = -q_S. On a K-matrix the iterates increase to the unique
+    solution. The re-solves of one pass are grouped by support size and run
+    on the exact blocks M[S, S], singularity test included, and w is q + Mz,
+    as in solve_enum, so the two solvers agree bit for bit where their
+    supports do. A row fails when M_SS is singular at the tolerance (on a
+    singular P0' matrix, only the full support can be) or z_S falls below
+    -tau_z, the tolerances of _answer_tols that _judged also applies; the
+    answer returns through _judged: z and w with accepted near-zero
+    negatives clamped to 0, and whether each row was solved.
     """
     n, m = q.shape
-    tau = _row_tols(tol, q, M)
-    floor = -tau[:, None]
+    tau_w, tau_z = _answer_tols(q, M, tol)
     z, w = np.zeros((n, m)), q.copy()
     support = np.zeros((n, m), dtype=bool)
     solved = np.ones(n, dtype=bool)
     while True:
-        grow = (w < floor) & ~support & solved[:, None]
+        grow = (w < -tau_w[:, None]) & ~support & solved[:, None]
         live = np.flatnonzero(grow.any(axis=1))
         if not live.size:
             break
@@ -199,13 +221,12 @@ def _chandrasekaran_stack(
                 rows, S, blocks = rows[regular], S[regular], blocks[regular]
             z_s = np.linalg.solve(blocks, -q[rows[:, None], S][..., None])[..., 0]
             z[rows[:, None], S] = z_s  # supports only grow, so z is 0 off S
-            solved[rows[z_s.min(axis=1) < floor[rows, 0]]] = False
+            solved[rows[z_s.min(axis=1) < -tau_z[rows]]] = False
         # only the rows solved again get a new w; the rest keep theirs (w = q
         # while the support is empty, as in solve_enum)
         w[live] = q[live] + (M[live] @ z[live][..., None])[..., 0]
-    solved &= (np.minimum(z, w) >= floor).all(axis=1)
-    solved &= np.abs((z * w).sum(axis=1)) <= tau * np.abs(z).sum(axis=1)
-    return np.where(z < 0.0, 0.0, z), np.where(w < 0.0, 0.0, w), solved
+    z, w, ok = _judged(q, M, z, tol)
+    return z, w, ok & solved
 
 
 def _pivot_budget(m: int) -> int:
@@ -221,15 +242,16 @@ def solve_lemke(
     Ties in the minimum-ratio test are resolved lexicographically against
     the columns that started as the identity, which rules out cycling in
     exact arithmetic; a pivot budget of 10 * 2^m guards the floating-point
-    version. Returns None on ray termination (no solution found along the
-    pivot path). The pivots run on M / s, with s the power of two nearest
-    max |M| (1 for a zero M), so that the ratio test's fixed threshold means
-    the same at every scale of M; z is divided back by s, exactly.
+    version. z = 0 is tried first, through _judged. Returns None on ray
+    termination (no solution found along the pivot path). The pivots run on
+    M / s, with s the power of two nearest max |M| (1 for a zero M), so that
+    the ratio test's fixed threshold means the same at every scale of M; z
+    is divided back by s, exactly. The answer the pivots end on is judged by
+    _judged; one it refuses is an ArithmeticError.
     """
     q, Ma, m = problem.q, problem.M.entries, problem.m
-    tau = scaled_tol(tol, q, Ma)
-    if float(np.min(q)) >= -tau:
-        return _finish(np.zeros(m), q.copy())
+    if (solution := _first(*_judged(q, Ma, np.zeros((1, m)), tol))) is not None:
+        return solution
 
     peak = float(np.max(np.abs(Ma)))
     scale = 2.0 ** min(round(math.log2(peak)), 1023) if peak > 0.0 else 1.0
@@ -282,8 +304,9 @@ def solve_lemke(
             for r, var in enumerate(basis):
                 if m <= var < 2 * m:
                     z[var - m] = T[r, 2 * m + 1]
-            z = np.where(z < 0.0, 0.0, z) / scale
-            return _finish(z, q + Ma @ z)
+            if (solution := _first(*_judged(q, Ma, z[None] / scale, tol))) is None:
+                raise ArithmeticError("Lemke's method ended on an answer that fails the check")
+            return solution
         entering = leaving + m if leaving < m else leaving - m
     raise CycleLimit(f"no termination within {_pivot_budget(m)} pivots")
 
@@ -320,7 +343,7 @@ def _p0prime_dichotomy(
             "singular input without a one-dimensional positive left null space"
         )
     vq = float(cert.v @ q)
-    tau = scaled_tol(tol, q)
+    tau = float(_answer_tols(q, problem.M.entries, tol)[0])
     if vq < -tau:
         return P0PrimeOutcome(solvable=False, solution=None, certificate=cert)
     sol = solve(problem, tol=tol)

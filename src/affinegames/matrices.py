@@ -161,10 +161,11 @@ def _principal_blocks(a: np.ndarray, k: int) -> Iterator[Tuple[np.ndarray, np.nd
 
 def _minor_signs(blocks: np.ndarray, tol: float) -> np.ndarray:
     """-1, 0 or +1 for each determinant of a (..., k, k) stack at the scaled
-    tolerance, as logarithms so that neither side can underflow."""
+    tolerance, as logarithms so that neither side can underflow. A 0 by 0
+    block's determinant is 1, above its bound tol."""
     sign, log_det = np.linalg.slogdet(blocks)
     with np.errstate(divide="ignore"):
-        log_bound = np.log(tol) + np.log(np.abs(blocks).max(axis=-1)).sum(axis=-1)
+        log_bound = np.log(tol) + np.log(np.abs(blocks).max(axis=-1, initial=0.0)).sum(axis=-1)
     return np.where(log_det > log_bound, sign, 0.0).astype(int)
 
 

@@ -244,6 +244,50 @@ class TestSolve:
             solve_reflected_bsde(chain([0.0, 1.0], G=None))
 
 
+def scaled(tree, s):
+    """The tree with every matrix, shared and per node, times s."""
+    nodes = tuple(
+        n if n.G is None else dataclasses.replace(n, G=SquareMatrix(s * n.G.entries))
+        for n in tree.nodes
+    )
+    G = None if tree.G is None else SquareMatrix(s * tree.G.entries)
+    return dataclasses.replace(tree, nodes=nodes, G=G)
+
+
+def dhat_nodes(tree, seed):
+    """The tree with its own nonsingular D-hat at every non-terminal node."""
+    rng = np.random.default_rng([seed, 37])
+    nodes = tuple(
+        n if tree.is_leaf(n) else dataclasses.replace(
+            n, G=dhat_matrix(alpha(rng, tree.m, rng.uniform(0.6, 0.95)))
+        )
+        for n in tree.nodes
+    )
+    return dataclasses.replace(tree, nodes=nodes, G=None)
+
+
+class TestScaleOfG:
+    """Replacing G by sG (s > 0) leaves the payoffs, so U and Z, unchanged:
+    backward induction on a tree with G times 1e8 gives the unscaled U and
+    tau_star, and the reflected equation's Z, at every node."""
+
+    @pytest.mark.parametrize("layout", ["shared", "pernode-dhat"])
+    def test_backward_induction_at_g_times_1e8(self, layout):
+        for seed in range(10):
+            for m in (4, 8):
+                tree = gen_tree(seed, m, T=2, branching=3)
+                if layout == "pernode-dhat":
+                    tree = dhat_nodes(tree, seed)
+                big = scaled(tree, 1e8)
+                want, got = backward_induction(tree), backward_induction(big)
+                Z = solve_reflected_bsde(big).Z
+                assert got.tau_star == want.tau_star, (seed, m)
+                for n in tree.nodes:
+                    tau = 1e-9 * max(1.0, float(np.max(np.abs(want.U[n.id]))))
+                    assert np.max(np.abs(got.U[n.id] - want.U[n.id])) <= tau, (seed, m, n.id)
+                    assert np.max(np.abs(got.U[n.id] - Z[n.id])) <= tau, (seed, m, n.id)
+
+
 class TestOneChildSumRule:
     """Where no reflection acts, Z at a node is the sum over its children,
     added as conditional_expectation adds them, to the last bit."""

@@ -192,6 +192,24 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "Lemke's method stopped on a ray without deciding the problem" in err
 
+    def test_lemke_answer_refused_by_the_check_exits_1(self, capsys, monkeypatch):
+        # The check is made to refuse every answer: no natural input was found
+        # whose pivots end on one it refuses.
+        from affinegames import lcp
+
+        real = lcp._judged
+
+        def refuse(q, M, z, tol):
+            z, w, ok = real(q, M, z, tol)
+            return z, w, np.zeros_like(ok)
+
+        monkeypatch.setattr(lcp, "_judged", refuse)
+        M = gen_p_matrix(3, 13)
+        q = np.random.default_rng(3).uniform(-5.0, 5.0, 13)
+        code, out, err = run(capsys, "solve", "--input", dump_json({"q": q, "M": matrix_json(M)}))
+        assert code == 1 and out == ""
+        assert "Lemke's method ended on an answer that fails the check" in err
+
     def test_lemke_solves_a_small_scale_p_matrix_past_the_cutoff(self, capsys):
         # A P-matrix times 1e-12 has a solution for every q; the ratio test's
         # fixed threshold must not read its pivot entries as zero.

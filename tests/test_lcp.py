@@ -68,25 +68,26 @@ class TestSolveEnum:
 
 
 def loop_enum(problem, tol=1e-9):
-    """Reference solve_enum: one determinant test and one solve a support."""
+    """Reference solve_enum: z = 0, then one determinant test, one solve and
+    one answer check a support. w is judged at q's scale, tau_w = tol *
+    max(1, |q|), since scaling M leaves it alone; z at tau_w / |M|, since z
+    scales inversely with M; and complementarity per unit of z."""
     q, Ma, m = problem.q, problem.M.entries, problem.m
-    tau = scaled_tol(tol, q, Ma)
-    if float(np.min(q)) >= -tau:
-        return np.zeros(m), q.copy()
-    for k in range(1, m + 1):
+    tau_w = tol * max(1.0, float(np.max(np.abs(q))))
+    tau_z = tau_w / float(np.max(np.abs(Ma)))
+    for k in range(m + 1):
         for idx in map(list, itertools.combinations(range(m), k)):
-            sub = Ma[np.ix_(idx, idx)]
-            scale = np.prod(np.max(np.abs(sub), axis=1))
-            if abs(float(np.linalg.det(sub))) <= tol * scale:
-                continue
-            z_s = np.linalg.solve(sub, -q[idx])
-            if float(np.min(z_s)) < -tau:
-                continue
             z = np.zeros(m)
-            z[idx] = z_s
+            if idx:
+                sub = Ma[np.ix_(idx, idx)]
+                scale = np.prod(np.max(np.abs(sub), axis=1))
+                if abs(float(np.linalg.det(sub))) <= tol * scale:
+                    continue
+                z[idx] = np.linalg.solve(sub, -q[idx])
             w = q + Ma @ z
-            off = np.setdiff1d(np.arange(m), idx)
-            if off.size and float(np.min(w[off])) < -tau:
+            if float(np.min(z)) < -tau_z or float(np.min(w)) < -tau_w:
+                continue
+            if abs(float(z @ w)) > tau_w * float(np.sum(np.abs(z))):
                 continue
             return np.where(z < 0.0, 0.0, z), np.where(w < 0.0, 0.0, w)
     return None
@@ -94,7 +95,11 @@ def loop_enum(problem, tol=1e-9):
 
 def oracle_problem(seed, m, kind):
     """P, K and positive off-diagonal matrices; a negated P-matrix, which has
-    no solution for q < 0; and a matrix whose block on {0, 1} is singular."""
+    no solution for q < 0; a matrix whose block on {0, 1} is singular; and
+    "p-1e8" and "k-1e8", the P and K problems with M times 1e8."""
+    if kind.endswith("-1e8"):
+        problem = oracle_problem(seed, m, kind[:-4])
+        return LcpProblem(q=problem.q, M=SquareMatrix(1e8 * problem.M.entries))
     rng = np.random.default_rng([seed, m, 23])
     q = rng.uniform(-5.0, 5.0, m)
     if kind == "p":
@@ -110,9 +115,12 @@ def oracle_problem(seed, m, kind):
 
 
 class TestBatchedEnumeration:
-    """The stacked solve_enum against the loop over supports, bit for bit."""
+    """The stacked solve_enum against the loop over supports, bit for bit;
+    each answer's w = q + Mz is also checked from outside, at q's scale."""
 
-    @pytest.mark.parametrize("kind", ["p", "k", "positive", "none", "singular"])
+    @pytest.mark.parametrize(
+        "kind", ["p", "k", "positive", "none", "singular", "p-1e8", "k-1e8"]
+    )
     @pytest.mark.parametrize("m", range(1, 9))
     def test_same_support_z_and_w(self, kind, m):
         for seed in range(4):
@@ -123,6 +131,9 @@ class TestBatchedEnumeration:
                 z, w = ref
                 assert got.support == tuple(int(i) for i in np.flatnonzero(z > 0.0))
                 assert np.array_equal(got.z, z) and np.array_equal(got.w, w)
+                w = problem.q + problem.M.entries @ got.z
+                tau_w = 1e-9 * max(1.0, float(np.max(np.abs(problem.q))))
+                assert float(np.min(w)) >= -tau_w, (kind, m, seed)
 
     def test_unsolvable_walk_keeps_its_memory_bounded(self):
         problem = LcpProblem(q=-np.ones(17), M=SquareMatrix(-gen_p_matrix(0, 17).entries))
@@ -296,6 +307,21 @@ class TestSolveLemke:
 
     def test_ray_termination(self):
         assert solve_lemke(lcp([-1.0, -1.0], [[-1.0, 0.0], [0.0, -1.0]])) is None
+
+    def test_a_refused_answer_is_an_error(self, monkeypatch):
+        # No natural input was found whose pivots end on an answer the check
+        # refuses (Hilbert matrices at m = 6..15, 200 problems, all pass), so
+        # the check is made to refuse every answer.
+        real = lcp_module._judged
+
+        def refuse(q, M, z, tol):
+            z, w, ok = real(q, M, z, tol)
+            return z, w, np.zeros_like(ok)
+
+        assert solve_lemke(HAND) is not None
+        monkeypatch.setattr(lcp_module, "_judged", refuse)
+        with pytest.raises(ArithmeticError, match="fails the check"):
+            solve_lemke(HAND)
 
     def test_pivot_budget(self, monkeypatch):
         # this instance needs five complementary pivots

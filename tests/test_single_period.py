@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinegames import lcp, matrices, single_period
 from affinegames.errors import DimensionTooLarge
@@ -177,6 +179,23 @@ class TestNashAndSol:
             assert nash, seed
             for p in nash:
                 assert payoff(spec, p).V == pytest.approx(want, abs=1e-9), seed
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 8),
+        kind=st.sampled_from(["p", "k"]),
+        scale=st.sampled_from([1e-12, 1e-6, 1e6, 1e8]),
+    )
+    def test_sol_does_not_depend_on_the_scale_of_g(self, seed, m, kind, scale):
+        # V = P + G_.E (G_EE)^-1 (X - P)_E is unchanged when G becomes sG, s > 0
+        spec = gen_game(seed, m, kind)
+        big = GameSpec(X=spec.X, P=spec.P, G=SquareMatrix(scale * spec.G.entries))
+        want = sol(spec)
+        tau = 1e-9 * max(1.0, float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(equilibrium_report(spec).nash_payoff - want))) <= tau
+        for got in (sol(big), solve_game(big).V_star):
+            assert float(np.max(np.abs(got - want))) <= tau
 
     def test_sol_solves_the_lcp(self):
         spec = hand_game()
